@@ -5,8 +5,11 @@ A Gaussian terminal density with standard deviation 2 must produce a
 perfectly flat implied-vol smile at 2.0: any structure we see is
 numerical error. This walks the strike axis from -20 to 20, prices with
 the tail integral and the damped transform, inverts each, and prints the
-deviation from flatness side by side.
+deviation from flatness side by side.  It exits non-zero if the transform
+engine strays from flat by more than 1e-10 in the bulk (|kappa| <= 12.5).
 """
+
+import sys
 
 import numpy as np
 
@@ -27,6 +30,7 @@ print(f"{'kappa':>7} {'call (tail)':>13} {'I_tail - 2':>11} {'I_cf - 2':>11}")
 
 worst_tail = 0.0
 worst_cf = 0.0
+worst_bulk = 0.0  # transform engine at |kappa| <= 12.5, where it must stay exact
 for k in np.linspace(-20.0, 20.0, 17):
     k = float(k)
     qt = price_from_tail(model, k)
@@ -42,7 +46,10 @@ for k in np.linspace(-20.0, 20.0, 17):
         worst_cf = max(worst_cf, abs(dev_c))
         cf_txt = f"{dev_c:11.2e}"
     except NoSolutionBelowIntrinsic:
+        dev_c = np.inf
         cf_txt = "noise floor".rjust(11)
+    if abs(k) <= 12.5:
+        worst_bulk = max(worst_bulk, abs(dev_c))
     print(f"{k:7.1f} {qt.call:13.6e} {dev_t:11.2e} {cf_txt}")
 
 print()
@@ -50,3 +57,6 @@ print(f"max |I - 2|: tail engine {worst_tail:.2e}, transform engine {worst_cf:.2
 print("the tail engine keeps relative accuracy arbitrarily deep; the transform")
 print("engine is exact in the bulk but its price is an oscillatory integral")
 print("with an absolute error floor, useless once the true price sinks below it")
+print(f"transform engine in the bulk (|kappa| <= 12.5): {worst_bulk:.2e} (limit 1e-10)")
+if worst_bulk > 1e-10:
+    sys.exit("bulk flatness of the transform engine exceeds 1e-10")

@@ -313,46 +313,26 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         s = np.hypot(d, x - m)
         return log_front + b * (x - m) - np.log(s) + _log_kve1(a * s) - a * s
 
-    def _log_tail_de(x, sign: int, rate: float):
-        # ln int_0^inf f(x + sign*y) dy; valid from the mean outward in sign
-        scale = 1.0 / rate
+    def _log_tail_de(x, sign: int):
+        # ln int_0^inf f(x + sign*y) dy; valid from the mean outward in sign.
+        # A scale below delta, the branch points' height, costs accuracy
+        scale = max(1.0 / (lam_minus if sign > 0 else lam_plus), d)
         y = x[:, None] + sign * scale * _DE_Y[None, :]
         terms = log_pdf(y) + _DE_LOGW[None, :] + math.log(scale)
         peak = terms.max(axis=1)
         return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
 
-    def log_sf_arr(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def log_tail(x, sign: int):
+        # ln P(sign X > sign x): the rule from the mean outward, and on the
+        # near side 1 minus the other tail, computed directly below ~1/2
         out = np.empty_like(x)
-        right = x >= mean
-        if right.any():
-            out[right] = _log_tail_de(x[right], +1, lam_minus)
-        left = ~right
-        if left.any():
-            # sf = 1 - cdf, with cdf < ~1/2 computed directly on its own side
-            cdf_left = np.exp(_log_tail_de(x[left], -1, lam_plus))
-            out[left] = np.log1p(-cdf_left)
+        outward = x >= mean if sign > 0 else x <= mean
+        if outward.any():
+            out[outward] = _log_tail_de(x[outward], sign)
+        inward = ~outward
+        if inward.any():
+            out[inward] = np.log1p(-np.exp(_log_tail_de(x[inward], -sign)))
         return out
-
-    def log_cdf_arr(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        left = x <= mean
-        if left.any():
-            out[left] = _log_tail_de(x[left], -1, lam_plus)
-        right = ~left
-        if right.any():
-            sf_right = np.exp(_log_tail_de(x[right], +1, lam_minus))
-            out[right] = np.log1p(-sf_right)
-        return out
-
-    def _shape_back(fn):
-        def wrapped(x):
-            res = fn(np.asarray(x, dtype=float))
-            if np.ndim(x) == 0:
-                return float(res[0])
-            return res.reshape(np.shape(x))
-        return wrapped
 
     def char_fn(xi):
         scalar = np.ndim(xi) == 0
@@ -378,11 +358,11 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         name="nig",
         params=params,
         pdf=_scalarize(lambda x: np.exp(log_pdf(np.asarray(x, dtype=float)))),
-        cdf=_shape_back(lambda x: np.exp(log_cdf_arr(x))),
-        complement_cdf=_shape_back(lambda x: np.exp(log_sf_arr(x))),
+        cdf=_scalarize(lambda x: np.exp(log_tail(x, -1))),
+        complement_cdf=_scalarize(lambda x: np.exp(log_tail(x, +1))),
         log_pdf=_scalarize(lambda x: log_pdf(np.asarray(x, dtype=float))),
-        log_cdf=_shape_back(log_cdf_arr),
-        log_complement_cdf=_shape_back(log_sf_arr),
+        log_cdf=_scalarize(lambda x: log_tail(x, -1)),
+        log_complement_cdf=_scalarize(lambda x: log_tail(x, +1)),
         char_fn=char_fn,
         mgf=mgf,
         strip=AnalyticityStrip(lambda_minus=lam_minus, lambda_plus=lam_plus),

@@ -191,11 +191,29 @@ def _log_tail_price(log_tail, k: float, sign: float, rate: float) -> float:
 # damped Fourier engine
 # =============================================================================
 
-# routing thresholds for the oscillatory integral: total phase below which
-# a plain adaptive rule is enough, and the cutoff length beyond which the
-# transform decays slowly enough for the semi-infinite cycle rule
-_PLAIN_PHASE_MAX = 50.0
-_QAWO_CUTOFF_MAX = 5000.0
+# QUADPACK's qk15 rule on [-1, 1] (Piessens et al. 1983): Kronrod nodes and weights
+# and the 7-point Gauss weights (on odd-indexed nodes), halves from -1 to the centre
+_GK_X = np.array([-0.9914553711208126, -0.9491079123427585, -0.8648644233597691, -0.7415311855993945,
+                  -0.5860872354676911, -0.4058451513773972, -0.20778495500789848, 0.0])
+_GK_WK = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+                   0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782])
+_GK_WG = np.array([0.0, 0.1294849661688697, 0.0, 0.27970539148927664,
+                   0.0, 0.3818300505051189, 0.0, 0.4179591836734694])
+_GK_X = np.concatenate([_GK_X, -_GK_X[-2::-1]])
+_GK_WK = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
+_GK_WG = np.concatenate([_GK_WG, _GK_WG[-2::-1]])
+
+# qk15's roundoff floor on a panel's error is 50 eps int |f|.  Panel
+# evaluations are budgeted per unit of settings.max_subdivisions, and
+# one char_fn call takes at most 256 panels' nodes, bounding its arrays
+_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
+_PANELS_PER_SUBDIVISION = 64
+_MAX_NODES_PER_CALL = 256 * _GK_X.size
+
+# a transform above the guard past this cutoff decays algebraically; with more
+# phase than this head it goes to the semi-infinite cycle rule after a plain head
+_QAWF_CUTOFF_MIN = 5000.0
+_QAWF_HEAD_PHASE = 50.0
 
 
 def _validate_alpha(model: ModelSpec, alpha: float) -> None:
@@ -229,6 +247,42 @@ def _find_cutoff(model: ModelSpec, alpha: float, guard: float) -> float:
     )
 
 
+def _adaptive_gk15(integrand, cutoff: float, k: float, settings: QuadratureSettings):
+    """Globally adaptive G7/K15 on [0, cutoff] for a phase e^(-iu kappa).
+
+    Starts from equal panels at most half a period wide; each round
+    evaluates every open panel's nodes in a few array calls and bisects
+    those whose |K - G| exceeds both their length's share of the
+    tolerance and the roundoff floor.  Returns the integral and the sum
+    of max(|K - G|, floor) over panels.
+    """
+    n = max(8, math.ceil(abs(k) * cutoff / math.pi))
+    edges = np.linspace(0.0, cutoff, n + 1)
+    lo, hi = edges[:-1], edges[1:]
+    budget = _PANELS_PER_SUBDIVISION * settings.max_subdivisions
+    value = err = 0.0
+    while lo.size:
+        budget -= lo.size
+        if budget < 0:
+            raise AccuracyNotReached("transform quadrature ran out of panels",
+                                     achieved=math.inf)
+        half = 0.5 * (hi - lo)
+        u = (lo + half)[:, None] + half[:, None] * _GK_X
+        chunks = np.split(u.ravel(), range(_MAX_NODES_PER_CALL, u.size, _MAX_NODES_PER_CALL))
+        f = np.concatenate([integrand(c) for c in chunks]).reshape(u.shape)
+        kron = half * (f @ _GK_WK)
+        diff = np.abs(kron - half * (f @ _GK_WG))
+        floor = _ROUNDOFF_FLOOR * half * (np.abs(f) @ _GK_WK)
+        tol = max(settings.abs_tol, settings.rel_tol * abs(value + kron.sum()))
+        # NaN compares False: a NaN panel closes and fails the finiteness check
+        open_ = (diff > tol * (hi - lo) / cutoff) & (diff > floor)
+        value += kron[~open_].sum()
+        err += np.maximum(diff, floor)[~open_].sum()
+        mid = (lo + half)[open_]
+        lo, hi = np.concatenate([lo[open_], mid]), np.concatenate([mid, hi[open_]])
+    return float(value), float(err)
+
+
 def price_from_cf(
     model: ModelSpec,
     kappa: float,
@@ -240,7 +294,9 @@ def price_from_cf(
     value = e^(-alpha kappa)/pi * int_0^U Re[e^(-iu kappa) phi(u - i alpha)
     / (alpha + iu)^2] du; positive alpha prices the call directly and the
     put follows by parity, negative alpha the reverse.  The u > 0 half
-    suffices because the integrand is Hermitian in u.
+    suffices because the integrand is Hermitian in u.  A vectorized
+    adaptive G7/K15 rule integrates it unless the transform decays so
+    slowly (U > 5000) that it needs scipy's semi-infinite Fourier rule.
     """
     k = float(kappa)
     a = float(alpha)
@@ -250,58 +306,22 @@ def price_from_cf(
     guard = settings.truncation_guard
     cutoff = _find_cutoff(model, a, guard)
 
-    def transformed(u: float) -> complex:
-        phi = model.char_fn(complex(u, -a))
-        denom = complex(a, u)
-        return phi / (denom * denom)
+    def transformed(u):
+        denom = a + 1j * u
+        return model.char_fn(u - 1j * a) / (denom * denom)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if abs(k) * cutoff <= _PLAIN_PHASE_MAX:
-            # few oscillation periods: ordinary adaptive rule resolves them.
-            # A long integration range gets the near-origin peak as its own
-            # panel so the subdivision budget is not spread thin.
-            fn = lambda u: (transformed(u) * complex(math.cos(u * k), -math.sin(u * k))).real
-            split = min(cutoff, max(200.0, 20.0 / model.scale))
-            osc, err = integrate.quad(
-                fn, 0.0, split,
-                epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                limit=settings.max_subdivisions,
-            )
-            if split < cutoff:
-                far, err_far = integrate.quad(
-                    fn, split, cutoff,
-                    epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                    limit=settings.max_subdivisions,
-                )
-                osc += far
-                err += err_far
-            trunc = guard
-        elif cutoff <= _QAWO_CUTOFF_MAX:
-            # fast-decaying transform, many periods: finite oscillatory rule.
-            # (The semi-infinite rule breaks on integrands that are
-            # numerically zero over whole cycles, so it is reserved for
-            # slowly decaying transforms below.)
-            re, err_re = integrate.quad(
-                lambda u: transformed(u).real, 0.0, cutoff,
-                weight="cos", wvar=abs(k),
-                epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                limit=settings.max_subdivisions,
-            )
-            im, err_im = integrate.quad(
-                lambda u: transformed(u).imag, 0.0, cutoff,
-                weight="sin", wvar=abs(k),
-                epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                limit=settings.max_subdivisions,
-            )
-            osc = re + math.copysign(1.0, k) * im
-            err = err_re + err_im
-            trunc = guard
-        else:
-            # algebraic decay stretching out for thousands of periods:
-            # plain rule through the near-origin peak, then the
-            # semi-infinite Fourier rule with cycle-wise extrapolation
-            split = _PLAIN_PHASE_MAX / abs(k)
+    if cutoff <= _QAWF_CUTOFF_MIN or abs(k) * cutoff <= _QAWF_HEAD_PHASE:
+        osc, err = _adaptive_gk15(
+            lambda u: (transformed(u) * np.exp(-1j * k * u)).real, cutoff, k, settings
+        )
+        trunc = guard
+    else:
+        # algebraic decay stretching out for thousands of periods:
+        # plain rule through the near-origin peak, then the
+        # semi-infinite Fourier rule with cycle-wise extrapolation
+        split = _QAWF_HEAD_PHASE / abs(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
             head, err_head = integrate.quad(
                 lambda u: (transformed(u) * complex(math.cos(u * k), -math.sin(u * k))).real,
                 0.0, split,
@@ -320,9 +340,9 @@ def price_from_cf(
                 epsabs=settings.abs_tol,
                 limit=settings.max_subdivisions, limlst=settings.max_subdivisions,
             )
-            osc = head + re + math.copysign(1.0, k) * im
-            err = err_head + err_re + err_im
-            trunc = 0.0
+        osc = head + re + math.copysign(1.0, k) * im
+        err = err_head + err_re + err_im
+        trunc = 0.0
 
     if not math.isfinite(osc):
         raise AccuracyNotReached("oscillatory quadrature did not converge",

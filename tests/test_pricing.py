@@ -1,15 +1,21 @@
-"""Pricing engine checks: each engine against closed-form oracles, the
-two engines against each other, parity, convexity, truncation soundness,
-damping invariance, and smile assembly with per-point failure handling.
+"""Pricing engine checks: each engine against closed-form and mpmath
+oracles, the two engines against each other (at fixed points and on
+random NIG models), parity, convexity, truncation soundness, damping
+invariance, the Fourier engine's char_fn work count, and smile assembly
+with per-point failure handling, serial and threaded.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bachelier_wings.bachelier import call_price
 from bachelier_wings.errors import (
@@ -23,12 +29,14 @@ from bachelier_wings.pricing import (
     DEFAULT_SETTINGS,
     PriceQuote,
     QuadratureSettings,
+    _default_alpha,
     log_call_price_from_tail,
     log_put_price_from_tail,
     price_from_cf,
     price_from_tail,
     smile_from_model,
 )
+from bachelier_wings.wings import theorem_verdicts
 
 GAUSS1 = gaussian_model(1.0)
 GAUSS2 = gaussian_model(2.0)
@@ -179,6 +187,86 @@ def test_cf_alpha_near_boundary_stays_stable():
     assert near.call == pytest.approx(inner.call, rel=1e-9)
 
 
+# Near-money NIG calls that a finite-interval QAWO rule got wrong
+# (1.1076e-6 and 6.981e-6) while estimating its error near 1e-17; both
+# have |kappa| * cutoff = 128.  Reference calls: 30-digit mpmath, from the
+# normal variance-mean mixture integral.
+NIG_NEAR_MONEY_ORACLES = [
+    ((2.548205756643636, -1.1746241491521126, 1.4352346333062507),
+     3.5909568867670196, 2.98094496254953e-6),
+    ((1.8306736121361125, -0.7454824954401268, 1.954888119824199),
+     4.735578734787866, 8.87695719976146e-6),
+]
+
+
+@pytest.mark.parametrize("params, kappa, call", NIG_NEAR_MONEY_ORACLES)
+def test_cf_nig_near_money_matches_mpmath(params, kappa, call):
+    model = nig_model(*params)
+    qc = price_from_cf(model, kappa, _default_alpha(model, kappa))
+    qt = price_from_tail(model, kappa)
+    assert qc.call == pytest.approx(call, rel=1e-9)
+    assert abs(qc.call - qt.call) <= qc.abs_error_estimate + qt.abs_error_estimate
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(1.0, 4.0),
+    skew=st.floats(-0.6, 0.6),
+    delta=st.floats(0.5, 2.0),
+)
+def test_engines_agree_on_random_nig_near_money(alpha, skew, delta):
+    model = nig_model(alpha, skew * alpha, delta)
+    for j in range(-4, 5):
+        k = j * model.scale
+        qt = price_from_tail(model, k)
+        qc = price_from_cf(model, k, _default_alpha(model, k))
+        diff = max(abs(qt.call - qc.call), abs(qt.put - qc.put))
+        assert diff <= qt.abs_error_estimate + qc.abs_error_estimate, k
+
+
+def test_cf_panel_budget_exhaustion_raises():
+    # 16 subdivisions allow 64 * 16 = 1024 panel evaluations, fewer than
+    # the ~1100 half-period panels that kappa = 80 needs over U ~ 43
+    with pytest.raises(AccuracyNotReached) as err:
+        price_from_cf(NIG, 80.0, 1.35, QuadratureSettings(max_subdivisions=16))
+    assert err.value.achieved == math.inf
+    q = price_from_cf(NIG, 80.0, 1.35)
+    assert 0.0 < q.call < 1e-50
+
+
+# =============================================================================
+# Fourier engine work count (machine-independent)
+# =============================================================================
+
+def _counting_char_fn(model):
+    calls = [0]
+
+    def char_fn(xi):
+        calls[0] += 1
+        return model.char_fn(xi)
+
+    return dataclasses.replace(model, char_fn=char_fn), calls
+
+
+@pytest.mark.parametrize("params", [(2.0, 0.5, 1.0), (1.1, 0.3, 0.5), (4.0, -2.4, 2.0)])
+def test_cf_char_fn_calls_per_price(params):
+    # char_fn takes whole node arrays: a price costs the cutoff search
+    # plus one call per bisection round
+    model, calls = _counting_char_fn(nig_model(*params))
+    for j in (-45, -12, -4, -1, 0, 1, 4, 12, 45):
+        k = j * model.scale
+        calls[0] = 0
+        price_from_cf(model, k, _default_alpha(model, k))
+        assert 0 < calls[0] <= 20, k
+
+
+def test_nig_report_char_fn_calls():
+    model, calls = _counting_char_fn(NIG)
+    report = theorem_verdicts(model)
+    assert report["failed_points"] == 0
+    assert calls[0] < 1000
+
+
 # =============================================================================
 # log-space tail prices
 # =============================================================================
@@ -264,6 +352,28 @@ def test_smile_deterministic():
         pa.price == pb.price and pa.ivol == pb.ivol
         for pa, pb in zip(a.points, b.points)
     )
+
+
+def test_smile_threaded_matches_serial():
+    # the Fourier route shares no mutable state between callers, so
+    # points priced from several threads at once equal the serial ones
+    wing = np.geomspace(2.0, 30.0, 6) * NIG.scale
+    grid = np.concatenate([-wing[::-1], [0.0], wing])
+    serial = smile_from_model(NIG, grid)
+    assert all(p.status == "ok" for p in serial.points)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(smile_from_model, NIG, [k]) for k in grid]
+            futures += [pool.submit(smile_from_model, NIG, grid) for _ in range(3)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    singles = tuple(r.points[0] for r in results[:grid.size])
+    assert singles == serial.points
+    for r in results[grid.size:]:
+        assert r.points == serial.points
 
 
 def test_smile_rejects_bad_tolerance():
