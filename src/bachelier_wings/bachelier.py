@@ -54,9 +54,16 @@ def _as_array(x, name: str) -> NDArray[np.float64]:
     return arr
 
 
-def _require_positive(arr: NDArray[np.float64], name: str) -> None:
-    if np.any(arr <= 0.0):
-        raise DomainError(f"{name} must be > 0")
+def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
+    """Both inputs as finite arrays broadcast together, plus whether both
+    came in as scalars; inputs named in `positive` must also be > 0."""
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    arrays = [_as_array(v, name) for v, name in zip((a, b), names)]
+    for arr, name in zip(arrays, names):
+        if name in positive and np.any(arr <= 0.0):
+            raise DomainError(f"{name} must be > 0")
+    x, y = np.broadcast_arrays(*arrays)
+    return x, y, scalar
 
 
 def _scalar_or_array(out: NDArray[np.float64], scalar: bool):
@@ -113,11 +120,7 @@ def call_price(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     underflows to intrinsic once exp(-d^2/2) < 5e-324; use
     :func:`call_price_log` beyond that.
     """
-    scalar = np.ndim(kappa) == 0 and np.ndim(sigma) == 0
-    k = _as_array(kappa, "kappa")
-    s = _as_array(sigma, "sigma")
-    _require_positive(s, "sigma")
-    k, s = np.broadcast_arrays(k, s)
+    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
     k_abs = np.abs(k)
     d = k_abs / s
     otm = np.exp(-0.5 * d * d) * _scaled_time_value(k_abs, s)
@@ -135,11 +138,7 @@ def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     OTM branch: ln c = -d^2/2 + ln h.  ITM branch folds the intrinsic in
     through log1p so nothing is lost when the time value is negligible.
     """
-    scalar = np.ndim(kappa) == 0 and np.ndim(sigma) == 0
-    k = _as_array(kappa, "kappa")
-    s = _as_array(sigma, "sigma")
-    _require_positive(s, "sigma")
-    k, s = np.broadcast_arrays(k, s)
+    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
     k_abs = np.abs(k)
     d = k_abs / s
     log_otm = -0.5 * d * d + np.log(_scaled_time_value(k_abs, s))
@@ -159,10 +158,7 @@ def put_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
 
 def vega(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     """d(price)/d(sigma) = phi(kappa/sigma); same for calls and puts."""
-    scalar = np.ndim(kappa) == 0 and np.ndim(sigma) == 0
-    k = _as_array(kappa, "kappa")
-    s = _as_array(sigma, "sigma")
-    _require_positive(s, "sigma")
+    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
     d = k / s
     return _scalar_or_array(np.exp(-0.5 * d * d) * INV_SQRT_2PI, scalar)
 
@@ -199,13 +195,9 @@ def mills_sandwich(kappa: FloatLike, sigma: FloatLike) -> tuple[FloatLike, Float
     Requires kappa > 0.  The ratio upper/lower tends to pi/2 as d grows
     (the two Mills constants differ), so these localize ln c_b to O(1).
     """
-    scalar = np.ndim(kappa) == 0 and np.ndim(sigma) == 0
-    k = _as_array(kappa, "kappa")
-    s = _as_array(sigma, "sigma")
-    _require_positive(s, "sigma")
+    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
     if np.any(k <= 0.0):
         raise DomainError("mills_sandwich requires kappa > 0")
-    k, s = np.broadcast_arrays(k, s)
     pdf = np.exp(-0.5 * (k / s) ** 2) * INV_SQRT_2PI
     lo, hi = _bound_args(k, s)
     return _scalar_or_array(pdf * lo, scalar), _scalar_or_array(pdf * hi, scalar)
@@ -213,13 +205,9 @@ def mills_sandwich(kappa: FloatLike, sigma: FloatLike) -> tuple[FloatLike, Float
 
 def mills_sandwich_log(kappa: FloatLike, sigma: FloatLike) -> tuple[FloatLike, FloatLike]:
     """ln of both :func:`mills_sandwich` bounds; safe arbitrarily deep."""
-    scalar = np.ndim(kappa) == 0 and np.ndim(sigma) == 0
-    k = _as_array(kappa, "kappa")
-    s = _as_array(sigma, "sigma")
-    _require_positive(s, "sigma")
+    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
     if np.any(k <= 0.0):
         raise DomainError("mills_sandwich_log requires kappa > 0")
-    k, s = np.broadcast_arrays(k, s)
     log_pdf = -0.5 * (k / s) ** 2 - LN_SQRT_2PI
     lo, hi = _bound_args(k, s)
     return (
@@ -243,12 +231,7 @@ def bachelier_bounds(y: FloatLike, beta: FloatLike) -> tuple[FloatLike, FloatLik
     The ratio upper/lower grows like pi*y/(2*beta); the sandwich pins the
     exponential order exp(-y/(2 beta)), not the algebraic prefactor.
     """
-    scalar = np.ndim(y) == 0 and np.ndim(beta) == 0
-    yy = _as_array(y, "y")
-    bb = _as_array(beta, "beta")
-    _require_positive(yy, "y")
-    _require_positive(bb, "beta")
-    yy, bb = np.broadcast_arrays(yy, bb)
+    yy, bb, scalar = _validated_pair(y, beta, ("y", "beta"), ("y", "beta"))
     damp = np.exp(-yy / (2.0 * bb))
     g_l, g_u = _prefactors(yy, bb)
     return _scalar_or_array(g_l * damp, scalar), _scalar_or_array(g_u * damp, scalar)
@@ -256,12 +239,7 @@ def bachelier_bounds(y: FloatLike, beta: FloatLike) -> tuple[FloatLike, FloatLik
 
 def bachelier_bounds_log(y: FloatLike, beta: FloatLike) -> tuple[FloatLike, FloatLike]:
     """ln of both :func:`bachelier_bounds` values; usable when exp underflows."""
-    scalar = np.ndim(y) == 0 and np.ndim(beta) == 0
-    yy = _as_array(y, "y")
-    bb = _as_array(beta, "beta")
-    _require_positive(yy, "y")
-    _require_positive(bb, "beta")
-    yy, bb = np.broadcast_arrays(yy, bb)
+    yy, bb, scalar = _validated_pair(y, beta, ("y", "beta"), ("y", "beta"))
     log_damp = -yy / (2.0 * bb)
     g_l, g_u = _prefactors(yy, bb)
     return (

@@ -42,13 +42,9 @@ from .inversion import (
     implied_vol_put_log_vec,
 )
 from .models import ModelSpec, model_schemas, parse_model_config
-from .pricing import (
-    QuadratureSettings,
-    _default_alpha,
-    price_from_cf,
-    price_from_tail,
-    smile_from_model,
-)
+from .pricing import QuadratureSettings, price_grid, smile_from_model
+from .pricing import price_from_cf  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
+from .pricing import price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK
 from .wings import VerdictSettings, theorem_verdicts
 
@@ -293,38 +289,17 @@ _PRICE_COLUMNS = ["kappa", "call", "put", "method", "err_estimate", "status"]
 def cmd_price(args) -> int:
     model = _load_model(args.model)
     settings = QuadratureSettings(abs_tol=min(args.tol, 1e-13), rel_tol=args.tol)
-    rows = []
-    n_failed = 0
-    for k in sorted(set(float(v) for v in args.grid.values())):
-        try:
-            if model.has_closed_form_tails:
-                quote = price_from_tail(model, k, settings)
-            else:
-                quote = price_from_cf(model, k, _default_alpha(model, k), settings)
-            rows.append(
-                {
-                    "kappa": k,
-                    "call": quote.call,
-                    "put": quote.put,
-                    "method": quote.method,
-                    "err_estimate": quote.abs_error_estimate,
-                    "status": "ok",
-                }
-            )
-        except BachelierWingsError:
-            n_failed += 1
-            rows.append(
-                {
-                    "kappa": k,
-                    "call": None,
-                    "put": None,
-                    "method": None,
-                    "err_estimate": None,
-                    "status": "failed",
-                }
-            )
+    kappas, quotes = price_grid(model, args.grid.values(), settings)
+    rows = [
+        {"kappa": k, "call": None, "put": None, "method": None, "err_estimate": None,
+         "status": "failed"}
+        if q is None else
+        {"kappa": k, "call": q.call, "put": q.put, "method": q.method,
+         "err_estimate": q.abs_error_estimate, "status": "ok"}
+        for k, q in zip(kappas.tolist(), quotes)
+    ]
     _emit(args, _meta(args, "price", model), _PRICE_COLUMNS, rows)
-    return _EXIT_PARTIAL if n_failed else _EXIT_OK
+    return _EXIT_PARTIAL if None in quotes else _EXIT_OK
 
 
 def cmd_ivol(args) -> int:

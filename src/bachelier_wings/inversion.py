@@ -18,6 +18,7 @@ one code path and deep tails never subtract two close numbers.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,16 +93,22 @@ def _noise_floor(d: NDArray[np.float64]) -> NDArray[np.float64]:
     return 8.0 * _EPS * np.maximum(1.0, d * d)
 
 
+# Per-element outcome of the core loop, x = ln(sigma).  converged: |g| met
+# max(tolerance, noise floor) within MAX_ITERATIONS; unattainable: the price
+# tolerance lies below what doubles deliver there; x_lo, x_hi: the final bracket.
+_Solved = namedtuple("_Solved", "x iterations bisected deep g converged unattainable x_lo x_hi")
+
+
 def _solve_otm_log(
     k: NDArray[np.float64],
     log_tv: NDArray[np.float64],
     tol: float,
-    max_iterations: int = MAX_ITERATIONS,
-):
-    """Core solver; k > 0 elementwise, target ln(time value) = log_tv.
+) -> _Solved:
+    """Core solver loop; k > 0 elementwise, target ln(time value) = log_tv.
 
-    Returns (x, iterations, bisected, deep, g, noise) with x = ln(sigma).
-    Raises ConvergenceFailure if any element exhausts the cap.
+    Never raises: each element's failure shows in the converged and
+    unattainable masks, so a batch keeps its good elements.  Callers that
+    must fail on the first bad element pass the result to _raise_first_failure.
     """
     ln_k = np.log(k)
     x_lo = log_tv + LN_SQRT_2PI
@@ -120,7 +127,7 @@ def _solve_otm_log(
     g = np.zeros(k.shape)
     noise = np.zeros(k.shape)
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         active = ~converged
         sigma = np.exp(x)
         d = k / sigma
@@ -146,23 +153,27 @@ def _solve_otm_log(
         need = ~converged
         bisected |= need & outside
         x = np.where(need, np.where(outside, 0.5 * (x_lo + x_hi), x_newton), x)
-    else:
-        idx = int(np.argmax(~converged))
-        raise ConvergenceFailure(
-            f"implied vol did not converge in {max_iterations} iterations",
-            bracket=(float(np.exp(x_lo.flat[idx])), float(np.exp(x_hi.flat[idx]))),
-        )
 
     # honest failure when the caller asked for less than doubles can deliver
     unattainable = (ratio_tol <= LOG_RESIDUAL_DEEP) & (ratio_tol < noise) & (np.abs(g) > ratio_tol)
-    if np.any(unattainable):
-        idx = int(np.argmax(unattainable))
-        achieved = float(np.exp(log_tv.flat[idx]) * abs(np.expm1(g.flat[idx])))
+    return _Solved(x, iterations, bisected, deep, g, converged, unattainable, x_lo, x_hi)
+
+
+def _raise_first_failure(solved: _Solved, log_tv: NDArray[np.float64], tol: float) -> None:
+    """Raise for the first unconverged element, else the first unattainable one."""
+    if not solved.converged.all():
+        idx = int(np.argmax(~solved.converged))
+        raise ConvergenceFailure(
+            f"implied vol did not converge in {MAX_ITERATIONS} iterations",
+            bracket=(float(np.exp(solved.x_lo.flat[idx])), float(np.exp(solved.x_hi.flat[idx]))),
+        )
+    if np.any(solved.unattainable):
+        idx = int(np.argmax(solved.unattainable))
+        achieved = float(np.exp(log_tv.flat[idx]) * abs(np.expm1(solved.g.flat[idx])))
         raise AccuracyNotReached(
             f"requested price tolerance {tol:g} is below the attainable floor",
             achieved=achieved,
         )
-    return x, iterations, bisected, deep, g
 
 
 def _method_label(deep: bool, bisected: bool) -> str:
@@ -172,16 +183,16 @@ def _method_label(deep: bool, bisected: bool) -> str:
 
 
 def _result_from_core(k: float, log_tv: float, tol: float) -> IvolResult:
-    arr_k = np.array([k])
     arr_tv = np.array([log_tv])
-    x, iterations, bisected, deep, g = _solve_otm_log(arr_k, arr_tv, tol)
+    solved = _solve_otm_log(np.array([k]), arr_tv, tol)
+    _raise_first_failure(solved, arr_tv, tol)
     with np.errstate(under="ignore"):
-        residual = float(np.exp(arr_tv[0]) * abs(np.expm1(g[0])))
+        residual = float(np.exp(arr_tv[0]) * abs(np.expm1(solved.g[0])))
     return IvolResult(
-        sigma=float(np.exp(x[0])),
-        iterations=int(iterations[0]),
+        sigma=float(np.exp(solved.x[0])),
+        iterations=int(solved.iterations[0]),
         residual=residual,
-        method=_method_label(bool(deep[0]), bool(bisected[0])),
+        method=_method_label(bool(solved.deep[0]), bool(solved.bisected[0])),
     )
 
 
@@ -286,8 +297,10 @@ def implied_vol_call_vec(
             bad = rows[int(np.argmax(tv <= 0.0))]
             kb = float(k.flat[bad])
             raise NoSolutionBelowIntrinsic(kb, float(p.flat[bad]), max(-kb, 0.0))
-        x, _, _, _, _ = _solve_otm_log(np.abs(k[solve]), np.log(tv), t)
-        out[solve] = np.exp(x)
+        log_tv = np.log(tv)
+        solved = _solve_otm_log(np.abs(k[solve]), log_tv, t)
+        _raise_first_failure(solved, log_tv, t)
+        out[solve] = np.exp(solved.x)
     return out
 
 
@@ -341,8 +354,10 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
             bad = int(np.argmax(underflow))
             kb = float(k.flat[bad])
             raise NoSolutionBelowIntrinsic(kb, 0.0, max(-kb, 0.0))
-        x, _, _, _, _ = _solve_otm_log(np.abs(k[solve]), log_tv[solve], t)
-        out[solve] = np.exp(x)
+        log_tv = log_tv[solve]
+        solved = _solve_otm_log(np.abs(k[solve]), log_tv, t)
+        _raise_first_failure(solved, log_tv, t)
+        out[solve] = np.exp(solved.x)
     return out
 
 

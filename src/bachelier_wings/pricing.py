@@ -11,8 +11,8 @@ them is the point; neither is ever defined in terms of the other.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,9 @@ from .errors import (
     DomainError,
     UnsupportedModel,
 )
-from .inversion import implied_vol_call, implied_vol_put
+from .inversion import _atm_result, _solve_otm_log
+from .inversion import implied_vol_call  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
+from .inversion import implied_vol_put  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .models import _DE_LOGW, _DE_Y, ModelSpec
 from .smile import STATUS_FAILED, STATUS_OK, SmileGrid, SmilePoint
 
@@ -38,6 +40,7 @@ __all__ = [
     "price_from_cf",
     "log_call_price_from_tail",
     "log_put_price_from_tail",
+    "price_grid",
     "smile_from_model",
 ]
 
@@ -82,14 +85,13 @@ class PriceQuote:
 
 def _quad(fn, lo, hi, settings: QuadratureSettings, breakpoints=()):
     pts = [b for b in breakpoints if lo < b < hi]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            fn, lo, hi,
-            epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-            limit=settings.max_subdivisions,
-            points=pts or None,
-        )
+    # full_output keeps scipy from warning; the estimate is checked below
+    val, err = integrate.quad(
+        fn, lo, hi,
+        epsabs=settings.abs_tol, epsrel=settings.rel_tol,
+        limit=settings.max_subdivisions,
+        points=pts or None, full_output=1,
+    )[:2]
     if err > 10.0 * max(settings.abs_tol, settings.rel_tol * abs(val)):
         raise AccuracyNotReached(
             f"tail quadrature error {err:.3e} exceeds tolerance", achieved=err
@@ -234,14 +236,16 @@ def _validate_alpha(model: ModelSpec, alpha: float) -> None:
 
 
 def _find_cutoff(model: ModelSpec, alpha: float, guard: float) -> float:
-    # walk out until the integrand envelope |phi(u - i alpha)|/(alpha^2+u^2),
-    # times the remaining length proxy u, drops below the guard
-    u = max(1.0, 4.0 / model.scale)
-    while u < 1.0e9:
-        env = abs(model.char_fn(complex(u, -alpha))) / (alpha * alpha + u * u)
-        if env * u < guard:
-            return u
-        u *= 2.0
+    # the first rung of the doubling ladder below 1e9 where the integrand
+    # envelope |phi(u - i alpha)|/(alpha^2+u^2), times the remaining length
+    # proxy u, drops below the guard; the ladder starts at 1 or above, so
+    # 30 doublings pass 1e9
+    u = max(1.0, 4.0 / model.scale) * 2.0 ** np.arange(30)
+    u = u[u < 1.0e9]
+    env = np.abs(model.char_fn(u - 1j * alpha)) / (alpha * alpha + u * u)
+    below = np.flatnonzero(env * u < guard)
+    if below.size:
+        return float(u[below[0]])
     raise AccuracyNotReached(
         "characteristic function decays too slowly to truncate", achieved=math.inf
     )
@@ -320,26 +324,24 @@ def price_from_cf(
         # plain rule through the near-origin peak, then the
         # semi-infinite Fourier rule with cycle-wise extrapolation
         split = _QAWF_HEAD_PHASE / abs(k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            head, err_head = integrate.quad(
-                lambda u: (transformed(u) * complex(math.cos(u * k), -math.sin(u * k))).real,
-                0.0, split,
-                epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                limit=settings.max_subdivisions,
-            )
-            re, err_re = integrate.quad(
-                lambda u: transformed(u).real, split, np.inf,
-                weight="cos", wvar=abs(k),
-                epsabs=settings.abs_tol,
-                limit=settings.max_subdivisions, limlst=settings.max_subdivisions,
-            )
-            im, err_im = integrate.quad(
-                lambda u: transformed(u).imag, split, np.inf,
-                weight="sin", wvar=abs(k),
-                epsabs=settings.abs_tol,
-                limit=settings.max_subdivisions, limlst=settings.max_subdivisions,
-            )
+        head, err_head = integrate.quad(
+            lambda u: (transformed(u) * complex(math.cos(u * k), -math.sin(u * k))).real,
+            0.0, split,
+            epsabs=settings.abs_tol, epsrel=settings.rel_tol,
+            limit=settings.max_subdivisions, full_output=1,
+        )[:2]
+        re, err_re = integrate.quad(
+            lambda u: transformed(u).real, split, np.inf,
+            weight="cos", wvar=abs(k),
+            epsabs=settings.abs_tol,
+            limit=settings.max_subdivisions, limlst=settings.max_subdivisions, full_output=1,
+        )[:2]
+        im, err_im = integrate.quad(
+            lambda u: transformed(u).imag, split, np.inf,
+            weight="sin", wvar=abs(k),
+            epsabs=settings.abs_tol,
+            limit=settings.max_subdivisions, limlst=settings.max_subdivisions, full_output=1,
+        )[:2]
         osc = head + re + math.copysign(1.0, k) * im
         err = err_head + err_re + err_im
         trunc = 0.0
@@ -386,6 +388,34 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
     return -0.5 * lam if -kappa <= 8.0 * model.scale else -0.9 * lam
 
 
+def price_grid(
+    model: ModelSpec,
+    grid,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> tuple[np.ndarray, list[PriceQuote | None]]:
+    """Price a moneyness grid with the engine that suits the model.
+
+    The grid is sorted and deduplicated (DomainError if any value is not
+    finite).  Models with closed-form tails go to the tail engine, the
+    rest to the Fourier engine damped at _default_alpha.  Returns the
+    kappas and, for each, its PriceQuote or None where the engine raised
+    a BachelierWingsError, so one bad point does not stop the grid.
+    """
+    kappas = np.unique(np.asarray(list(grid), dtype=float))
+    if kappas.size and not np.all(np.isfinite(kappas)):
+        raise DomainError("grid must contain finite moneyness values")
+    quotes: list[PriceQuote | None] = []
+    for k in kappas.tolist():
+        try:
+            if model.has_closed_form_tails:
+                quotes.append(price_from_tail(model, k, settings))
+            else:
+                quotes.append(price_from_cf(model, k, _default_alpha(model, k), settings))
+        except BachelierWingsError:
+            quotes.append(None)
+    return kappas, quotes
+
+
 def smile_from_model(
     model: ModelSpec,
     grid,
@@ -394,37 +424,36 @@ def smile_from_model(
 ) -> SmileGrid:
     """Price every moneyness and invert to implied normal volatility.
 
-    Using the tail engine when the model carries closed-form tails and
-    the Fourier engine otherwise; each kappa is quoted on its
+    price_grid picks the engine; each kappa is quoted on its
     out-of-the-money side (call at kappa >= 0, put below), the better
-    conditioned one.  A point that fails pricing or inversion is marked
-    failed and the rest of the grid proceeds.
+    conditioned one.  Reflected to calls at |kappa|, all quotes off the
+    money are inverted in one batched solve; kappa = 0 takes the closed
+    form.  A point whose pricing or inversion fails is marked failed and
+    the rest of the grid proceeds.
     """
-    if not (tol_iv > 0.0):
-        raise DomainError("tol_iv must be positive")
-    kappas = np.unique(np.asarray(list(grid), dtype=float))
-    if kappas.size and not np.all(np.isfinite(kappas)):
-        raise DomainError("grid must contain finite moneyness values")
+    if not (0.0 < tol_iv < math.inf):
+        raise DomainError("tol_iv must be positive and finite")
+    kappas, quotes = price_grid(model, grid, settings)
+    prices = np.array([math.nan if q is None else (q.call if q.kappa >= 0.0 else q.put)
+                       for q in quotes])
+    # math.log, as the scalar solvers take it; NaN marks a failed quote
+    # or one without a positive finite price
+    log_prices = np.array([math.log(p) if 0.0 < p < math.inf else math.nan
+                           for p in prices.tolist()])
 
-    points = []
-    for k in kappas:
-        k = float(k)
-        try:
-            if model.has_closed_form_tails:
-                quote = price_from_tail(model, k, settings)
-            else:
-                quote = price_from_cf(model, k, _default_alpha(model, k), settings)
-            price = quote.call if k >= 0.0 else quote.put
-            if not (price > 0.0):
-                raise AccuracyNotReached(
-                    f"non-positive out-of-the-money price {price!r} at kappa={k:g}",
-                    achieved=math.inf,
-                )
-            if k >= 0.0:
-                ivol = implied_vol_call(k, price, tol=tol_iv).sigma
-            else:
-                ivol = implied_vol_put(k, price, tol=tol_iv).sigma
-            points.append(SmilePoint(k, price, math.log(price), ivol, STATUS_OK))
-        except BachelierWingsError:
-            points.append(SmilePoint(k, math.nan, math.nan, math.nan, STATUS_FAILED))
-    return SmileGrid(points=tuple(points))
+    ivols = np.full(kappas.shape, math.nan)
+    off = np.flatnonzero((kappas != 0.0) & ~np.isnan(log_prices))
+    solved = _solve_otm_log(np.abs(kappas[off]), log_prices[off], tol_iv)
+    good = solved.converged & ~solved.unattainable
+    ivols[off[good]] = np.exp(solved.x[good])
+    for i in np.flatnonzero((kappas == 0.0) & ~np.isnan(log_prices)):  # at most one
+        with contextlib.suppress(AccuracyNotReached):
+            ivols[i] = _atm_result(float(prices[i]), tol_iv).sigma
+
+    failed = np.isnan(ivols)
+    prices[failed] = log_prices[failed] = math.nan
+    return SmileGrid(points=tuple(
+        SmilePoint(k, p, lp, iv, STATUS_FAILED if math.isnan(iv) else STATUS_OK)
+        for k, p, lp, iv in zip(kappas.tolist(), prices.tolist(), log_prices.tolist(),
+                                ivols.tolist())
+    ))

@@ -2,7 +2,8 @@
 oracles, the two engines against each other (at fixed points and on
 random NIG models), parity, convexity, truncation soundness, damping
 invariance, the Fourier engine's char_fn work count, and smile assembly
-with per-point failure handling, serial and threaded.
+with per-point failure handling (checked point by point against the
+scalar solvers, in one batched inversion), serial and threaded.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bachelier_wings import pricing
 from bachelier_wings.bachelier import call_price
 from bachelier_wings.errors import (
     AccuracyNotReached,
+    BachelierWingsError,
     DampingOutsideStrip,
     DomainError,
     UnsupportedModel,
 )
+from bachelier_wings.inversion import implied_vol_call, implied_vol_put
 from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import (
     DEFAULT_SETTINGS,
@@ -34,6 +38,7 @@ from bachelier_wings.pricing import (
     log_put_price_from_tail,
     price_from_cf,
     price_from_tail,
+    price_grid,
     smile_from_model,
 )
 from bachelier_wings.wings import theorem_verdicts
@@ -239,10 +244,11 @@ def test_cf_panel_budget_exhaustion_raises():
 # =============================================================================
 
 def _counting_char_fn(model):
-    calls = [0]
+    calls = [0, 0]  # all calls, calls with a 0-d argument
 
     def char_fn(xi):
         calls[0] += 1
+        calls[1] += np.ndim(xi) == 0
         return model.char_fn(xi)
 
     return dataclasses.replace(model, char_fn=char_fn), calls
@@ -250,8 +256,8 @@ def _counting_char_fn(model):
 
 @pytest.mark.parametrize("params", [(2.0, 0.5, 1.0), (1.1, 0.3, 0.5), (4.0, -2.4, 2.0)])
 def test_cf_char_fn_calls_per_price(params):
-    # char_fn takes whole node arrays: a price costs the cutoff search
-    # plus one call per bisection round
+    # char_fn takes whole node arrays: a price costs one call for the
+    # cutoff ladder plus one per bisection round
     model, calls = _counting_char_fn(nig_model(*params))
     for j in (-45, -12, -4, -1, 0, 1, 4, 12, 45):
         k = j * model.scale
@@ -265,6 +271,7 @@ def test_nig_report_char_fn_calls():
     report = theorem_verdicts(model)
     assert report["failed_points"] == 0
     assert calls[0] < 1000
+    assert calls[1] == 0  # the cutoff search evaluates its whole ladder at once
 
 
 # =============================================================================
@@ -355,30 +362,81 @@ def test_smile_deterministic():
 
 
 def test_smile_threaded_matches_serial():
-    # the Fourier route shares no mutable state between callers, so
-    # points priced from several threads at once equal the serial ones
-    wing = np.geomspace(2.0, 30.0, 6) * NIG.scale
-    grid = np.concatenate([-wing[::-1], [0.0], wing])
-    serial = smile_from_model(NIG, grid)
-    assert all(p.status == "ok" for p in serial.points)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(smile_from_model, NIG, [k]) for k in grid]
-            futures += [pool.submit(smile_from_model, NIG, grid) for _ in range(3)]
-            results = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    singles = tuple(r.points[0] for r in results[:grid.size])
-    assert singles == serial.points
-    for r in results[grid.size:]:
-        assert r.points == serial.points
+    # neither route (Fourier for NIG, tail integrals for the Laplace
+    # model) shares mutable state between callers, so points priced
+    # from several threads at once equal the serial ones
+    for model in (NIG, asym_laplace_model(2.0, 0.7)):
+        wing = np.geomspace(2.0, 30.0, 6) * model.scale
+        grid = np.concatenate([-wing[::-1], [0.0], wing])
+        serial = smile_from_model(model, grid)
+        assert all(p.status == "ok" for p in serial.points)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(smile_from_model, model, [k]) for k in grid]
+                futures += [pool.submit(smile_from_model, model, grid) for _ in range(3)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        singles = tuple(r.points[0] for r in results[:grid.size])
+        assert singles == serial.points, model.name
+        for r in results[grid.size:]:
+            assert r.points == serial.points, model.name
+
+
+# a grid on which tolerances of 1e-17 and 1e-20 fail some points and not others
+MIXED_GRID = np.concatenate([np.linspace(-6.0, 6.0, 13), [10.0, 20.0, 30.0]])
+
+
+@pytest.mark.parametrize("tol_iv", [1e-17, 1e-20])
+@pytest.mark.parametrize("model", [GAUSS1, LAPLACE, NIG], ids=lambda m: m.name)
+def test_smile_mixed_statuses_match_per_point_solvers(model, tol_iv):
+    # the batched inversion gives every point what the scalar solvers
+    # give on that point's out-of-the-money quote, failures included
+    smile = smile_from_model(model, MIXED_GRID, tol_iv=tol_iv)
+    kappas, quotes = price_grid(model, MIXED_GRID)
+    assert [p.kappa for p in smile.points] == kappas.tolist()
+    for p, k, q in zip(smile.points, kappas.tolist(), quotes):
+        expected = None
+        if q is not None:
+            price = q.call if k >= 0.0 else q.put
+            solve = implied_vol_call if k >= 0.0 else implied_vol_put
+            try:
+                expected = (price, math.log(price), solve(k, price, tol_iv).sigma)
+            except BachelierWingsError:
+                pass
+        if expected is None:
+            assert p.status == "failed", k
+            assert all(math.isnan(v) for v in (p.price, p.log_price, p.ivol)), k
+        else:
+            assert p.status == "ok", k
+            assert (p.price, p.log_price, p.ivol) == expected, k
+    assert {p.status for p in smile.points} == {"ok", "failed"}
+
+
+def test_smile_inverts_in_one_core_call(monkeypatch):
+    sizes = []
+    core = pricing._solve_otm_log
+
+    def counting_core(k, log_tv, tol):
+        sizes.append(k.size)
+        return core(k, log_tv, tol)
+
+    monkeypatch.setattr(pricing, "_solve_otm_log", counting_core)
+    for model in (GAUSS1, LAPLACE, NIG):
+        for grid in (MIXED_GRID, [], [0.0], [2.0, -1.0, 2.0]):
+            sizes.clear()
+            smile = smile_from_model(model, grid)
+            assert len(sizes) == 1
+            assert sizes[0] == sum(p.kappa != 0.0 for p in smile.points)
 
 
 def test_smile_rejects_bad_tolerance():
     with pytest.raises(DomainError):
         smile_from_model(GAUSS1, [0.0], tol_iv=0.0)
+    with pytest.raises(DomainError):
+        smile_from_model(GAUSS1, [0.0, 1.0], tol_iv=math.inf)
 
 
 def test_quote_fields():
