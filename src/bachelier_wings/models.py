@@ -22,6 +22,7 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.special as sc
 from numpy.typing import NDArray
+from scipy.optimize import brentq
 
 from .errors import DomainError, ModelConfigError
 
@@ -252,16 +253,35 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
 # Normal Inverse Gaussian
 # =============================================================================
 
-# Fixed double-exponential rule for the half-line tail integrals:
-# int_0^inf f(x +/- y) dy with y = M exp((pi/2) sinh t), trapezoid in t.
-# The rule is exact to ~1e-12 relative for these bell-with-exponential-tail
-# densities when the integrand decays monotonically from y = 0, which holds
-# on each half-line taken from the mean outward.
+# Double-exponential rule (Takahasi-Mori 1974): a trapezoid of step h in t,
+# |t| <= 4.5, after a change of variable that makes the integrand decay
+# double-exponentially in t.  Level 0 has h = _DE_STEP and each finer level
+# halves h.  NIG's tails take level 0 of the exp-sinh map
+# y = M exp((pi/2) sinh t) for int_0^inf f(x +/- y) dy, exact to ~1e-12
+# relative for these bell-with-exponential-tail densities when the
+# integrand decays monotonically from y = 0, which holds on each half-line
+# taken from the mode outward.
 _DE_STEP = 0.10
-_DE_T = np.arange(-45, 46) * _DE_STEP
 _DE_C = math.pi / 2.0
+_DE_T = np.arange(-45, 46) * _DE_STEP
 _DE_Y = np.exp(_DE_C * np.sinh(_DE_T))
 _DE_LOGW = math.log(_DE_STEP * _DE_C) + np.log(np.cosh(_DE_T)) + _DE_C * np.sinh(_DE_T)
+
+
+def _de_level(level: int):
+    """The nodes that halving _DE_STEP `level` times adds, and their log
+    weights less ln h: row 0 for tanh-sinh onto [0, 1], row 1 for
+    exp-sinh onto [0, inf), whose level-0 nodes are _DE_Y."""
+    n = 45 << level
+    t = _DE_T if level == 0 else np.arange(1 - n, n, 2) * (_DE_STEP / (1 << level))
+    u = _DE_C * np.sinh(t)
+    log_du = np.log(_DE_C * np.cosh(t))
+    return (np.stack([1.0 / (1.0 + np.exp(-2.0 * u)), np.exp(u)]),
+            np.stack([log_du - math.log(2.0) - 2.0 * np.log(np.cosh(u)), log_du + u]))
+
+
+# refinement stops at level 7, step _DE_STEP / 128
+_DE_LEVELS = tuple(_de_level(level) for level in range(8))
 
 # scipy's kve(1, z) returns NaN for z beyond ~3.5e9; switch to the
 # asymptotic well before that (next omitted term < 1e-16 for z > 1e5)
@@ -289,8 +309,9 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
     mu = -delta*beta/gamma, gamma = sqrt(alpha^2 - beta^2); an explicit
     mu is honored and reflected in the mean field.  The density is the
     closed Bessel form; cdf and complement are half-line integrals of it
-    under the fixed double-exponential rule, split at the mean and
-    complemented to the other side, so F + complement = 1 exactly.
+    under the fixed double-exponential rule, split at the mode (found
+    once, as the root of the density's slope between mu and the mean)
+    and complemented to the other side, so F + complement = 1 exactly.
     """
     a = float(alpha)
     b = float(beta)
@@ -314,7 +335,7 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         return log_front + b * (x - m) - np.log(s) + _log_kve1(a * s) - a * s
 
     def _log_tail_de(x, sign: int):
-        # ln int_0^inf f(x + sign*y) dy; valid from the mean outward in sign.
+        # ln int_0^inf f(x + sign*y) dy; valid from the mode outward in sign.
         # A scale below delta, the branch points' height, costs accuracy
         scale = max(1.0 / (lam_minus if sign > 0 else lam_plus), d)
         y = x[:, None] + sign * scale * _DE_Y[None, :]
@@ -322,11 +343,24 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         peak = terms.max(axis=1)
         return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
 
+    def dlog_pdf(x):
+        z = x - m
+        s = math.hypot(d, z)
+        return b - z * (2.0 / (s * s) + a * sc.k0e(a * s) / (s * sc.k1e(a * s)))
+
+    # the density rises from mu toward the mean (slope b at mu) and falls
+    # before reaching it, so the mode is the root of the slope between
+    # them; without a sign change (b = 0, or b so small that mu and the
+    # mean round together) the mean is the mode to rounding
+    mode = mean
+    if b * dlog_pdf(mean) < 0.0:
+        mode = brentq(dlog_pdf, min(m, mean), max(m, mean), xtol=1e-14 * d)
+
     def log_tail(x, sign: int):
-        # ln P(sign X > sign x): the rule from the mean outward, and on the
+        # ln P(sign X > sign x): the rule from the mode outward, and on the
         # near side 1 minus the other tail, computed directly below ~1/2
         out = np.empty_like(x)
-        outward = x >= mean if sign > 0 else x <= mean
+        outward = x >= mode if sign > 0 else x <= mode
         if outward.any():
             out[outward] = _log_tail_de(x[outward], sign)
         inward = ~outward

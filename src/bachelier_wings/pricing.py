@@ -1,9 +1,9 @@
 """Pricing engines for model-implied option values.
 
 Two independent routes to the same number.  The tail route integrates
-the distribution tails directly: call = int_kappa^inf complement_cdf,
-put = int_-inf^kappa cdf, truncated where the exponential-moment bound
-puts the remaining mass below the configured guard.  The Fourier route
+the payoff against the density: call = int_0^inf y f(kappa + y) dy and
+put = int_0^inf y f(kappa - y) dy, each a double-exponential sum in log
+space whose step is halved until two levels agree.  The Fourier route
 damps the payoff by e^(alpha kappa) and integrates the characteristic
 function along a shifted contour.  Keeping both honest and comparing
 them is the point; neither is ever defined in terms of the other.
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import logsumexp
 
 from .errors import (
     AccuracyNotReached,
@@ -29,7 +28,7 @@ from .errors import (
 from .inversion import _atm_result, _solve_otm_log
 from .inversion import implied_vol_call  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .inversion import implied_vol_put  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
-from .models import _DE_LOGW, _DE_Y, ModelSpec
+from .models import _DE_LEVELS, _DE_STEP, ModelSpec
 from .smile import STATUS_FAILED, STATUS_OK, SmileGrid, SmilePoint
 
 __all__ = [
@@ -51,6 +50,10 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSettings:
+    """Tolerances: both engines read abs_tol and rel_tol; the Fourier
+    engine alone reads max_subdivisions (its panel budget, 64 panels per
+    unit) and truncation_guard (where it cuts the transform off)."""
+
     abs_tol: float = 1e-13
     rel_tol: float = 1e-11
     max_subdivisions: int = 200
@@ -66,6 +69,9 @@ class QuadratureSettings:
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
+
+# both engines' roundoff floor: 50 eps, relative to the integral of |f|
+_ROUNDOFF_FLOOR = 50.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,45 +89,65 @@ class PriceQuote:
     abs_error_estimate: float
 
 
-def _quad(fn, lo, hi, settings: QuadratureSettings, breakpoints=()):
-    pts = [b for b in breakpoints if lo < b < hi]
-    # full_output keeps scipy from warning; the estimate is checked below
-    val, err = integrate.quad(
-        fn, lo, hi,
-        epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
-        points=pts or None, full_output=1,
-    )[:2]
-    if err > 10.0 * max(settings.abs_tol, settings.rel_tol * abs(val)):
-        raise AccuracyNotReached(
-            f"tail quadrature error {err:.3e} exceeds tolerance", achieved=err
-        )
-    return val, err
-
-
 # =============================================================================
 # tail-integral engine
 # =============================================================================
 
-def _decay_rate(model: ModelSpec, side: str, guard: float) -> float:
-    """Exponent used in the truncation bound tail(x) <= M(eps) e^(-eps x)."""
-    lam = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
-    if math.isfinite(lam):
-        return 0.5 * lam
-    # infinite strip: balance M(eps) growth against the e^(-eps T) cut
-    return math.sqrt(2.0 * math.log(1.0 / guard)) / model.scale
+# an in-the-money leg reaching farther than this many scales past the mean
+# is cut this far short of it, so that one piece holds the bulk
+_BULK_SCALES = 8.0
+
+
+def _log_payoff_integral(model: ModelSpec, k: float, sign: int,
+                         abs_tol: float, rel_tol: float) -> tuple[float, float]:
+    """ln S = ln int_0^inf y f(k + sign y) dy and its relative error estimate.
+
+    Tanh-sinh pieces between the cuts (kappa, the mean, the breakpoints
+    and, on a long in-the-money leg, the bulk's edge), then exp-sinh out
+    to infinity.  The step halves until two levels differ by at most
+    max(abs_tol, rel_tol S) over the roundoff floor, their difference
+    plus the floor being the estimate; abs_tol = 0 asks for rel_tol alone.
+    """
+    cuts = [model.mean, *model.breakpoints]
+    if sign * (model.mean - k) > _BULK_SCALES * model.scale:
+        cuts.append(model.mean - sign * _BULK_SCALES * model.scale)
+    # (y, x) where each piece starts, one per distinct y; the last
+    # piece's length is the density's decay length there, at most its scale
+    ends = [(0.0, k), *sorted({sign * (x - k): x for x in cuts if sign * (x - k) > 0.0}.items())]
+    ya, xa = np.array(ends).T[:, :, None]
+    delta = 1e-3 * model.scale
+    lf0, lf1 = model.log_pdf(xa[-1, 0] + np.array([0.0, sign * delta]))
+    rate = max(1.0 / model.scale, (lf0 - lf1) / delta)
+    length = np.append(np.diff(ya[:, 0]), 1.0 / rate)[:, None]
+    rows = [0] * (len(ends) - 1) + [1]
+
+    log_sum = prev = -math.inf
+    for level, (unit, unit_logw) in enumerate(_DE_LEVELS):
+        dy = length * unit[rows]
+        terms = unit_logw[rows] + np.log(length) + np.log(ya + dy) + model.log_pdf(xa + sign * dy)
+        peak = terms.max()
+        if peak != -math.inf:  # NaN passes, and fails every comparison below
+            log_sum = np.logaddexp(log_sum, peak + math.log(np.exp(terms - peak).sum()))
+        ln_s = float(log_sum) + math.log(_DE_STEP / (1 << level))
+        if ln_s == -math.inf:  # zero at every node, within double range
+            return ln_s, 0.0
+        if level:
+            err = abs(math.expm1(prev - ln_s)) + _ROUNDOFF_FLOOR
+            if err <= rel_tol or err * math.exp(ln_s) < abs_tol:
+                return ln_s, err
+        prev = ln_s
+    raise AccuracyNotReached(f"tail quadrature error {err:.3e} (relative) exceeds tolerance",
+                             achieved=err * math.exp(ln_s))
 
 
 def price_from_tail(
     model: ModelSpec, kappa: float, settings: QuadratureSettings = DEFAULT_SETTINGS
 ) -> PriceQuote:
-    """Price both sides by integrating the distribution tails.
+    """Price both sides as payoff-weighted integrals of the density.
 
-    The call integrates complement_cdf from kappa up to the point where
-    the exponential-moment bound caps the discarded mass at the
-    truncation guard; the put mirrors this on the left.  The two sides
-    are computed independently, so their parity residual is a genuine
-    quality signal, not an identity.
+    call = int_0^inf y f(kappa + y) dy and put = int_0^inf y f(kappa - y) dy,
+    two independent double-exponential sums, so their parity residual
+    is a genuine quality signal, not an identity.
     """
     k = float(kappa)
     if not math.isfinite(k):
@@ -130,41 +156,26 @@ def price_from_tail(
         raise UnsupportedModel(f"model {model.name!r} lacks a right exponential moment")
     if not model.satisfies_il:
         raise UnsupportedModel(f"model {model.name!r} lacks a left exponential moment")
-    guard = settings.truncation_guard
-
-    eps_r = _decay_rate(model, "right", guard)
-    hi = max(k, model.mean) + (math.log(model.mgf(eps_r)) - math.log(guard)) / eps_r
-    call, err_call = _quad(model.complement_cdf, k, hi, settings, model.breakpoints)
-    trunc_call = guard / eps_r * math.exp(-eps_r * max(k - model.mean, 0.0))
-
-    eps_l = _decay_rate(model, "left", guard)
-    lo = min(k, model.mean) - (math.log(model.mgf(-eps_l)) - math.log(guard)) / eps_l
-    put, err_put = _quad(model.cdf, lo, k, settings, model.breakpoints)
-    trunc_put = guard / eps_l * math.exp(-eps_l * max(model.mean - k, 0.0))
-
-    # the integrand itself is only as good as the model's tail evaluator
-    eval_err = model.tail_accuracy * max(abs(call), abs(put))
-    return PriceQuote(
-        kappa=k,
-        call=call,
-        put=put,
-        method="tail_integral",
-        abs_error_estimate=max(err_call + trunc_call, err_put + trunc_put) + eval_err,
-    )
+    ln_call, err_call = _log_payoff_integral(model, k, +1, settings.abs_tol, settings.rel_tol)
+    ln_put, err_put = _log_payoff_integral(model, k, -1, settings.abs_tol, settings.rel_tol)
+    # a price below the smallest normal double keeps too few bits to
+    # invert: it reads as underflow, and the log-price functions take over
+    tiny = np.finfo(float).tiny
+    call, put = (p if p >= tiny else 0.0 for p in (math.exp(ln_call), math.exp(ln_put)))
+    return PriceQuote(kappa=k, call=call, put=put, method="tail_integral",
+                      abs_error_estimate=max(err_call * call, err_put * put))
 
 
 def log_call_price_from_tail(model: ModelSpec, kappa: float) -> float:
     """ln of the call price, usable far past double underflow.
 
-    Same tail representation, evaluated as a log-space sum over a fixed
-    double-exponential rule whose length scale matches the tail's local
-    decay rate.  Valid for kappa at or right of the mean.
+    price_from_tail's call sum, kept in log space and refined to the
+    default rel_tol.  Valid for kappa at or right of the mean.
     """
     k = float(kappa)
     if not (math.isfinite(k) and k >= model.mean):
         raise DomainError("log-space call pricing needs kappa >= model mean")
-    return _log_tail_price(model.log_complement_cdf, k, +1.0,
-                           _local_rate(model, "right", k))
+    return _log_payoff_integral(model, k, +1, 0.0, DEFAULT_SETTINGS.rel_tol)[0]
 
 
 def log_put_price_from_tail(model: ModelSpec, kappa: float) -> float:
@@ -172,21 +183,7 @@ def log_put_price_from_tail(model: ModelSpec, kappa: float) -> float:
     k = float(kappa)
     if not (math.isfinite(k) and k <= model.mean):
         raise DomainError("log-space put pricing needs kappa <= model mean")
-    return _log_tail_price(model.log_cdf, k, -1.0, _local_rate(model, "left", k))
-
-
-def _local_rate(model: ModelSpec, side: str, k: float) -> float:
-    lam = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
-    if math.isfinite(lam):
-        return lam
-    # squared-exponential tails: hazard rate grows linearly with depth
-    return max(abs(k - model.mean) / model.scale**2, 1.0 / model.scale)
-
-
-def _log_tail_price(log_tail, k: float, sign: float, rate: float) -> float:
-    width = 1.0 / rate
-    nodes = k + sign * width * _DE_Y
-    return float(logsumexp(np.asarray(log_tail(nodes)) + _DE_LOGW)) + math.log(width)
+    return _log_payoff_integral(model, k, -1, 0.0, DEFAULT_SETTINGS.rel_tol)[0]
 
 
 # =============================================================================
@@ -208,7 +205,6 @@ _GK_WG = np.concatenate([_GK_WG, _GK_WG[-2::-1]])
 # qk15's roundoff floor on a panel's error is 50 eps int |f|.  Panel
 # evaluations are budgeted per unit of settings.max_subdivisions, and
 # one char_fn call takes at most 256 panels' nodes, bounding its arrays
-_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 _PANELS_PER_SUBDIVISION = 64
 _MAX_NODES_PER_CALL = 256 * _GK_X.size
 

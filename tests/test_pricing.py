@@ -1,9 +1,10 @@
 """Pricing engine checks: each engine against closed-form and mpmath
-oracles, the two engines against each other (at fixed points and on
-random NIG models), parity, convexity, truncation soundness, damping
-invariance, the Fourier engine's char_fn work count, and smile assembly
-with per-point failure handling (checked point by point against the
-scalar solvers, in one batched inversion), serial and threaded.
+oracles (the tail engine also on random Laplace models and past double
+underflow), the two engines against each other (at fixed points and on
+random NIG models), parity, convexity, settings the tail engine ignores,
+damping invariance, the Fourier engine's char_fn work count, and smile
+assembly with per-point failure handling (checked point by point against
+the scalar solvers, in one batched inversion), serial and threaded.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from bachelier_wings.errors import (
     UnsupportedModel,
 )
 from bachelier_wings.inversion import implied_vol_call, implied_vol_put
-from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
+from bachelier_wings.models import _DE_LEVELS, _DE_Y, asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import (
     DEFAULT_SETTINGS,
     PriceQuote,
@@ -107,12 +109,59 @@ def test_tail_convexity(model):
 
 
 def test_tail_truncation_soundness():
+    # the tail engine integrates out to infinity and reads only abs_tol
+    # and rel_tol: the Fourier engine's cutoff and budget change nothing
     tight = QuadratureSettings(truncation_guard=1e-14)
-    loose = QuadratureSettings(truncation_guard=1e-8)
-    for model in (LAPLACE, GAUSS2):
-        a = price_from_tail(model, 2.0, tight).call
-        b = price_from_tail(model, 2.0, loose).call
-        assert abs(a - b) < 1e-8
+    loose = QuadratureSettings(truncation_guard=1e-8, max_subdivisions=16)
+    for model in (LAPLACE, GAUSS2, NIG):
+        assert price_from_tail(model, 2.0, tight) == price_from_tail(model, 2.0, loose)
+
+
+def test_tail_rule_starts_from_the_fixed_de_rule():
+    # level 0 of the exp-sinh map is the rule NIG's tails use, bit for bit
+    assert np.array_equal(_DE_LEVELS[0][0][1], _DE_Y)
+
+
+def _laplace_closed_form(lam_r, lam_l, kappa):
+    # call and put of the centered asymmetric Laplace, 30 digits
+    with mp.workdps(30):
+        lr, ll, k = mp.mpf(lam_r), mp.mpf(lam_l), mp.mpf(kappa)
+        z = k + 1 / lr - 1 / ll  # kappa past the kink
+        if z >= 0:
+            call = ll / (lr + ll) * mp.exp(-lr * z) / lr
+            return call, call + k
+        put = lr / (lr + ll) * mp.exp(ll * z) / ll
+        return put - k, put
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam_r=st.floats(0.3, 6.0), lam_l=st.floats(0.3, 6.0))
+def test_tail_matches_random_laplace_closed_forms(lam_r, lam_l):
+    model = asym_laplace_model(lam_r, lam_l)
+    kink = 1.0 / lam_l - 1.0 / lam_r
+    for k in (kink, kink - 1e-3, kink + 1e-3, 0.0, -3.0 * model.scale, 3.0 * model.scale):
+        q = price_from_tail(model, k)
+        call, put = _laplace_closed_form(lam_r, lam_l, k)
+        otm, otm_ref = (q.call, call) if k >= 0.0 else (q.put, put)
+        assert abs(otm - otm_ref) <= 1e-12 * otm_ref, k
+        assert abs(q.call - call) <= q.abs_error_estimate, k
+        assert abs(q.put - put) <= q.abs_error_estimate, k
+        assert abs(q.call - q.put + k) <= 10.0 * q.abs_error_estimate, k
+
+
+@pytest.mark.parametrize(
+    "model, kappa",
+    [(GAUSS2, 800.0), (GAUSS2, -800.0), (LAPLACE, 2000.0), (GAUSS1, 38.0)],
+    ids=["gaussian+800", "gaussian-800", "laplace+2000", "gaussian+38-subnormal"],
+)
+def test_tail_past_underflow_keeps_intrinsic(model, kappa):
+    # the out-of-the-money leg underflows to 0, also where it would be a
+    # subnormal double (e^-730 at 38 sigma) too coarse to invert; the
+    # other leg is intrinsic
+    q = price_from_tail(model, kappa)
+    otm, itm = (q.call, q.put) if kappa > 0.0 else (q.put, q.call)
+    assert otm == 0.0
+    assert abs(itm - abs(kappa)) <= q.abs_error_estimate
 
 
 def test_tail_requires_exponential_moments():
@@ -210,13 +259,14 @@ def test_cf_nig_near_money_matches_mpmath(params, kappa, call):
     qc = price_from_cf(model, kappa, _default_alpha(model, kappa))
     qt = price_from_tail(model, kappa)
     assert qc.call == pytest.approx(call, rel=1e-9)
+    assert abs(qt.call - call) <= qt.abs_error_estimate
     assert abs(qc.call - qt.call) <= qc.abs_error_estimate + qt.abs_error_estimate
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     alpha=st.floats(1.0, 4.0),
-    skew=st.floats(-0.6, 0.6),
+    skew=st.floats(-0.9, 0.9),
     delta=st.floats(0.5, 2.0),
 )
 def test_engines_agree_on_random_nig_near_money(alpha, skew, delta):
