@@ -2,11 +2,11 @@
 
 Two independent routes to the same number.  The tail route integrates
 the payoff against the density: call = int_0^inf y f(kappa + y) dy and
-put = int_0^inf y f(kappa - y) dy, each a double-exponential sum in log
-space whose step is halved until two levels agree.  The Fourier route
-damps the payoff by e^(alpha kappa) and integrates the characteristic
-function along a shifted contour.  Keeping both honest and comparing
-them is the point; neither is ever defined in terms of the other.
+put = int_0^inf y f(kappa - y) dy, double-exponential sums in log space
+whose step halves until two levels agree, a whole grid's sums at once.
+The Fourier route damps the payoff by e^(alpha kappa) and integrates the
+characteristic function along a shifted contour.  Keeping both honest and
+comparing them is the point; neither is ever defined in terms of the other.
 """
 
 from __future__ import annotations
@@ -97,47 +97,94 @@ class PriceQuote:
 # is cut this far short of it, so that one piece holds the bulk
 _BULK_SCALES = 8.0
 
+# nodes per log_pdf call, passed by at most one integral (4 x 5760 nodes)
+_MAX_TAIL_NODES_PER_CALL = 1 << 16
 
-def _log_payoff_integral(model: ModelSpec, k: float, sign: int,
-                         abs_tol: float, rel_tol: float) -> tuple[float, float]:
-    """ln S = ln int_0^inf y f(k + sign y) dy and its relative error estimate.
+
+def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
+                          abs_tol: float, rel_tol: float):
+    """ln S = ln int_0^inf y f(k + sign y) dy per (k, sign) pair, its
+    relative error estimate and a converged mask; never raises.
 
     Tanh-sinh pieces between the cuts (kappa, the mean, the breakpoints
     and, on a long in-the-money leg, the bulk's edge), then exp-sinh out
     to infinity.  The step halves until two levels differ by at most
     max(abs_tol, rel_tol S) over the roundoff floor, their difference
-    plus the floor being the estimate; abs_tol = 0 asks for rel_tol alone.
+    plus the floor being the estimate; abs_tol = 0 asks for rel_tol
+    alone.  One log_pdf call probes all decay rates; each level then
+    takes one call (per chunk) for all open integrals' nodes.  Each
+    integral sums its own pieces x nodes block, whatever the batch.
     """
-    cuts = [model.mean, *model.breakpoints]
-    if sign * (model.mean - k) > _BULK_SCALES * model.scale:
-        cuts.append(model.mean - sign * _BULK_SCALES * model.scale)
-    # (y, x) where each piece starts, one per distinct y; the last
-    # piece's length is the density's decay length there, at most its scale
-    ends = [(0.0, k), *sorted({sign * (x - k): x for x in cuts if sign * (x - k) > 0.0}.items())]
-    ya, xa = np.array(ends).T[:, :, None]
+    ends_all = []
+    for k, sign in zip(ks.tolist(), signs.tolist()):
+        cuts = [model.mean, *model.breakpoints]
+        if sign * (model.mean - k) > _BULK_SCALES * model.scale:
+            cuts.append(model.mean - sign * _BULK_SCALES * model.scale)
+        # (y, x) where each piece starts, one per distinct y
+        ends_all.append([(0.0, k),
+                         *sorted({sign * (x - k): x for x in cuts if sign * (x - k) > 0.0}.items())])
+    ya, xa = np.array([end for ends in ends_all for end in ends], dtype=float).reshape(-1, 2).T
+    counts = np.array([len(ends) for ends in ends_all], dtype=int)
+    last = np.cumsum(counts) - 1
+    rows = np.bincount(last, minlength=ya.size)  # 1 on the exp-sinh pieces
+    # the last piece's length is the density's decay length there, at most its scale
     delta = 1e-3 * model.scale
-    lf0, lf1 = model.log_pdf(xa[-1, 0] + np.array([0.0, sign * delta]))
-    rate = max(1.0 / model.scale, (lf0 - lf1) / delta)
-    length = np.append(np.diff(ya[:, 0]), 1.0 / rate)[:, None]
-    rows = [0] * (len(ends) - 1) + [1]
+    lf0, lf1 = np.split(model.log_pdf(np.concatenate([xa[last] + 0.0, xa[last] + signs * delta])), 2)
+    length = np.diff(ya, append=0.0)
+    length[last] = 1.0 / np.fmax((lf0 - lf1) / delta, 1.0 / model.scale)  # NaN reads 1 / scale
 
-    log_sum = prev = -math.inf
+    log_sum, ln_s, prev = np.full((3, counts.size), -math.inf)
+    err, done = np.zeros(counts.size), np.zeros(counts.size, dtype=bool)
+    order = np.argsort(counts, kind="stable")  # equal piece counts side by side
     for level, (unit, unit_logw) in enumerate(_DE_LEVELS):
-        dy = length * unit[rows]
-        terms = unit_logw[rows] + np.log(length) + np.log(ya + dy) + model.log_pdf(xa + sign * dy)
-        peak = terms.max()
-        if peak != -math.inf:  # NaN passes, and fails every comparison below
-            log_sum = np.logaddexp(log_sum, peak + math.log(np.exp(terms - peak).sum()))
-        ln_s = float(log_sum) + math.log(_DE_STEP / (1 << level))
-        if ln_s == -math.inf:  # zero at every node, within double range
-            return ln_s, 0.0
+        todo = order[~done[order]]
+        if not todo.size:
+            break
+        nodes = np.cumsum(counts[todo]) * unit.shape[1]
+        for chunk in np.split(todo, np.flatnonzero(np.diff(nodes // _MAX_TAIL_NODES_PER_CALL)) + 1):
+            groups = np.split(chunk, np.flatnonzero(np.diff(counts[chunk])) + 1)
+            pieces = [last[g, None] + np.arange(1 - counts[g[0]], 1) for g in groups]
+            dys = [length[p, None] * unit[rows[p[0]]] for p in pieces]
+            lf = model.log_pdf(np.concatenate([(xa[p, None] + signs[g, None, None] * dy).ravel()
+                                               for g, p, dy in zip(groups, pieces, dys)]))
+            lfs = np.split(lf, np.cumsum([dy.size for dy in dys])[:-1])
+            for g, p, dy, lf_g in zip(groups, pieces, dys, lfs):
+                terms = (unit_logw[rows[p[0]]] + np.log(length[p, None]) + np.log(ya[p, None] + dy)
+                         + lf_g.reshape(dy.shape)).reshape(g.size, -1)
+                # an all-zero block adds nothing; NaN passes, and fails every test below
+                peak = terms.max(axis=1)
+                sums = np.exp(terms - np.where(peak == -math.inf, 0.0, peak)[:, None]).sum(axis=1)
+                with np.errstate(invalid="ignore"):  # quiet on NaN
+                    log_sum[g] = np.logaddexp(log_sum[g], peak + np.array(
+                        [math.log(s) if s else -math.inf for s in sums.tolist()]))
+        ln_s[todo] = log_sum[todo] + math.log(_DE_STEP / (1 << level))
+        done[todo] = ln_s[todo] == -math.inf  # zero at every node, within double range
         if level:
-            err = abs(math.expm1(prev - ln_s)) + _ROUNDOFF_FLOOR
-            if err <= rel_tol or err * math.exp(ln_s) < abs_tol:
-                return ln_s, err
-        prev = ln_s
-    raise AccuracyNotReached(f"tail quadrature error {err:.3e} (relative) exceeds tolerance",
-                             achieved=err * math.exp(ln_s))
+            live = todo[~done[todo]]
+            err[live] = np.abs([math.expm1(d) for d in prev[live] - ln_s[live]]) + _ROUNDOFF_FLOOR
+            prices = np.array([math.exp(v) for v in ln_s[live].tolist()])
+            done[live] = (err[live] <= rel_tol) | (err[live] * prices < abs_tol)
+        prev[todo] = ln_s[todo]
+    return ln_s, err, done
+
+
+def _checked_log_sums(model: ModelSpec, ks, signs, abs_tol: float, rel_tol: float):
+    # the core's ln S and error estimates as lists, or AccuracyNotReached
+    ln_s, err, ok = _log_payoff_integrals(model, np.array(ks), np.array(signs), abs_tol, rel_tol)
+    for ln, e, good in zip(ln_s.tolist(), err.tolist(), ok.tolist()):
+        if not good:
+            raise AccuracyNotReached(f"tail quadrature error {e:.3e} (relative) exceeds tolerance",
+                                     achieved=e * math.exp(ln))
+    return ln_s.tolist(), err.tolist()
+
+
+def _tail_quote(k: float, ln_call: float, ln_put: float, err_call: float, err_put: float) -> PriceQuote:
+    # a price below the smallest normal double keeps too few bits to
+    # invert: it reads as underflow, and the log-price functions take over
+    tiny = np.finfo(float).tiny
+    call, put = (p if p >= tiny else 0.0 for p in (math.exp(ln_call), math.exp(ln_put)))
+    return PriceQuote(kappa=k, call=call, put=put, method="tail_integral",
+                      abs_error_estimate=max(err_call * call, err_put * put))
 
 
 def price_from_tail(
@@ -156,14 +203,8 @@ def price_from_tail(
         raise UnsupportedModel(f"model {model.name!r} lacks a right exponential moment")
     if not model.satisfies_il:
         raise UnsupportedModel(f"model {model.name!r} lacks a left exponential moment")
-    ln_call, err_call = _log_payoff_integral(model, k, +1, settings.abs_tol, settings.rel_tol)
-    ln_put, err_put = _log_payoff_integral(model, k, -1, settings.abs_tol, settings.rel_tol)
-    # a price below the smallest normal double keeps too few bits to
-    # invert: it reads as underflow, and the log-price functions take over
-    tiny = np.finfo(float).tiny
-    call, put = (p if p >= tiny else 0.0 for p in (math.exp(ln_call), math.exp(ln_put)))
-    return PriceQuote(kappa=k, call=call, put=put, method="tail_integral",
-                      abs_error_estimate=max(err_call * call, err_put * put))
+    ln_s, err = _checked_log_sums(model, [k, k], [1.0, -1.0], settings.abs_tol, settings.rel_tol)
+    return _tail_quote(k, *ln_s, *err)
 
 
 def log_call_price_from_tail(model: ModelSpec, kappa: float) -> float:
@@ -175,7 +216,7 @@ def log_call_price_from_tail(model: ModelSpec, kappa: float) -> float:
     k = float(kappa)
     if not (math.isfinite(k) and k >= model.mean):
         raise DomainError("log-space call pricing needs kappa >= model mean")
-    return _log_payoff_integral(model, k, +1, 0.0, DEFAULT_SETTINGS.rel_tol)[0]
+    return _checked_log_sums(model, [k], [1.0], 0.0, DEFAULT_SETTINGS.rel_tol)[0][0]
 
 
 def log_put_price_from_tail(model: ModelSpec, kappa: float) -> float:
@@ -183,7 +224,7 @@ def log_put_price_from_tail(model: ModelSpec, kappa: float) -> float:
     k = float(kappa)
     if not (math.isfinite(k) and k <= model.mean):
         raise DomainError("log-space put pricing needs kappa <= model mean")
-    return _log_payoff_integral(model, k, -1, 0.0, DEFAULT_SETTINGS.rel_tol)[0]
+    return _checked_log_sums(model, [k], [-1.0], 0.0, DEFAULT_SETTINGS.rel_tol)[0][0]
 
 
 # =============================================================================
@@ -392,21 +433,24 @@ def price_grid(
     """Price a moneyness grid with the engine that suits the model.
 
     The grid is sorted and deduplicated (DomainError if any value is not
-    finite).  Models with closed-form tails go to the tail engine, the
-    rest to the Fourier engine damped at _default_alpha.  Returns the
-    kappas and, for each, its PriceQuote or None where the engine raised
-    a BachelierWingsError, so one bad point does not stop the grid.
+    finite).  Closed-form-tail models go to the tail engine, all legs in
+    one batch, the rest one by one to the Fourier engine damped at
+    _default_alpha.  Returns the kappas and each one's PriceQuote, None
+    where it alone would raise, so one bad point does not stop the grid.
     """
     kappas = np.unique(np.asarray(list(grid), dtype=float))
     if kappas.size and not np.all(np.isfinite(kappas)):
         raise DomainError("grid must contain finite moneyness values")
+    if model.has_closed_form_tails:
+        legs = _log_payoff_integrals(model, np.repeat(kappas, 2), np.tile([1.0, -1.0], kappas.size),
+                                     settings.abs_tol, settings.rel_tol)
+        moments = model.satisfies_ir and model.satisfies_il  # else UnsupportedModel
+        return kappas, [_tail_quote(k, *ln, *err) if moments and all(ok) else None for k, ln, err, ok
+                        in zip(kappas.tolist(), *(leg.reshape(-1, 2).tolist() for leg in legs))]
     quotes: list[PriceQuote | None] = []
     for k in kappas.tolist():
         try:
-            if model.has_closed_form_tails:
-                quotes.append(price_from_tail(model, k, settings))
-            else:
-                quotes.append(price_from_cf(model, k, _default_alpha(model, k), settings))
+            quotes.append(price_from_cf(model, k, _default_alpha(model, k), settings))
         except BachelierWingsError:
             quotes.append(None)
     return kappas, quotes

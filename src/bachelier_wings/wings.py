@@ -175,20 +175,17 @@ def tail_reference_curve(model: ModelSpec, kappas, side: str):
     underflows.  A tail at or above 1 violates the precondition.
     """
     _require_side(side)
+    ks = [float(k) for k in kappas]
+    mags = np.abs(ks)
+    # one array call; a constant tail broadcasts to every magnitude
+    log_tails = model.log_complement_cdf(mags) if side == "right" else model.log_cdf(-mags)
     out = []
-    for k in kappas:
-        mag = abs(float(k))
-        log_tail = (
-            model.log_complement_cdf(mag) if side == "right" else model.log_cdf(-mag)
-        )
-        log_tail = float(log_tail)
+    for k, mag, log_tail in zip(ks, mags.tolist(), np.broadcast_to(log_tails, mags.shape).tolist()):
         if not (log_tail < 0.0):
-            raise DomainError(
-                f"tail probability at kappa={k:g} is not inside (0, 1)"
-            )
+            raise DomainError(f"tail probability at kappa={k:g} is not inside (0, 1)")
         if math.isinf(log_tail):
             raise TailUnderflow(f"tail at kappa={k:g} underflows even in log form")
-        out.append((float(k), -mag / (2.0 * log_tail)))
+        out.append((k, -mag / (2.0 * log_tail)))
     return out
 
 
@@ -204,22 +201,20 @@ def rv_index(model: ModelSpec, side: str, kappa_lo: float, kappa_hi: float) -> f
     if not (1.0 < lo < hi):
         raise DomainError("need 1 < kappa_lo < kappa_hi")
 
-    def neg_log_tail(mag: float) -> float:
-        lt = (
-            model.log_complement_cdf(mag) if side == "right" else model.log_cdf(-mag)
-        )
-        lt = float(lt)
+    # the fit's grid ends at hi; the doubling ratio needs hi / 2 too
+    grid = np.geomspace(lo, hi, 16)
+    mags = np.append(grid, hi / 2.0)
+    log_tails = model.log_complement_cdf(mags) if side == "right" else model.log_cdf(-mags)
+    g = []
+    for mag, lt in zip(mags.tolist(), np.broadcast_to(log_tails, mags.shape).tolist()):
         if math.isinf(lt):
             raise TailUnderflow(f"tail at |kappa|={mag:g} underflows even in log form")
         if not (lt < 0.0):
             raise DomainError(f"tail at |kappa|={mag:g} is not inside (0, 1)")
-        return -lt
-
-    grid = np.geomspace(lo, hi, 16)
-    g = np.array([neg_log_tail(float(m)) for m in grid])
-    theta = float(np.polyfit(np.log(grid), np.log(g), 1)[0])
+        g.append(-lt)
+    theta = float(np.polyfit(np.log(grid), np.log(g[:-1]), 1)[0])
     # defining ratio at the top: g(2k)/g(k) should be ~ 2^theta
-    ratio_theta = math.log2(neg_log_tail(hi) / neg_log_tail(hi / 2.0))
+    ratio_theta = math.log2(g[-2] / g[-1])
     if abs(ratio_theta - theta) > 0.25:
         raise AccuracyNotReached(
             f"tail growth is not power-like on [{lo:g}, {hi:g}]: "

@@ -2,7 +2,9 @@
 oracles (the tail engine also on random Laplace models and past double
 underflow), the two engines against each other (at fixed points and on
 random NIG models), parity, convexity, settings the tail engine ignores,
-damping invariance, the Fourier engine's char_fn work count, and smile
+damping invariance, the Fourier engine's char_fn work count, the batched
+tail core (a grid equals its points priced alone, in few log_pdf calls
+of bounded size), and smile
 assembly with per-point failure handling (checked point by point against
 the scalar solvers, in one batched inversion), serial and threaded.
 """
@@ -17,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bachelier_wings import pricing
@@ -30,7 +32,7 @@ from bachelier_wings.errors import (
     UnsupportedModel,
 )
 from bachelier_wings.inversion import implied_vol_call, implied_vol_put
-from bachelier_wings.models import _DE_LEVELS, _DE_Y, asym_laplace_model, gaussian_model, nig_model
+from bachelier_wings.models import _DE_LEVELS, _DE_STEP, _DE_Y, asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import (
     DEFAULT_SETTINGS,
     PriceQuote,
@@ -322,6 +324,126 @@ def test_nig_report_char_fn_calls():
     assert report["failed_points"] == 0
     assert calls[0] < 1000
     assert calls[1] == 0  # the cutoff search evaluates its whole ladder at once
+
+
+# =============================================================================
+# batched tail core: a grid is its points priced alone, in few log_pdf calls
+# =============================================================================
+
+def _counting_log_pdf(model, nan_where=None):
+    sizes = []  # argument size of each call
+
+    def log_pdf(x):
+        x = np.asarray(x, dtype=float)
+        sizes.append(x.size)
+        out = model.log_pdf(x)
+        return out if nan_where is None else np.where(nan_where(x), math.nan, out)
+
+    return dataclasses.replace(model, log_pdf=log_pdf), sizes
+
+
+def _priced_alone(model, k):
+    try:
+        return price_from_tail(model, k)
+    except AccuracyNotReached:
+        return None
+
+
+def _reference_log_payoff_integral(model, k, sign, abs_tol, rel_tol):
+    # the per-point loop the batched core replaced, kept as its reference:
+    # (ln S, error estimate), or None where it ran out of levels
+    cuts = [model.mean, *model.breakpoints]
+    if sign * (model.mean - k) > pricing._BULK_SCALES * model.scale:
+        cuts.append(model.mean - sign * pricing._BULK_SCALES * model.scale)
+    ends = [(0.0, k), *sorted({sign * (x - k): x for x in cuts if sign * (x - k) > 0.0}.items())]
+    ya, xa = np.array(ends).T[:, :, None]
+    delta = 1e-3 * model.scale
+    lf0, lf1 = model.log_pdf(xa[-1, 0] + np.array([0.0, sign * delta]))
+    rate = max(1.0 / model.scale, (lf0 - lf1) / delta)
+    length = np.append(np.diff(ya[:, 0]), 1.0 / rate)[:, None]
+    rows = [0] * (len(ends) - 1) + [1]
+    log_sum = prev = -math.inf
+    for level, (unit, unit_logw) in enumerate(_DE_LEVELS):
+        dy = length * unit[rows]
+        terms = unit_logw[rows] + np.log(length) + np.log(ya + dy) + model.log_pdf(xa + sign * dy)
+        peak = terms.max()
+        if peak != -math.inf:
+            log_sum = np.logaddexp(log_sum, peak + math.log(np.exp(terms - peak).sum()))
+        ln_s = float(log_sum) + math.log(_DE_STEP / (1 << level))
+        if ln_s == -math.inf:
+            return ln_s, 0.0
+        if level:
+            err = abs(math.expm1(prev - ln_s)) + pricing._ROUNDOFF_FLOOR
+            if err <= rel_tol or err * math.exp(ln_s) < abs_tol:
+                return ln_s, err
+        prev = ln_s
+    return None
+
+
+def _reference_quote(model, k):
+    legs = [_reference_log_payoff_integral(model, k, sign, 1e-13, 1e-11) for sign in (1, -1)]
+    if None in legs:
+        return None
+    (ln_call, err_call), (ln_put, err_put) = legs
+    tiny = np.finfo(float).tiny
+    call, put = (p if p >= tiny else 0.0 for p in (math.exp(ln_call), math.exp(ln_put)))
+    return PriceQuote(kappa=k, call=call, put=put, method="tail_integral",
+                      abs_error_estimate=max(err_call * call, err_put * put))
+
+
+@st.composite
+def _tail_model_and_grid(draw):
+    if draw(st.booleans()):
+        model = gaussian_model(draw(st.floats(0.2, 5.0)))
+        kink, deep_right, deep_left = 0.0, 40.0 * model.scale, -40.0 * model.scale
+    else:
+        lam_r, lam_l = draw(st.floats(0.3, 6.0)), draw(st.floats(0.3, 6.0))
+        model = asym_laplace_model(lam_r, lam_l)
+        kink, deep_right, deep_left = 1.0 / lam_l - 1.0 / lam_r, 760.0 / lam_r, -760.0 / lam_l
+    s = model.scale
+    wings = draw(st.lists(st.floats(0.1, 60.0), min_size=2, max_size=8))
+    grid = [kink, kink - 1e-3 * s, kink + 1e-3 * s, 0.0, deep_left, deep_right,
+            *(w * s for w in wings), *(-w * s for w in wings[::2])]
+    # one point whose call leg sees NaN just right of it, away from every cut,
+    # where no other integral has nodes
+    fail_at = draw(st.floats(-30.0, 30.0)) * s
+    cuts = (kink, 0.0, 8.0 * s, -8.0 * s)
+    assume(min(abs(fail_at - c) for c in cuts) > 1e-6 * s)
+    return model, grid + [fail_at], fail_at
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_tail_model_and_grid())
+def test_price_grid_entries_equal_points_priced_alone(case):
+    model, grid, fail_at = case
+    kappas, quotes = price_grid(model, grid)
+    for k, q in zip(kappas.tolist(), quotes):
+        assert repr(q) == repr(_priced_alone(model, k)) == repr(_reference_quote(model, k)), k
+    window = 1e-9 * model.scale
+    poisoned, _ = _counting_log_pdf(model, lambda x: (x > fail_at) & (x < fail_at + window))
+    kappas, quotes = price_grid(poisoned, grid)
+    for k, q in zip(kappas.tolist(), quotes):
+        assert repr(q) == repr(_priced_alone(poisoned, k)), k
+    assert [k for k, q in zip(kappas.tolist(), quotes) if q is None] == [fail_at]
+
+
+def test_report_grid_takes_few_log_pdf_calls():
+    # one call probes every decay rate, then one per refinement level
+    model, sizes = _counting_log_pdf(asym_laplace_model(2.0, 0.7))
+    report = theorem_verdicts(model)
+    assert report["failed_points"] == 0
+    assert len(sizes) <= 10
+
+
+def test_nan_density_grid_fails_every_point_in_bounded_calls():
+    # every integral runs to the last level; chunking keeps each call within
+    # the cap plus one integral (at most four pieces at the finest level)
+    model, sizes = _counting_log_pdf(LAPLACE, lambda x: np.ones(x.shape, dtype=bool))
+    kappas, quotes = price_grid(model, np.linspace(-30.0, 30.0, 61))
+    assert quotes == [None] * 61
+    assert max(sizes) <= pricing._MAX_TAIL_NODES_PER_CALL + 4 * _DE_LEVELS[-1][0].shape[1]
+    with pytest.raises(AccuracyNotReached, match="tail quadrature error nan"):
+        price_from_tail(model, 1.0)
 
 
 # =============================================================================

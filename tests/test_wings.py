@@ -229,10 +229,11 @@ def test_rv_index_validates_range():
 
 def test_rv_index_rejects_tail_regime_change():
     # growth switching from linear to quadratic mid-range: a single
-    # power fit would average the regimes, the doubling check catches it
+    # power fit would average the regimes, the doubling check catches it;
+    # like every ModelSpec tail, the fake takes arrays
     fake = dataclasses.replace(
         LAPLACE,
-        log_complement_cdf=lambda x: -(x if x < 30.0 else x * x / 30.0),
+        log_complement_cdf=lambda x: -np.where(x < 30.0, x, x * x / 30.0),
     )
     with pytest.raises(AccuracyNotReached):
         rv_index(fake, "right", 10.0, 100.0)
