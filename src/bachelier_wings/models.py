@@ -72,7 +72,9 @@ class ModelSpec:
     the double underflow floor.  char_fn accepts complex xi strictly
     inside the strip; mgf(s) = char_fn(-i s) for s in (-lambda_plus,
     lambda_minus), both raising DomainError outside.  scale is the
-    standard deviation, used to size wing grids.
+    standard deviation, used to size wing grids.  The pricing engine
+    reads log_pdf (with mean, scale and breakpoints); char_fn feeds the
+    Fourier cross-check.
     """
 
     name: str
@@ -90,7 +92,6 @@ class ModelSpec:
     satisfies_il: bool = field()
     mean: float = field()
     scale: float = field()
-    has_closed_form_tails: bool = field()
     # abscissas where the density is non-smooth; quadrature splits there
     breakpoints: tuple[float, ...] = ()
     # relative accuracy of cdf/complement_cdf evaluations; closed forms sit
@@ -155,7 +156,6 @@ def gaussian_model(sigma: float) -> ModelSpec:
         satisfies_il=True,
         mean=0.0,
         scale=s,
-        has_closed_form_tails=True,
     )
 
 
@@ -244,7 +244,6 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
         satisfies_il=True,
         mean=0.0,
         scale=math.sqrt(1.0 / (lr * lr) + 1.0 / (ll * ll)),
-        has_closed_form_tails=True,
         breakpoints=(-m,),
     )
 
@@ -404,7 +403,6 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         satisfies_il=True,
         mean=mean,
         scale=math.sqrt(d * a * a / gamma**3),
-        has_closed_form_tails=False,
         tail_accuracy=5e-12,
     )
 

@@ -4,9 +4,12 @@ Two independent routes to the same number.  The tail route integrates
 the payoff against the density: call = int_0^inf y f(kappa + y) dy and
 put = int_0^inf y f(kappa - y) dy, double-exponential sums in log space
 whose step halves until two levels agree, a whole grid's sums at once.
-The Fourier route damps the payoff by e^(alpha kappa) and integrates the
-characteristic function along a shifted contour.  Keeping both honest and
-comparing them is the point; neither is ever defined in terms of the other.
+It is the production route: price_grid, and through it every smile,
+wing report and CLI run, prices every model on it.  The Fourier route
+(price_from_cf) damps the payoff by e^(alpha kappa) and integrates the
+characteristic function along a shifted contour; it is the independent
+cross-check.  Keeping both honest and comparing them is the point;
+neither is ever defined in terms of the other.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from scipy import integrate
 
 from .errors import (
     AccuracyNotReached,
-    BachelierWingsError,
     DampingOutsideStrip,
     DomainError,
     UnsupportedModel,
@@ -402,10 +404,6 @@ def price_from_cf(
                       abs_error_estimate=estimate)
 
 
-# =============================================================================
-# smile construction
-# =============================================================================
-
 def _default_alpha(model: ModelSpec, kappa: float) -> float:
     """Damping for the out-of-the-money side at this moneyness.
 
@@ -425,35 +423,30 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
     return -0.5 * lam if -kappa <= 8.0 * model.scale else -0.9 * lam
 
 
+# =============================================================================
+# smile construction
+# =============================================================================
+
 def price_grid(
     model: ModelSpec,
     grid,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> tuple[np.ndarray, list[PriceQuote | None]]:
-    """Price a moneyness grid with the engine that suits the model.
+    """Price a moneyness grid on the tail engine, all legs in one batch.
 
     The grid is sorted and deduplicated (DomainError if any value is not
-    finite).  Closed-form-tail models go to the tail engine, all legs in
-    one batch, the rest one by one to the Fourier engine damped at
-    _default_alpha.  Returns the kappas and each one's PriceQuote, None
-    where it alone would raise, so one bad point does not stop the grid.
+    finite).  Every model's log_pdf goes through one call of the batched
+    tail core.  Returns the kappas and each one's PriceQuote, None where
+    it alone would raise, so one bad point does not stop the grid.
     """
     kappas = np.unique(np.asarray(list(grid), dtype=float))
     if kappas.size and not np.all(np.isfinite(kappas)):
         raise DomainError("grid must contain finite moneyness values")
-    if model.has_closed_form_tails:
-        legs = _log_payoff_integrals(model, np.repeat(kappas, 2), np.tile([1.0, -1.0], kappas.size),
-                                     settings.abs_tol, settings.rel_tol)
-        moments = model.satisfies_ir and model.satisfies_il  # else UnsupportedModel
-        return kappas, [_tail_quote(k, *ln, *err) if moments and all(ok) else None for k, ln, err, ok
-                        in zip(kappas.tolist(), *(leg.reshape(-1, 2).tolist() for leg in legs))]
-    quotes: list[PriceQuote | None] = []
-    for k in kappas.tolist():
-        try:
-            quotes.append(price_from_cf(model, k, _default_alpha(model, k), settings))
-        except BachelierWingsError:
-            quotes.append(None)
-    return kappas, quotes
+    legs = _log_payoff_integrals(model, np.repeat(kappas, 2), np.tile([1.0, -1.0], kappas.size),
+                                 settings.abs_tol, settings.rel_tol)
+    moments = model.satisfies_ir and model.satisfies_il  # else UnsupportedModel
+    return kappas, [_tail_quote(k, *ln, *err) if moments and all(ok) else None for k, ln, err, ok
+                    in zip(kappas.tolist(), *(leg.reshape(-1, 2).tolist() for leg in legs))]
 
 
 def smile_from_model(
@@ -464,7 +457,7 @@ def smile_from_model(
 ) -> SmileGrid:
     """Price every moneyness and invert to implied normal volatility.
 
-    price_grid picks the engine; each kappa is quoted on its
+    price_grid prices the grid; each kappa is quoted on its
     out-of-the-money side (call at kappa >= 0, put below), the better
     conditioned one.  Reflected to calls at |kappa|, all quotes off the
     money are inverted in one batched solve; kappa = 0 takes the closed

@@ -90,10 +90,10 @@ def test_price_partial_failure_flags_rows(model_files):
     assert all(r["call"] == "" for r in rows)
 
 
-def test_price_nig_uses_fourier(model_files):
+def test_price_nig_uses_tail_integral(model_files):
     code, out, _ = run_cli("price", "--model", model_files["nig"], "--grid", "0:2:3")
     assert code == 0
-    assert all(r["method"] == "fourier" for r in csv_rows(out))
+    assert all(r["method"] == "tail_integral" for r in csv_rows(out))
 
 
 # =============================================================================
