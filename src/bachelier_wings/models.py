@@ -72,9 +72,8 @@ class ModelSpec:
     the double underflow floor.  char_fn accepts complex xi strictly
     inside the strip; mgf(s) = char_fn(-i s) for s in (-lambda_plus,
     lambda_minus), both raising DomainError outside.  scale is the
-    standard deviation, used to size wing grids.  The pricing engine
-    reads log_pdf (with mean, scale and breakpoints); char_fn feeds the
-    Fourier cross-check.
+    standard deviation, used to size wing grids.  Pricing reads log_pdf;
+    char_fn feeds only the Fourier cross-check.
     """
 
     name: str

@@ -1,15 +1,13 @@
 """Pricing engines for model-implied option values.
 
-Two independent routes to the same number.  The tail route integrates
-the payoff against the density: call = int_0^inf y f(kappa + y) dy and
-put = int_0^inf y f(kappa - y) dy, double-exponential sums in log space
-whose step halves until two levels agree, a whole grid's sums at once.
-It is the production route: price_grid, and through it every smile,
-wing report and CLI run, prices every model on it.  The Fourier route
-(price_from_cf) damps the payoff by e^(alpha kappa) and integrates the
-characteristic function along a shifted contour; it is the independent
-cross-check.  Keeping both honest and comparing them is the point;
-neither is ever defined in terms of the other.
+Two independent routes to the same number.  The tail route (price_grid's,
+so every smile, wing report and CLI run's) integrates the payoff against
+the density: call = int_0^inf y f(kappa + y) dy and put = int_0^inf
+y f(kappa - y) dy, double-exponential sums in log space whose step halves
+until two levels agree, a whole grid's sums at once.  The Fourier route,
+the cross-check, damps the payoff by e^(alpha kappa) and integrates the
+characteristic function along a shifted contour.  Keeping both honest and
+comparing them is the point; neither is ever defined in terms of the other.
 """
 
 from __future__ import annotations
@@ -219,6 +217,15 @@ def log_call_price_from_tail(model: ModelSpec, kappa: float) -> float:
     if not (math.isfinite(k) and k >= model.mean):
         raise DomainError("log-space call pricing needs kappa >= model mean")
     return _checked_log_sums(model, [k], [1.0], 0.0, DEFAULT_SETTINGS.rel_tol)[0][0]
+
+
+def _log_call_prices_from_tail(model: ModelSpec, kappas: list[float]) -> list[float | None]:
+    """log_call_price_from_tail at each kappa, bit for bit, from one core pass; None where it raises."""
+    inside = [k for k in kappas if math.isfinite(k) and k >= model.mean]
+    ln_c, _, ok = (_log_payoff_integrals(model, np.array(inside), np.ones(len(inside)), 0.0,
+                                         DEFAULT_SETTINGS.rel_tol) if inside else np.empty((3, 0)))
+    got = {k: v for k, v, good in zip(inside, ln_c.tolist(), ok.tolist()) if good}
+    return [got.get(k) for k in kappas]
 
 
 def log_put_price_from_tail(model: ModelSpec, kappa: float) -> float:

@@ -32,7 +32,7 @@ from .models import ModelSpec, mgf_blowup_boundary
 from .pricing import (
     DEFAULT_SETTINGS,
     QuadratureSettings,
-    _log_payoff_integrals,
+    _log_call_prices_from_tail,
     smile_from_model,
 )
 from .pricing import log_call_price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
@@ -233,18 +233,13 @@ def asymptotic_residuals(smile: SmileGrid, model: ModelSpec):
     """Residuals of ln c(kappa) against the leading quadratic term.
 
     Uses the right-wing points (kappa > 0).  Points whose pricing failed
-    by underflow are recovered through the log-space tail price, all of
-    them in one pass of the tail core, and the log-channel inversion, so
-    the diagnostics keep going where linear doubles quit.
+    by underflow are recovered through log-space tail prices (one batch)
+    and the log-channel inversion, so the diagnostics keep going where
+    linear doubles quit.
     """
     right = [p for p in smile.points if p.kappa > 0.0]
-    redo = [p.kappa for p in right if p.status != STATUS_OK and p.kappa >= model.mean]
-    recovered = {}
-    if redo:
-        # log_call_price_from_tail's sum at each point, converged ones only
-        ln_c, _, ok = _log_payoff_integrals(model, np.array(redo), np.ones(len(redo)),
-                                            0.0, DEFAULT_SETTINGS.rel_tol)
-        recovered = {k: v for k, v, good in zip(redo, ln_c.tolist(), ok.tolist()) if good}
+    redo = [p.kappa for p in right if p.status != STATUS_OK]
+    recovered = dict(zip(redo, _log_call_prices_from_tail(model, redo)))
     out = []
     for p in right:
         if p.status == STATUS_OK:
