@@ -7,7 +7,10 @@ warm-up call) of L3 price_grid on each model's 25-point report grid, of
 the Fourier cross-check (price_from_cf at _default_alpha) over the
 nig(2, 0.5, 1) report grid, of L5 theorem_verdicts, and of the NIG
 tail_reference_curve + rv_index pair on both sides, plus the number of
-log_pdf calls each L3/L5 call makes.
+log_pdf calls each L3/L5 call makes.  L2_nig_log_pdf_ns_per_node is the
+median time of one nig(2, 0.5, 1).log_pdf call on a fixed array of
+100,000 points spread evenly over +-50 (about +-67 scales) in ns per
+point: the density evaluation every NIG node of the tail core pays.
 BENCH_*.json files at the repository root hold its output for a parent
 commit and a change, run alternately.
 """
@@ -91,6 +94,9 @@ def main() -> None:
         out["L5_theorem_verdicts_ms"][name] = median_ms(lambda: theorem_verdicts(model), reps)
         out["log_pdf_calls_theorem_verdicts"][name] = log_pdf_calls(model, theorem_verdicts)
     nig = MODELS["nig(2, 0.5, 1)"]
+    nodes = np.linspace(-50.0, 50.0, 100_000)
+    out["L2_nig_log_pdf_ns_per_node"] = (
+        1e6 * median_ms(lambda: nig.log_pdf(nodes), reps) / nodes.size)
     out["L3_price_from_cf_nig_report_grid_ms"] = median_ms(
         lambda: fourier_cross_check(nig, report_grid(nig)), reps)
     out["nig_tail_reference_and_rv_index_ms"] = median_ms(

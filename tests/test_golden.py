@@ -65,7 +65,8 @@ def platform_fingerprint() -> str:
     y = np.abs(x) + 0.25
     parts = [np.exp(x), np.log(y), np.log1p(y), np.expm1(x / 16.0), np.sqrt(y),
              np.logaddexp(x, x[::-1]), np.exp(x[1:]).reshape(5, -1).sum(axis=1),
-             sc.ndtr(x), sc.log_ndtr(x), sc.erfcx(x), sc.kve(1, y), np.polyfit(x, np.exp(x / 30.0), 2),
+             sc.ndtr(x), sc.log_ndtr(x), sc.erfcx(x), sc.k0e(y), sc.k1e(y),
+             np.polyfit(x, np.exp(x / 30.0), 2),
              np.array([math.log(v) + math.exp(-v) + math.expm1(-v / 8.0) for v in y.tolist()])]
     return hashlib.sha256(b"".join(np.asarray(p, dtype=float).tobytes() for p in parts)).hexdigest()
 

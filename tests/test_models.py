@@ -115,6 +115,26 @@ def test_nig_tails_near_mean_match_mpmath(params):
         assert model.cdf(x) == pytest.approx(1.0 - sf, rel=model.tail_accuracy), j
 
 
+@pytest.mark.parametrize("params", [(2.0, 0.5, 1.0), (3.5744, -3.3765, 1.3122),
+                                    (1.0, 0.0, 0.5), (4.0, 3.5, 2.0)])
+def test_nig_log_pdf_matches_mpmath_bessel_density(params):
+    # ln f = ln(alpha delta / pi) + delta gamma + beta (x - mu) - ln s
+    # + ln K_1(alpha s), s = hypot(delta, x - mu), at the module's 50 digits
+    # on the double arguments the model sees; the sweep reaches alpha s > 3.5e9,
+    # where scipy's kve(1, .) returns NaN
+    model = nig_model(*params)
+    a, b, d = (mp.mpf(v) for v in params)
+    mu = mp.mpf(model.params["mu"])
+    offsets = np.geomspace(1e-3, 1e10, 14)
+    xs = np.concatenate([model.mean - offsets[::-1], model.mean + offsets])
+    log_front = mp.log(a * d / mp.pi) + d * mp.sqrt(a * a - b * b)
+    for x, lf in zip(xs.tolist(), model.log_pdf(xs).tolist()):
+        z = mp.mpf(x) - mu
+        s = mp.sqrt(d * d + z * z)
+        want = log_front + b * z - mp.log(s) + mp.log(mp.besselk(1, a * s))
+        assert abs(lf - want) <= 1e-14 * max(1.0, abs(lf)), x
+
+
 def test_nig_moments():
     lo, hi = -400.0, 400.0
     mass, _ = quad(NIG.pdf, lo, hi, limit=400)
