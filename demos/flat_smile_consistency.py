@@ -56,8 +56,9 @@ for k in np.linspace(-20.0, 20.0, 17):
 print()
 print(f"max |I - 2|: tail engine {worst_tail:.2e}, transform engine {worst_cf:.2e}")
 print("the tail engine keeps relative accuracy arbitrarily deep; the transform")
-print("engine is exact in the bulk but its price is an oscillatory integral")
-print("with an absolute error floor, useless once the true price sinks below it")
+print("engine damps at the saddle point of e^(-alpha kappa) M(alpha), so its")
+print("oscillatory integral tracks the price scale while that point stays inside")
+print("the damping clamp (alpha <= 0.9 * 10/scale, |kappa| <= 18 here)")
 print(f"tail engine over the walk: {worst_tail:.2e} (limit 1e-12)")
 print(f"transform engine in the bulk (|kappa| <= 12.5): {worst_bulk:.2e} (limit 1e-10)")
 if worst_tail > 1e-12:

@@ -34,7 +34,6 @@ from .errors import (
     NoSolutionBelowIntrinsic,
     NotApplicableInfiniteStrip,
     TailUnderflow,
-    UnsupportedModel,
 )
 from .inversion import (
     IvolResult,
@@ -113,7 +112,7 @@ __all__ = [
     "asymptotic_residuals", "condition_i_probe", "theorem_verdicts",
     # errors
     "BachelierWingsError", "DomainError", "NoSolutionBelowIntrinsic",
-    "ConvergenceFailure", "ModelConfigError", "UnsupportedModel",
+    "ConvergenceFailure", "ModelConfigError",
     "DampingOutsideStrip", "AccuracyNotReached", "TailUnderflow",
     "InsufficientWingData", "NotApplicableInfiniteStrip",
 ]

@@ -46,7 +46,7 @@ from .pricing import QuadratureSettings, price_grid, smile_from_model
 from .pricing import price_from_cf  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .pricing import price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK
-from .wings import VerdictSettings, theorem_verdicts
+from .wings import VerdictSettings, _check, theorem_verdicts
 
 __all__ = ["main", "entry"]
 
@@ -347,17 +347,16 @@ _CHECK_ROW_COLUMNS = ["name", "measured", "reference", "tolerance", "pass"]
 
 def cmd_wings(args) -> int:
     model = _load_model(args.model)
-    settings = VerdictSettings(tol_iv=args.tol)
+    span = {}
     if args.grid is not None:
         if not (0.0 < args.grid.lo < args.grid.hi):
             return _fail("wings grid must satisfy 0 < min < max")
-        settings = VerdictSettings(
-            tol_iv=args.tol,
+        span = dict(
             wing_lo_scales=args.grid.lo / model.scale,
             wing_hi_scales=args.grid.hi / model.scale,
             points_per_side=args.grid.count,
         )
-    report = theorem_verdicts(model, settings)
+    report = theorem_verdicts(model, VerdictSettings(tol_iv=args.tol, **span))
     rows = [dict(c) for c in report["checks"]]
     meta = _meta(
         args,
@@ -383,15 +382,7 @@ def _suite_rows(samples: int, seed: int, round_trip_tol: float) -> list[dict]:
         lo, hi = bachelier_bounds(y, beta)
         price = call_price(y, np.sqrt(beta * y))
         worst = max(worst, float(np.max(lo - price)), float(np.max(price - hi)))
-    rows.append(
-        {
-            "name": "scaled_sandwich",
-            "measured": worst,
-            "reference": 0.0,
-            "tolerance": 0.0,
-            "pass": worst <= 0.0,
-        }
-    )
+    rows.append(_check("scaled_sandwich", worst, 0.0, 0.0, ok=worst <= 0.0))
 
     rng = np.random.default_rng(seed)
 
@@ -401,28 +392,12 @@ def _suite_rows(samples: int, seed: int, round_trip_tol: float) -> list[dict]:
     lo, hi = mills_sandwich(kappa, sigma)
     price = call_price(kappa, sigma)
     worst = max(float(np.max(lo - price)), float(np.max(price - hi)))
-    rows.append(
-        {
-            "name": "ratio_bound_sandwich",
-            "measured": worst,
-            "reference": 0.0,
-            "tolerance": 0.0,
-            "pass": worst <= 0.0,
-        }
-    )
+    rows.append(_check("ratio_bound_sandwich", worst, 0.0, 0.0, ok=worst <= 0.0))
 
     kappa = rng.uniform(-10.0, 10.0, samples)
     sigma = rng.uniform(0.01, 5.0, samples)
     resid = float(np.max(np.abs(call_price(kappa, sigma) - put_price(kappa, sigma) + kappa)))
-    rows.append(
-        {
-            "name": "parity",
-            "measured": resid,
-            "reference": 0.0,
-            "tolerance": 1e-13,
-            "pass": resid < 1e-13,
-        }
-    )
+    rows.append(_check("parity", resid, 0.0, 1e-13, ok=resid < 1e-13))
 
     # round trip through the out-of-the-money instrument in log space:
     # the sample box reaches depths where linear prices underflow, and
@@ -435,15 +410,7 @@ def _suite_rows(samples: int, seed: int, round_trip_tol: float) -> list[dict]:
     m = ~otm_call
     recovered[m] = implied_vol_put_log_vec(kappa[m], put_price_log(kappa[m], sigma[m]))
     rel = float(np.max(np.abs(recovered - sigma) / sigma))
-    rows.append(
-        {
-            "name": "round_trip",
-            "measured": rel,
-            "reference": 0.0,
-            "tolerance": round_trip_tol,
-            "pass": rel < round_trip_tol,
-        }
-    )
+    rows.append(_check("round_trip", rel, 0.0, round_trip_tol, ok=rel < round_trip_tol))
     return rows
 
 

@@ -48,10 +48,6 @@ class ModelConfigError(BachelierWingsError, ValueError):
         super().__init__(f"config field {field!r}: {reason}")
 
 
-class UnsupportedModel(BachelierWingsError, ValueError):
-    """The pricing route cannot handle this model (missing integrability)."""
-
-
 class DampingOutsideStrip(BachelierWingsError, ValueError):
     """Fourier damping parameter lies outside the model's analyticity strip."""
 

@@ -72,7 +72,8 @@ class ModelSpec:
     inside the strip; mgf(s) = char_fn(-i s) for s in (-lambda_plus,
     lambda_minus), both raising DomainError outside.  scale is the
     standard deviation, used to size wing grids.  Pricing reads log_pdf;
-    char_fn feeds only the Fourier cross-check.
+    char_fn feeds only the Fourier cross-check.  The strip's boundaries
+    are > 0, so both exponential moments the tail engine needs exist.
     """
 
     name: str
@@ -86,8 +87,6 @@ class ModelSpec:
     char_fn: Callable = field(repr=False)
     mgf: Callable = field(repr=False)
     strip: AnalyticityStrip = field()
-    satisfies_ir: bool = field()
-    satisfies_il: bool = field()
     mean: float = field()
     scale: float = field()
     # abscissas where the density is non-smooth; quadrature splits there
@@ -150,8 +149,6 @@ def gaussian_model(sigma: float) -> ModelSpec:
         char_fn=char_fn,
         mgf=mgf,
         strip=AnalyticityStrip(math.inf, math.inf),
-        satisfies_ir=True,
-        satisfies_il=True,
         mean=0.0,
         scale=s,
     )
@@ -238,8 +235,6 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
         char_fn=char_fn,
         mgf=mgf,
         strip=AnalyticityStrip(lambda_minus=lr, lambda_plus=ll),
-        satisfies_ir=True,
-        satisfies_il=True,
         mean=0.0,
         scale=math.sqrt(1.0 / (lr * lr) + 1.0 / (ll * ll)),
         breakpoints=(-m,),
@@ -383,8 +378,6 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         char_fn=char_fn,
         mgf=mgf,
         strip=AnalyticityStrip(lambda_minus=lam_minus, lambda_plus=lam_plus),
-        satisfies_ir=True,
-        satisfies_il=True,
         mean=mean,
         scale=math.sqrt(d * a * a / gamma**3),
         tail_accuracy=5e-12,

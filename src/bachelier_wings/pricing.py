@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from .errors import (
     AccuracyNotReached,
     DampingOutsideStrip,
     DomainError,
-    UnsupportedModel,
 )
 from .inversion import _atm_result, _solve_otm_log
 from .inversion import implied_vol_call  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
@@ -199,10 +198,6 @@ def price_from_tail(
     k = float(kappa)
     if not math.isfinite(k):
         raise DomainError("kappa must be finite")
-    if not model.satisfies_ir:
-        raise UnsupportedModel(f"model {model.name!r} lacks a right exponential moment")
-    if not model.satisfies_il:
-        raise UnsupportedModel(f"model {model.name!r} lacks a left exponential moment")
     ln_s, err = _checked_log_sums(model, [k, k], [1.0, -1.0], settings.abs_tol, settings.rel_tol)
     return _tail_quote(k, *ln_s, *err)
 
@@ -414,20 +409,31 @@ def price_from_cf(
 def _default_alpha(model: ModelSpec, kappa: float) -> float:
     """Damping for the out-of-the-money side at this moneyness.
 
-    Mid-strip is safest near the money; deep wings push the contour
-    toward the relevant boundary so the undamping factor e^(-alpha kappa)
-    tracks the price scale and the oscillatory sum keeps relative
-    accuracy.
+    The saddle point of e^(-alpha kappa) M(alpha), where d ln M/d alpha
+    = kappa: there the undamping factor tracks the price scale, so the
+    oscillatory sum keeps relative accuracy from the money out to deep
+    wings.  The root (a central difference of ln mgf, then brentq) is
+    clamped to [0.05, 0.9] of the strip boundary on that side; an
+    infinite boundary counts as 10 / scale.
     """
-    if kappa >= 0.0:
-        lam = model.strip.lambda_minus
-        if not math.isfinite(lam):
-            return 1.0 / model.scale
-        return 0.5 * lam if kappa <= 8.0 * model.scale else 0.9 * lam
-    lam = model.strip.lambda_plus
+    sign = 1.0 if kappa >= 0.0 else -1.0
+    lam = model.strip.lambda_minus if kappa >= 0.0 else model.strip.lambda_plus
     if not math.isfinite(lam):
-        return -1.0 / model.scale
-    return -0.5 * lam if -kappa <= 8.0 * model.scale else -0.9 * lam
+        lam = 10.0 / model.scale
+    h = 1e-5 * lam
+
+    def excess(a: float) -> float:
+        # increasing in a on either side; its root is the saddle point
+        t = sign * a
+        slope = (math.log(model.mgf(t + h)) - math.log(model.mgf(t - h))) / (2.0 * h)
+        return sign * (slope - kappa)
+
+    lo, hi = 0.05 * lam, 0.9 * lam
+    if excess(lo) >= 0.0:
+        return sign * lo
+    if excess(hi) <= 0.0:
+        return sign * hi
+    return sign * optimize.brentq(excess, lo, hi, xtol=1e-8 * lam)
 
 
 # =============================================================================
@@ -451,8 +457,7 @@ def price_grid(
         raise DomainError("grid must contain finite moneyness values")
     legs = _log_payoff_integrals(model, np.repeat(kappas, 2), np.tile([1.0, -1.0], kappas.size),
                                  settings.abs_tol, settings.rel_tol)
-    moments = model.satisfies_ir and model.satisfies_il  # else UnsupportedModel
-    return kappas, [_tail_quote(k, *ln, *err) if moments and all(ok) else None for k, ln, err, ok
+    return kappas, [_tail_quote(k, *ln, *err) if all(ok) else None for k, ln, err, ok
                     in zip(kappas.tolist(), *(leg.reshape(-1, 2).tolist() for leg in legs))]
 
 

@@ -313,11 +313,6 @@ def test_strip_fields():
         AnalyticityStrip(1.0, -3.0)
 
 
-def test_exponential_moment_flags():
-    for model in (GAUSS, LAPLACE, NIG):
-        assert model.satisfies_ir and model.satisfies_il
-
-
 def test_blowup_probe_laplace_exact():
     assert mgf_blowup_boundary(LAPLACE, "right") == pytest.approx(1.0, abs=1e-9)
     assert mgf_blowup_boundary(LAPLACE, "left") == pytest.approx(2.0, abs=1e-9)

@@ -31,7 +31,6 @@ from bachelier_wings.errors import (
     BachelierWingsError,
     DampingOutsideStrip,
     DomainError,
-    UnsupportedModel,
 )
 from bachelier_wings.inversion import implied_vol_call, implied_vol_put
 from bachelier_wings.models import _DE_LEVELS, _DE_STEP, _DE_Y, asym_laplace_model, gaussian_model, nig_model
@@ -168,15 +167,6 @@ def test_tail_past_underflow_keeps_intrinsic(model, kappa):
     assert abs(itm - abs(kappa)) <= q.abs_error_estimate
 
 
-def test_tail_requires_exponential_moments():
-    crippled = dataclasses.replace(LAPLACE, satisfies_ir=False)
-    with pytest.raises(UnsupportedModel):
-        price_from_tail(crippled, 1.0)
-    crippled = dataclasses.replace(LAPLACE, satisfies_il=False)
-    with pytest.raises(UnsupportedModel):
-        price_from_tail(crippled, 1.0)
-
-
 def test_tail_reports_unreachable_tolerance():
     impossible = QuadratureSettings(abs_tol=1e-18, rel_tol=1e-16)
     with pytest.raises(AccuracyNotReached) as err:
@@ -281,6 +271,28 @@ def test_engines_agree_on_random_nig_near_money(alpha, skew, delta):
         qc = price_from_cf(model, k, _default_alpha(model, k))
         diff = max(abs(qt.call - qc.call), abs(qt.put - qc.put))
         assert diff <= qt.abs_error_estimate + qc.abs_error_estimate, k
+
+
+def test_engines_agree_on_steep_nig_skew_four_scales_out():
+    # damping at mid-strip left this put's roundoff floor (estimate
+    # 1.04e-11) above the Fourier engine's 1e-11 gate; the saddle point
+    # of e^(-alpha kappa) M(alpha) clears it
+    model = nig_model(4.0, 3.5, 2.0)
+    k = -4.0 * model.scale
+    qt = price_from_tail(model, k)
+    qc = price_from_cf(model, k, _default_alpha(model, k))
+    diff = max(abs(qt.call - qc.call), abs(qt.put - qc.put))
+    assert diff <= qt.abs_error_estimate + qc.abs_error_estimate
+
+
+def test_default_alpha_is_the_clamped_saddle_point():
+    # Gaussian: d ln M / d alpha = sigma^2 alpha, so the saddle is kappa / sigma^2,
+    # clamped to [0.05, 0.9] of 10 / sigma on the out-of-the-money side
+    model = GAUSS2
+    assert _default_alpha(model, 8.0) == pytest.approx(2.0, rel=1e-6)
+    assert _default_alpha(model, -8.0) == pytest.approx(-2.0, rel=1e-6)
+    assert _default_alpha(model, 0.0) == pytest.approx(0.25)
+    assert _default_alpha(model, -100.0) == pytest.approx(-4.5)
 
 
 def test_cf_panel_budget_exhaustion_raises():

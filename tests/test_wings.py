@@ -187,16 +187,27 @@ def test_tail_reference_never_underflows_at_depth():
     assert 0.0 < refs[0][1] < 0.01
 
 
+# both readers of the log tail, on a right wing from |kappa| = 5
+_TAIL_READERS = (
+    lambda model: tail_reference_curve(model, [5.0], "right"),
+    lambda model: rv_index(model, "right", 5.0, 50.0),
+)
+
+
 def test_tail_reference_rejects_tail_at_one():
-    fake = dataclasses.replace(LAPLACE, log_complement_cdf=lambda x: 0.0)
-    with pytest.raises(DomainError):
-        tail_reference_curve(fake, [5.0], "right")
+    # only -inf is underflow; a log tail of 0, NaN or +inf is out of domain
+    for bad in (0.0, math.nan, math.inf):
+        fake = dataclasses.replace(LAPLACE, log_complement_cdf=lambda x, bad=bad: bad)
+        for read in _TAIL_READERS:
+            with pytest.raises(DomainError):
+                read(fake)
 
 
 def test_tail_reference_underflow_signalled():
     fake = dataclasses.replace(LAPLACE, log_complement_cdf=lambda x: -math.inf)
-    with pytest.raises(TailUnderflow):
-        tail_reference_curve(fake, [5.0], "right")
+    for read in _TAIL_READERS:
+        with pytest.raises(TailUnderflow):
+            read(fake)
 
 
 # =============================================================================
