@@ -11,8 +11,14 @@ log_pdf calls each L3/L5 call makes.  L2_nig_log_pdf_ns_per_node is the
 median time of one nig(2, 0.5, 1).log_pdf call on a fixed array of
 100,000 points spread evenly over +-50 (about +-67 scales) in ns per
 point: the density evaluation every NIG node of the tail core pays.
-BENCH_*.json files at the repository root hold its output for a parent
-commit and a change, run alternately.
+The L1 rows time the inversion core: L1_implied_vol_call_us is one
+scalar implied_vol_call quote (kappa 2, sigma 1) in microseconds, and
+L1_solve_otm_log_1e5_ms one batched solve of a fixed deck of 100,000
+out-of-the-money quotes (d = kappa/sigma log-uniform over 0.01-40, sigma
+over 0.2-2, seed 10); L1_evaluations_mean and L1_evaluations_max are the
+solver evaluations per quote on that deck.  BENCH_*.json files at the
+repository root hold its output for a parent commit and a change, run
+alternately.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import time
 
 import numpy as np
 
+from bachelier_wings.bachelier import call_price, call_price_log
+from bachelier_wings.inversion import _solve_otm_log, implied_vol_call
 from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import _default_alpha, price_from_cf, price_grid
 from bachelier_wings.wings import VerdictSettings, rv_index, tail_reference_curve, theorem_verdicts
@@ -79,6 +87,15 @@ def nig_wing_tails(model) -> None:
         rv_index(model, side, 10.0 * model.scale, 2000.0 * model.scale)
 
 
+def otm_deck(n: int = 100_000):
+    """(kappa, ln price) of n out-of-the-money calls, fixed by seed 10."""
+    rng = np.random.default_rng(10)
+    d = np.exp(rng.uniform(np.log(0.01), np.log(40.0), n))
+    sigma = np.exp(rng.uniform(np.log(0.2), np.log(2.0), n))
+    kappa = d * sigma
+    return kappa, call_price_log(kappa, sigma)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
@@ -101,6 +118,13 @@ def main() -> None:
         lambda: fourier_cross_check(nig, report_grid(nig)), reps)
     out["nig_tail_reference_and_rv_index_ms"] = median_ms(
         lambda: nig_wing_tails(MODELS["nig(2, 0.5, 1)"]), reps)
+    price = call_price(2.0, 1.0)
+    out["L1_implied_vol_call_us"] = 1e3 * median_ms(lambda: implied_vol_call(2.0, price), reps)
+    kappa, log_price = otm_deck()
+    out["L1_solve_otm_log_1e5_ms"] = median_ms(lambda: _solve_otm_log(kappa, log_price, 1e-12), reps)
+    evaluations = _solve_otm_log(kappa, log_price, 1e-12).iterations
+    out["L1_evaluations_mean"] = float(evaluations.mean())
+    out["L1_evaluations_max"] = int(evaluations.max())
     print(json.dumps(out))
 
 

@@ -46,6 +46,8 @@ LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # asymptotic series for the scaled time value instead (rel error ~945/d^8).
 _SERIES_D = 1.0e4
 
+_REAL_SCALARS = (float, int, np.floating, np.integer)
+
 
 def _as_array(x, name: str) -> NDArray[np.float64]:
     arr = np.asarray(x, dtype=float)
@@ -57,6 +59,16 @@ def _as_array(x, name: str) -> NDArray[np.float64]:
 def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
     """Both inputs as finite arrays broadcast together, plus whether both
     came in as scalars; inputs named in `positive` must also be > 0."""
+    if isinstance(a, _REAL_SCALARS) and isinstance(b, _REAL_SCALARS):
+        # two scalars: the same checks and 0-d arrays without numpy's array machinery
+        values = (float(a), float(b))
+        for v, raw, name in zip(values, (a, b), names):
+            if not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {raw!r}")
+        for v, name in zip(values, names):
+            if name in positive and v <= 0.0:
+                raise DomainError(f"{name} must be > 0")
+        return np.array(values[0]), np.array(values[1]), True
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     arrays = [_as_array(v, name) for v, name in zip((a, b), names)]
     for arr, name in zip(arrays, names):

@@ -1,18 +1,28 @@
 """Implied normal volatility: invert call_price(kappa, sigma) = price in sigma.
 
 The solve runs in log space on the out-of-the-money leg, where the
-problem is uniformly well conditioned: with x = ln(sigma) and
-g(x) = ln c_b(kappa, e^x) - ln(target), the derivative satisfies
-dg/dx = sigma / (sqrt(2 pi) h) * (h/sigma) ... collapsing to the exact
-identity dg/dx = sqrt(2 pi) h / sigma restated below, which lies in
-(0, 1].  Newton steps in x are therefore bounded by |g| and a bracket
+problem is uniformly well conditioned.  With x = ln(sigma), d = kappa/sigma,
+h = e^(d^2/2) c_b the scaled time value and tv the target time value,
+g(x) = ln c_b(kappa, e^x) - ln tv = -d^2/2 + ln h - ln tv has the exact
+derivatives
+
+    g' = sigma / (sqrt(2 pi) h) >= 1,    g'' = g' (1 + d^2 - g'),
+
+so each evaluation buys a cubically convergent Halley step.  A bracket
 is available in closed form on both sides:
 
     tv * sqrt(2 pi)  <=  sigma*  <=  (tv + kappa/2) * sqrt(2 pi)
 
-(tv the OTM time value), from c_b <= ATM and c_b >= ATM - kappa/2.
-In-the-money inputs reduce through exact parity, so puts and calls share
-one code path and deep tails never subtract two close numbers.
+from c_b <= ATM and c_b >= ATM - kappa/2; every evaluation shrinks it,
+and a step that is not finite or leaves it is replaced by bisection.
+The seed is the wing asymptotic ln c_b ~ -d^2/2 - 3 ln d + ln(kappa/sqrt(2 pi)):
+two fixed-point passes on d^2/2 + 3 ln d = ln kappa - ln sqrt(2 pi) - ln tv,
+whose map contracts where d^2 > 3.  Nearer the money the seed is the
+bracket's upper end, exact as d -> 0.  The evaluation that meets the
+tolerance still yields one last step.  Over 0.01 <= d <= 40 that is two to
+four evaluations, about three on average.  In-the-money inputs reduce
+through exact parity, so puts and calls share one code path and deep
+tails never subtract two close numbers.
 """
 
 from __future__ import annotations
@@ -53,6 +63,8 @@ LOG_RESIDUAL_DEEP = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
+# d^2/2 + 3 ln d at d^2 = 3, where the seed equation's fixed-point map starts to contract
+_SEED_WING_RHS = 1.5 * (1.0 + math.log(3.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,11 +73,15 @@ class IvolResult:
 
     sigma      solved volatility, > 0
     iterations solver evaluations used (0 for the at-the-money closed form)
-    residual   |call_price(kappa, sigma) - price|, price-space absolute;
-               underflows to 0.0 in the deep tails, which is exact there
+    residual   |call_price(kappa, s) - price|, price-space absolute, at the
+               last evaluated iterate s; sigma is one more Halley step
+               past s, which leaves a residual of order this one cubed, or
+               rounding.  Underflows to 0.0 in the deep tails, which is
+               exact there
     method     closed_form_atm | newton | bisection_fallback (price-space
                tolerance) or newton_log | bisection_log (deep tail, log
-               tolerance of LOG_RESIDUAL_DEEP)
+               tolerance of LOG_RESIDUAL_DEEP); newton and newton_log name
+               the derivative step, which is Halley's
     """
 
     sigma: float
@@ -93,7 +109,8 @@ def _noise_floor(d: NDArray[np.float64]) -> NDArray[np.float64]:
     return 8.0 * _EPS * np.maximum(1.0, d * d)
 
 
-# Per-element outcome of the core loop, x = ln(sigma).  converged: |g| met
+# Per-element outcome of the core loop, x = ln(sigma).  g: the residual at
+# the last evaluated point, which x is one step past; converged: |g| met
 # max(tolerance, noise floor) within MAX_ITERATIONS; unattainable: the price
 # tolerance lies below what doubles deliver there; x_lo, x_hi: the final bracket.
 _Solved = namedtuple("_Solved", "x iterations bisected deep g converged unattainable x_lo x_hi")
@@ -113,8 +130,12 @@ def _solve_otm_log(
     ln_k = np.log(k)
     x_lo = log_tv + LN_SQRT_2PI
     x_hi = np.logaddexp(log_tv, ln_k - _LN2) + LN_SQRT_2PI
-    # wing-formula seed sigma0 = k / sqrt(2 max(1, -ln tv)), clipped into bracket
-    x = np.clip(ln_k - 0.5 * np.log(2.0 * np.maximum(1.0, -log_tv)), x_lo, x_hi)
+    # wing-asymptotic seed (module docstring), its passes floored at d^2 = 3
+    rhs = ln_k - LN_SQRT_2PI - log_tv
+    d2 = 2.0 * np.maximum(rhs, 1.5)
+    for _ in range(2):
+        d2 = 2.0 * np.maximum(1.5, rhs - 1.5 * np.log(d2))
+    x = np.clip(np.where(rhs > _SEED_WING_RHS, ln_k - 0.5 * np.log(d2), x_hi), x_lo, x_hi)
 
     with np.errstate(over="ignore"):
         ratio_tol = tol * np.exp(-log_tv)  # price tol as a log residual; inf is fine
@@ -143,16 +164,18 @@ def _solve_otm_log(
         x_hi = np.where(active & ~below, np.minimum(x_hi, x), x_hi)
 
         converged = converged | (active & (np.abs(g) <= np.maximum(base_tol, noise)))
+
+        # Halley: -(g/g') / (1 - g g'' / (2 g'^2)); an element that has just
+        # converged takes its step too, unevaluated
+        g1 = sigma / (SQRT_2PI * h)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_halley = x - (g / g1) / (1.0 - 0.5 * g * (1.0 + d * d - g1) / g1)
+        inside = np.isfinite(x_halley) & (x_halley > x_lo) & (x_halley < x_hi)
+        bisect = ~converged & ~inside
+        bisected |= bisect
+        x = np.where(active & inside, x_halley, np.where(bisect, 0.5 * (x_lo + x_hi), x))
         if converged.all():
             break
-
-        # Newton in x = ln sigma; the step is -g * sqrt(2pi) h / sigma in (0, |g|]
-        step = -g * SQRT_2PI * h / sigma
-        x_newton = x + step
-        outside = ~np.isfinite(x_newton) | (x_newton <= x_lo) | (x_newton >= x_hi)
-        need = ~converged
-        bisected |= need & outside
-        x = np.where(need, np.where(outside, 0.5 * (x_lo + x_hi), x_newton), x)
 
     # honest failure when the caller asked for less than doubles can deliver
     unattainable = (ratio_tol <= LOG_RESIDUAL_DEEP) & (ratio_tol < noise) & (np.abs(g) > ratio_tol)

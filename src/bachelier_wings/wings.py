@@ -372,6 +372,12 @@ def _check(name: str, measured: float, reference: float, tolerance: float, ok=No
     }
 
 
+def _power_law_blowup(probe: ConditionIProbe) -> bool:
+    """The probed derivative blows up visibly (rho > 0.05) and cleanly
+    power-like (r^2 > 0.99)."""
+    return probe.rho_estimate > 0.05 and probe.regression_r2 > 0.99
+
+
 def _escalating_probe(model: ModelSpec, side: str, s_min: float) -> ConditionIProbe:
     # a bounded MGF at the boundary shows rho ~ 0 at order 0, and a weak
     # branch point pollutes the order-0 fit; step up the derivative order
@@ -379,7 +385,7 @@ def _escalating_probe(model: ModelSpec, side: str, s_min: float) -> ConditionIPr
     probe = None
     for n in (0, 1, 2):
         probe = condition_i_probe(model, side, n, s_min)
-        if probe.rho_estimate >= 0.05 and probe.regression_r2 >= 0.99:
+        if _power_law_blowup(probe):
             return probe
     return probe
 
@@ -447,7 +453,7 @@ def _side_report(model: ModelSpec, smile: SmileGrid, side: str):
         }
         checks.append(
             _check(f"{side}_condition_i_power_blowup", probe.rho_estimate, 0.0, 0.0,
-                   ok=probe.rho_estimate > 0.05 and probe.regression_r2 > 0.99)
+                   ok=_power_law_blowup(probe))
         )
         boundary_est = mgf_blowup_boundary(model, side)
         checks.append(_check(f"{side}_strip_boundary_probe", boundary_est, lam, 1e-3))

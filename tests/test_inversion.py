@@ -24,6 +24,7 @@ from bachelier_wings.errors import (
 from bachelier_wings.inversion import (
     MAX_ITERATIONS,
     IvolResult,
+    _solve_otm_log,
     implied_vol_call,
     implied_vol_call_log,
     implied_vol_call_log_vec,
@@ -230,6 +231,20 @@ def test_monotone_in_price():
 def test_iteration_counts_are_small():
     r = implied_vol_call(4.0, call_price(4.0, 0.8))
     assert 0 < r.iterations < 40
+
+
+def test_evaluation_count_on_out_of_the_money_deck():
+    # d = kappa/sigma log-uniform over 0.01-40, sigma over 0.2-2: the
+    # wing-asymptotic seed and the Halley step take about three evaluations
+    rng = np.random.default_rng(7)
+    d = np.exp(rng.uniform(math.log(0.01), math.log(40.0), 20_000))
+    sigma = np.exp(rng.uniform(math.log(0.2), math.log(2.0), d.size))
+    kappa = d * sigma
+    solved = _solve_otm_log(kappa, call_price_log(kappa, sigma), 1e-12)
+    assert solved.converged.all()
+    assert solved.iterations.mean() <= 3.2
+    assert np.all((solved.iterations <= 4) | solved.bisected)
+    assert np.max(np.abs(np.exp(solved.x) - sigma) / sigma) < 1e-13
 
 
 # ---------------------------------------------------------------------------

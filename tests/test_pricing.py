@@ -364,15 +364,20 @@ def _piece_ends(model, k, sign):
     return [(0.0, k), *sorted({sign * (x - k): x for x in cuts if sign * (x - k) > 0.0}.items())]
 
 
+def _half_line_length(model, x_end, sign):
+    # the exp-sinh half-line's length past the last cut x_end: the local
+    # decay length of the density there, at most one scale
+    delta = 1e-3 * model.scale
+    lf0, lf1 = model.log_pdf(x_end + np.array([0.0, sign * delta]))
+    return 1.0 / max(1.0 / model.scale, (lf0 - lf1) / delta)
+
+
 def _reference_log_payoff_integral(model, k, sign, abs_tol, rel_tol):
     # the per-point loop the batched core replaced, kept as its reference:
     # (ln S, error estimate), or None where it ran out of levels
     ends = _piece_ends(model, k, sign)
     ya, xa = np.array(ends).T[:, :, None]
-    delta = 1e-3 * model.scale
-    lf0, lf1 = model.log_pdf(xa[-1, 0] + np.array([0.0, sign * delta]))
-    rate = max(1.0 / model.scale, (lf0 - lf1) / delta)
-    length = np.append(np.diff(ya[:, 0]), 1.0 / rate)[:, None]
+    length = np.append(np.diff(ya[:, 0]), _half_line_length(model, xa[-1, 0], sign))[:, None]
     rows = [0] * (len(ends) - 1) + [1]
     log_sum = prev = -math.inf
     for level, (unit, unit_logw) in enumerate(_DE_LEVELS):
@@ -416,16 +421,22 @@ def _tail_model_and_grid(draw):
     wings = draw(st.lists(st.floats(0.1, 60.0), min_size=2, max_size=8))
     grid = [kink, kink - 1e-3 * s, kink + 1e-3 * s, 0.0, deep_left, deep_right,
             *(w * s for w in wings), *(-w * s for w in wings[::2])]
-    # one point whose call leg sees NaN just right of it, away from every cut
-    # and from every tanh-sinh piece's midpoint (its t = 0 node, at x = 0.8
-    # for a piece from 1.6 to 0), where no other integral has nodes
+    # one point whose call leg sees NaN just right of it, away from every cut,
+    # from every tanh-sinh piece's midpoint (its t = 0 node, at x = 0.8 for a
+    # piece from 1.6 to 0) and from every exp-sinh half-line's t = 0 node (one
+    # half-line length past the last cut), where no other integral has nodes
     fail_at = draw(st.floats(-30.0, 30.0)) * s
     cuts = (kink, 0.0, 8.0 * s, -8.0 * s)
     assume(min(abs(fail_at - c) for c in cuts) > 1e-6 * s)
     grid = grid + [fail_at]
-    midpoints = [0.5 * (a + b) for k in grid for sign in (1.0, -1.0)
-                 for (_, a), (_, b) in itertools.pairwise(_piece_ends(model, k, sign))]
-    assume(min(abs(fail_at - m) for m in midpoints) > 1e-6 * s)
+    centre_nodes = []
+    for k in grid:
+        for sign in (1.0, -1.0):
+            ends = _piece_ends(model, k, sign)
+            centre_nodes += [0.5 * (a + b) for (_, a), (_, b) in itertools.pairwise(ends)]
+            x_end = ends[-1][1]
+            centre_nodes.append(x_end + sign * _half_line_length(model, x_end, sign))
+    assume(min(abs(fail_at - x) for x in centre_nodes) > 1e-6 * s)
     return model, grid, fail_at
 
 
@@ -452,6 +463,21 @@ def test_poisoned_piece_midpoint_fails_every_integral_through_it():
     grid = [0.0, 2e-4, -2e-4, -8.0, 8.0, 0.2, 0.2, -0.2, 0.8]
     kappas, quotes = price_grid(poisoned, grid)
     assert [k for k, q in zip(kappas.tolist(), quotes) if q is None] == [0.8, 8.0]
+    for k, q in zip(kappas.tolist(), quotes):
+        assert repr(q) == repr(_priced_alone(poisoned, k)), k
+
+
+def test_poisoned_half_line_node_fails_every_integral_through_it():
+    # every put at kappa >= 0 ends in an exp-sinh half-line from the mean
+    # whose length, 1/(1/scale), rounds one ulp below the scale, so its t = 0
+    # node sits in the NaN window right of -scale; those quotes fail too, as
+    # priced alone
+    s = 1.9547988245316494
+    model = gaussian_model(s)
+    poisoned, _ = _counting_log_pdf(model, lambda x: (x > -s) & (x < -s + 1e-9 * s))
+    grid = [0.0, 1e-3 * s, s, -s, -40.0 * s, 3.0 * s]
+    kappas, quotes = price_grid(poisoned, grid)
+    assert [k for k, q in zip(kappas.tolist(), quotes) if q is None] == [-s, 0.0, 1e-3 * s, s, 3.0 * s]
     for k, q in zip(kappas.tolist(), quotes):
         assert repr(q) == repr(_priced_alone(poisoned, k)), k
 
