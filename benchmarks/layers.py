@@ -5,9 +5,11 @@
 Prints one JSON object: the median wall time (ms, perf_counter, after one
 warm-up call) of L3 price_grid on each model's 25-point report grid, of
 the Fourier cross-check (price_from_cf at _default_alpha) over the
-nig(2, 0.5, 1) report grid, of L5 theorem_verdicts, and of the NIG
+nig(2, 0.5, 1) report grid, of L4 smile_from_model on each report
+model's grid, of L5 theorem_verdicts, and of the NIG
 tail_reference_curve + rv_index pair on both sides, plus the number of
-log_pdf calls each L3/L5 call makes.  L2_nig_log_pdf_ns_per_node is the
+log_pdf calls each L3/L4/L5 call makes and the nodes (log_pdf points)
+each L4 call evaluates.  L2_nig_log_pdf_ns_per_node is the
 median time of one nig(2, 0.5, 1).log_pdf call on a fixed array of
 100,000 points spread evenly over +-50 (about +-67 scales) in ns per
 point: the density evaluation every NIG node of the tail core pays.
@@ -34,7 +36,7 @@ import numpy as np
 from bachelier_wings.bachelier import call_price, call_price_log
 from bachelier_wings.inversion import _solve_otm_log, implied_vol_call
 from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
-from bachelier_wings.pricing import _default_alpha, price_from_cf, price_grid
+from bachelier_wings.pricing import _default_alpha, price_from_cf, price_grid, smile_from_model
 from bachelier_wings.wings import VerdictSettings, rv_index, tail_reference_curve, theorem_verdicts
 
 MODELS = {
@@ -64,15 +66,17 @@ def median_ms(fn, reps: int) -> float:
     return 1e3 * statistics.median(times)
 
 
-def log_pdf_calls(model, fn) -> int:
-    calls = [0]
+def log_pdf_work(model, fn) -> tuple[int, int]:
+    """(calls, nodes) of model.log_pdf while fn runs on a counting copy of model."""
+    work = [0, 0]
 
     def log_pdf(x):
-        calls[0] += 1
+        work[0] += 1
+        work[1] += np.size(x)
         return model.log_pdf(x)
 
     fn(dataclasses.replace(model, log_pdf=log_pdf))
-    return calls[0]
+    return work[0], work[1]
 
 
 def fourier_cross_check(model, grid) -> None:
@@ -100,16 +104,22 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
     reps = parser.parse_args().reps
-    out = {"L3_price_grid_ms": {}, "L5_theorem_verdicts_ms": {},
-           "log_pdf_calls_price_grid": {}, "log_pdf_calls_theorem_verdicts": {}}
+    out = {"L3_price_grid_ms": {}, "L4_smile_from_model_ms": {}, "L5_theorem_verdicts_ms": {},
+           "log_pdf_calls_price_grid": {}, "log_pdf_calls_smile_from_model": {},
+           "log_pdf_nodes_smile_from_model": {}, "log_pdf_calls_theorem_verdicts": {}}
     for name, model in MODELS.items():
         grid = report_grid(model)
         out["L3_price_grid_ms"][name] = median_ms(lambda: price_grid(model, grid), reps)
-        out["log_pdf_calls_price_grid"][name] = log_pdf_calls(model, lambda m: price_grid(m, grid))
+        out["log_pdf_calls_price_grid"][name] = log_pdf_work(model, lambda m: price_grid(m, grid))[0]
     for name in REPORTS:
         model = MODELS[name]
+        grid = report_grid(model)
+        out["L4_smile_from_model_ms"][name] = median_ms(lambda: smile_from_model(model, grid), reps)
+        calls, nodes = log_pdf_work(model, lambda m: smile_from_model(m, grid))
+        out["log_pdf_calls_smile_from_model"][name] = calls
+        out["log_pdf_nodes_smile_from_model"][name] = nodes
         out["L5_theorem_verdicts_ms"][name] = median_ms(lambda: theorem_verdicts(model), reps)
-        out["log_pdf_calls_theorem_verdicts"][name] = log_pdf_calls(model, theorem_verdicts)
+        out["log_pdf_calls_theorem_verdicts"][name] = log_pdf_work(model, theorem_verdicts)[0]
     nig = MODELS["nig(2, 0.5, 1)"]
     nodes = np.linspace(-50.0, 50.0, 100_000)
     out["L2_nig_log_pdf_ns_per_node"] = (

@@ -104,9 +104,9 @@ def _validate_tol(tol: float) -> float:
     return t
 
 
-def _noise_floor(d: NDArray[np.float64]) -> NDArray[np.float64]:
-    # achievable |g|: the log-price evaluation itself carries ~d^2 * eps
-    return 8.0 * _EPS * np.maximum(1.0, d * d)
+def _noise_floor(d: NDArray[np.float64], ln_tv_rounding: NDArray[np.float64]) -> NDArray[np.float64]:
+    # achievable |g|: ~d^2 * eps from the log-price evaluation, plus the rounding of ln tv
+    return 8.0 * _EPS * np.maximum(1.0, d * d) + ln_tv_rounding
 
 
 # Per-element outcome of the core loop, x = ln(sigma).  g: the residual at
@@ -141,6 +141,7 @@ def _solve_otm_log(
         ratio_tol = tol * np.exp(-log_tv)  # price tol as a log residual; inf is fine
     deep = ratio_tol > LOG_RESIDUAL_DEEP
     base_tol = np.minimum(ratio_tol, LOG_RESIDUAL_DEEP)
+    ln_tv_rounding = 2.0 * _EPS * np.abs(log_tv)  # ~2 ulp of ln tv
 
     iterations = np.zeros(k.shape, dtype=np.int64)
     bisected = np.zeros(k.shape, dtype=bool)
@@ -155,8 +156,7 @@ def _solve_otm_log(
         h = _scaled_time_value(k, sigma)
         g_new = -0.5 * d * d + np.log(h) - log_tv
         g = np.where(active, g_new, g)
-        noise_new = _noise_floor(d)
-        noise = np.where(active, noise_new, noise)
+        noise = np.where(active, _noise_floor(d, ln_tv_rounding), noise)
         iterations[active] += 1
 
         below = g < 0.0

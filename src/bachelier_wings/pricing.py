@@ -1,13 +1,13 @@
 """Pricing engines for model-implied option values.
 
-Two independent routes to the same number.  The tail route (price_grid's,
-so every smile, wing report and CLI run's) integrates the payoff against
-the density: call = int_0^inf y f(kappa + y) dy and put = int_0^inf
-y f(kappa - y) dy, double-exponential sums in log space whose step halves
-until two levels agree, a whole grid's sums at once.  The Fourier route,
-the cross-check, damps the payoff by e^(alpha kappa) and integrates the
-characteristic function along a shifted contour.  Keeping both honest and
-comparing them is the point; neither is ever defined in terms of the other.
+Two independent routes to the same number.  The tail route prices every
+quote the package reports (price_grid's two legs, a smile's one
+out-of-the-money leg): call = int_0^inf y f(kappa + y) dy and put =
+int_0^inf y f(kappa - y) dy, double-exponential sums in log space whose
+step halves until two levels agree, a whole batch at once.  The Fourier
+route, the cross-check, damps the payoff by e^(alpha kappa) and integrates
+the characteristic function along a shifted contour.  Keeping both honest
+and comparing them is the point; neither is defined in terms of the other.
 """
 
 from __future__ import annotations
@@ -177,11 +177,13 @@ def _checked_log_sums(model: ModelSpec, ks, signs, abs_tol: float, rel_tol: floa
     return ln_s.tolist(), err.tolist()
 
 
+def _price(ln_s: float) -> float:
+    # below the smallest normal double too few bits are left to invert: 0, and log prices take over
+    return p if (p := math.exp(ln_s)) >= np.finfo(float).tiny else 0.0
+
+
 def _tail_quote(k: float, ln_call: float, ln_put: float, err_call: float, err_put: float) -> PriceQuote:
-    # a price below the smallest normal double keeps too few bits to
-    # invert: it reads as underflow, and the log-price functions take over
-    tiny = np.finfo(float).tiny
-    call, put = (p if p >= tiny else 0.0 for p in (math.exp(ln_call), math.exp(ln_put)))
+    call, put = _price(ln_call), _price(ln_put)
     return PriceQuote(kappa=k, call=call, put=put, method="tail_integral",
                       abs_error_estimate=max(err_call * call, err_put * put))
 
@@ -440,21 +442,25 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
 # smile construction
 # =============================================================================
 
+def _checked_grid(grid) -> np.ndarray:
+    kappas = np.unique(np.asarray(list(grid), dtype=float))  # sorted, deduplicated
+    if not np.all(np.isfinite(kappas)):
+        raise DomainError("grid must contain finite moneyness values")
+    return kappas
+
+
 def price_grid(
     model: ModelSpec,
     grid,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> tuple[np.ndarray, list[PriceQuote | None]]:
-    """Price a moneyness grid on the tail engine, all legs in one batch.
+    """Price a moneyness grid on the tail engine, both legs in one batch.
 
     The grid is sorted and deduplicated (DomainError if any value is not
-    finite).  Every model's log_pdf goes through one call of the batched
-    tail core.  Returns the kappas and each one's PriceQuote, None where
-    it alone would raise, so one bad point does not stop the grid.
+    finite).  Returns the kappas and each one's PriceQuote, None where it
+    alone would raise, so one bad point does not stop the grid.
     """
-    kappas = np.unique(np.asarray(list(grid), dtype=float))
-    if kappas.size and not np.all(np.isfinite(kappas)):
-        raise DomainError("grid must contain finite moneyness values")
+    kappas = _checked_grid(grid)
     legs = _log_payoff_integrals(model, np.repeat(kappas, 2), np.tile([1.0, -1.0], kappas.size),
                                  settings.abs_tol, settings.rel_tol)
     return kappas, [_tail_quote(k, *ln, *err) if all(ok) else None for k, ln, err, ok
@@ -469,22 +475,21 @@ def smile_from_model(
 ) -> SmileGrid:
     """Price every moneyness and invert to implied normal volatility.
 
-    price_grid prices the grid; each kappa is quoted on its
-    out-of-the-money side (call at kappa >= 0, put below), the better
-    conditioned one.  Reflected to calls at |kappa|, all quotes off the
-    money are inverted in one batched solve; kappa = 0 takes the closed
-    form.  A point whose pricing or inversion fails is marked failed and
-    the rest of the grid proceeds.
+    Each kappa is priced on its out-of-the-money leg alone (call at
+    kappa >= 0, put below), the better conditioned one, the grid checked
+    as in price_grid and its legs in one call of the batched tail core.
+    Reflected to calls at |kappa|, all quotes off the money are inverted
+    in one batched solve; kappa = 0 takes the closed form.  A point whose
+    own leg or inversion fails is marked failed; the rest proceed.
     """
     if not (0.0 < tol_iv < math.inf):
         raise DomainError("tol_iv must be positive and finite")
-    kappas, quotes = price_grid(model, grid, settings)
-    prices = np.array([math.nan if q is None else (q.call if q.kappa >= 0.0 else q.put)
-                       for q in quotes])
-    # math.log, as the scalar solvers take it; NaN marks a failed quote
-    # or one without a positive finite price
-    log_prices = np.array([math.log(p) if 0.0 < p < math.inf else math.nan
-                           for p in prices.tolist()])
+    kappas = _checked_grid(grid)
+    ln_s, _, ok = _log_payoff_integrals(model, kappas, np.where(kappas >= 0.0, 1.0, -1.0),
+                                        settings.abs_tol, settings.rel_tol)
+    prices = np.array([_price(ln) if good else math.nan for ln, good in zip(ln_s.tolist(), ok.tolist())])
+    # math.log, as the scalar solvers take it; NaN marks a failed or underflowed quote
+    log_prices = np.array([math.log(p) if p > 0.0 else math.nan for p in prices.tolist()])
 
     ivols = np.full(kappas.shape, math.nan)
     off = np.flatnonzero((kappas != 0.0) & ~np.isnan(log_prices))

@@ -303,6 +303,19 @@ def test_tolerance_below_floating_point_floor():
     assert err.value.achieved is None or err.value.achieved > 1e-18
 
 
+def test_noise_floor_counts_the_rounding_of_ln_tv():
+    # near the money with |ln tv| = 16.4 the residual cannot fall below
+    # about 2 ulp of ln tv (3.6e-15), above an 8 eps floor of 1.8e-15; an
+    # unattainable tolerance must end in AccuracyNotReached, not in 200
+    # evaluations on a collapsed bracket and ConvergenceFailure
+    kappa, price = 4.575635314717512e-16, 7.76274387948033e-08
+    with pytest.raises(AccuracyNotReached):
+        implied_vol_call(kappa, price, tol=1e-300)
+    solved = _solve_otm_log(np.array([kappa]), np.array([math.log(price)]), 1e-300)
+    assert solved.converged.all() and solved.unattainable.all()
+    assert solved.iterations[0] < MAX_ITERATIONS
+
+
 def test_result_is_frozen():
     r = implied_vol_call(0.0, 0.4)
     assert isinstance(r, IvolResult)

@@ -513,8 +513,8 @@ def _report_grid(model):
 
 
 def test_nig_report_char_fn_calls():
-    # a NIG report prices on log_pdf alone: its grid takes one probe call
-    # and one per refinement level (4 calls, ~21k nodes), the report 6
+    # a NIG report prices on log_pdf alone: its smile takes one probe call
+    # and one per refinement level (3 calls, ~4.6k nodes), the report 5
     model, calls = _counting_char_fn(NIG)
     model, sizes = _counting_log_pdf(model)
     report = theorem_verdicts(model)
@@ -528,6 +528,41 @@ def test_hard_nig_report_keeps_its_grid():
     # prices past double underflow, which the log channel still reads
     report = theorem_verdicts(nig_model(3.5744, -3.3765, 1.3122))
     assert report["failed_points"] <= 2
+
+
+def _mp_nig_call(alpha, beta, delta, kappa):
+    # 30-digit call of the zero-mean NIG law as a normal variance-mean
+    # mixture, X = mu + beta V + sqrt(V) Z with V inverse Gaussian: the
+    # Bachelier call at sqrt(V) averaged over V's density
+    with mp.workdps(30):
+        a, b, d, k = (mp.mpf(x) for x in (alpha, beta, delta, kappa))
+        g = mp.sqrt(a * a - b * b)
+        mu = -d * b / g
+
+        def integrand(v):
+            z = (mu + b * v - k) / mp.sqrt(v)
+            density = d * mp.exp(d * g - (d * d / v + g * g * v) / 2) / mp.sqrt(2 * mp.pi * v**3)
+            return density * mp.sqrt(v) * (mp.npdf(z) + z * mp.ncdf(z))
+
+        return mp.quad(integrand, [0, *(mp.mpf(2) ** j for j in range(-6, 24)), mp.inf])
+
+
+def test_nig_near_the_strip_edge_fails_only_its_underflowed_wing():
+    # as |beta| -> alpha the left tail falls like e^(-(alpha + beta) x) on a
+    # scale of 420: every left-wing put is far below double range (ln p
+    # below -8100 from 5 scales out), so those 12 points fail; the
+    # in-the-money legs, which do not converge, no longer fail the 13 others
+    model = nig_model(2.0, 1.9998, 1.0)
+    report = theorem_verdicts(model)
+    assert report["failed_points"] == 12
+    smile = smile_from_model(model, _report_grid(model))
+    assert [p.kappa < 0.0 for p in smile.points] == [p.status == "failed" for p in smile.points]
+    assert log_put_price_from_tail(model, -5.0 * model.scale) < -8100.0
+    for k in (0.0, 3.0 * model.scale):
+        point = smile_from_model(model, [k]).points[0]
+        assert point.status == "ok"
+        assert price_grid(model, [k])[1] == [None]
+        assert point.price == pytest.approx(float(_mp_nig_call(2.0, 1.9998, 1.0, k)), rel=1e-11)
 
 
 @pytest.mark.parametrize("beta", [1.98, -1.98, 1.998, -1.998])
@@ -637,9 +672,9 @@ def test_smile_deterministic():
 
 
 def test_smile_threaded_matches_serial():
-    # neither route (Fourier for NIG, tail integrals for the Laplace
-    # model) shares mutable state between callers, so points priced
-    # from several threads at once equal the serial ones
+    # the tail core, which prices every model's smile, shares no mutable
+    # state between callers, so points priced from several threads at
+    # once equal the serial ones
     for model in (NIG, asym_laplace_model(2.0, 0.7)):
         wing = np.geomspace(2.0, 30.0, 6) * model.scale
         grid = np.concatenate([-wing[::-1], [0.0], wing])
@@ -705,6 +740,46 @@ def test_smile_inverts_in_one_core_call(monkeypatch):
             smile = smile_from_model(model, grid)
             assert len(sizes) == 1
             assert sizes[0] == sum(p.kappa != 0.0 for p in smile.points)
+
+
+def test_smile_prices_one_leg_per_point(monkeypatch):
+    # one core call, one integral per point, on its out-of-the-money side
+    batches = []
+    core = pricing._log_payoff_integrals
+
+    def counting_core(model, ks, signs, abs_tol, rel_tol):
+        batches.append((ks.copy(), signs.copy()))
+        return core(model, ks, signs, abs_tol, rel_tol)
+
+    monkeypatch.setattr(pricing, "_log_payoff_integrals", counting_core)
+    for model in (GAUSS1, LAPLACE, NIG):
+        for grid in (MIXED_GRID, []):
+            batches.clear()
+            smile = smile_from_model(model, grid)
+            assert len(batches) == 1
+            ks, signs = batches[0]
+            assert ks.size == len(smile)
+            assert ks.tolist() == [p.kappa for p in smile.points]
+            assert signs.tolist() == [1.0 if k >= 0.0 else -1.0 for k in ks.tolist()]
+
+
+def test_smile_point_fails_only_on_its_own_leg():
+    # NaN on (0.5, 1.5) breaks the in-the-money legs at -3 and 2, which
+    # cross it, and neither out-of-the-money leg
+    poisoned, _ = _counting_log_pdf(GAUSS1, lambda x: (x > 0.5) & (x < 1.5))
+    grid = [-3.0, 2.0]
+    assert price_grid(poisoned, grid)[1] == [None, None]
+    smile = smile_from_model(poisoned, grid)
+    assert all(p.status == "ok" for p in smile.points)
+    assert smile.points == smile_from_model(GAUSS1, grid).points
+
+
+def test_grid_with_a_non_finite_value_is_rejected():
+    for grid in ([1.0, math.nan], [math.inf, 0.0]):
+        with pytest.raises(DomainError):
+            price_grid(GAUSS1, grid)
+        with pytest.raises(DomainError):
+            smile_from_model(GAUSS1, grid)
 
 
 def test_smile_rejects_bad_tolerance():
