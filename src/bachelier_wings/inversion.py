@@ -104,15 +104,10 @@ def _validate_tol(tol: float) -> float:
     return t
 
 
-def _noise_floor(d: NDArray[np.float64], ln_tv_rounding: NDArray[np.float64]) -> NDArray[np.float64]:
-    # achievable |g|: ~d^2 * eps from the log-price evaluation, plus the rounding of ln tv
-    return 8.0 * _EPS * np.maximum(1.0, d * d) + ln_tv_rounding
-
-
-# Per-element outcome of the core loop, x = ln(sigma).  g: the residual at
-# the last evaluated point, which x is one step past; converged: |g| met
-# max(tolerance, noise floor) within MAX_ITERATIONS; unattainable: the price
-# tolerance lies below what doubles deliver there; x_lo, x_hi: the final bracket.
+# Per-element outcome of the core loop, x = ln(sigma).  g: the residual at the last
+# evaluated point, which x is one step past; converged: |g| met max(tolerance, noise
+# floor) within MAX_ITERATIONS, or x repeated where unattainable: the price tolerance
+# lies below what doubles deliver there; x_lo, x_hi: the final bracket.
 _Solved = namedtuple("_Solved", "x iterations bisected deep g converged unattainable x_lo x_hi")
 
 
@@ -141,7 +136,6 @@ def _solve_otm_log(
         ratio_tol = tol * np.exp(-log_tv)  # price tol as a log residual; inf is fine
     deep = ratio_tol > LOG_RESIDUAL_DEEP
     base_tol = np.minimum(ratio_tol, LOG_RESIDUAL_DEEP)
-    ln_tv_rounding = 2.0 * _EPS * np.abs(log_tv)  # ~2 ulp of ln tv
 
     iterations = np.zeros(k.shape, dtype=np.int64)
     bisected = np.zeros(k.shape, dtype=bool)
@@ -149,14 +143,14 @@ def _solve_otm_log(
     g = np.zeros(k.shape)
     noise = np.zeros(k.shape)
 
-    for _ in range(MAX_ITERATIONS):
+    for it in range(MAX_ITERATIONS):
         active = ~converged
         sigma = np.exp(x)
         d = k / sigma
         h = _scaled_time_value(k, sigma)
-        g_new = -0.5 * d * d + np.log(h) - log_tv
-        g = np.where(active, g_new, g)
-        noise = np.where(active, _noise_floor(d, ln_tv_rounding), noise)
+        g = np.where(active, -0.5 * d * d + np.log(h) - log_tv, g)
+        # the noise floor, achievable |g|: the log-price evaluation itself carries ~d^2 * eps
+        noise = np.where(active, 8.0 * _EPS * np.maximum(1.0, d * d), noise)
         iterations[active] += 1
 
         below = g < 0.0
@@ -173,12 +167,18 @@ def _solve_otm_log(
         inside = np.isfinite(x_halley) & (x_halley > x_lo) & (x_halley < x_hi)
         bisect = ~converged & ~inside
         bisected |= bisect
-        x = np.where(active & inside, x_halley, np.where(bisect, 0.5 * (x_lo + x_hi), x))
+        x, x_prev = np.where(active & inside, x_halley, np.where(bisect, 0.5 * (x_lo + x_hi), x)), x
         if converged.all():
             break
+        # past the two to four evaluations most quotes take, end an element whose
+        # x repeats (a collapsed bracket, a step below one ulp): it would forever
+        if it >= 3:
+            converged |= x == x_prev
 
     # honest failure when the caller asked for less than doubles can deliver
     unattainable = (ratio_tol <= LOG_RESIDUAL_DEEP) & (ratio_tol < noise) & (np.abs(g) > ratio_tol)
+    if it >= 3:  # a repeat may have ended an element: it stays converged only where unattainable
+        converged &= (np.abs(g) <= np.maximum(base_tol, noise)) | unattainable
     return _Solved(x, iterations, bisected, deep, g, converged, unattainable, x_lo, x_hi)
 
 

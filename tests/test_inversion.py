@@ -303,17 +303,41 @@ def test_tolerance_below_floating_point_floor():
     assert err.value.achieved is None or err.value.achieved > 1e-18
 
 
-def test_noise_floor_counts_the_rounding_of_ln_tv():
-    # near the money with |ln tv| = 16.4 the residual cannot fall below
-    # about 2 ulp of ln tv (3.6e-15), above an 8 eps floor of 1.8e-15; an
-    # unattainable tolerance must end in AccuracyNotReached, not in 200
-    # evaluations on a collapsed bracket and ConvergenceFailure
+def test_unattainable_tolerance_stops_where_the_iterate_stops_moving():
+    # near the money with |ln tv| = 16.4 the residual cannot fall below the
+    # rounding of ln tv (3.6e-15), above the 8 eps noise floor of 1.8e-15:
+    # the bracket collapses after one evaluation and every later one would
+    # repeat it, so an unattainable tolerance must end there in
+    # AccuracyNotReached, not in 200 evaluations and ConvergenceFailure
     kappa, price = 4.575635314717512e-16, 7.76274387948033e-08
     with pytest.raises(AccuracyNotReached):
         implied_vol_call(kappa, price, tol=1e-300)
     solved = _solve_otm_log(np.array([kappa]), np.array([math.log(price)]), 1e-300)
     assert solved.converged.all() and solved.unattainable.all()
     assert solved.iterations[0] < MAX_ITERATIONS
+
+
+def test_default_tolerance_inverts_near_money_quotes_with_large_time_value():
+    # d = kappa/sigma in 1e-9..1e-7 and time values of about 100..4500:
+    # the default tol 1e-12 lies above one ulp of every price, and 362 of
+    # these 400 quotes invert within it by landing on g = 0; the rest miss
+    # by a few ulp and raise AccuracyNotReached.  A stopping rule that
+    # widens the noise floor by the rounding of ln tv stops 22 of the 362
+    # short, within a few ulp of ln tv, and reports them unattainable
+    rng = np.random.default_rng(1)
+    d = np.exp(rng.uniform(math.log(1e-9), math.log(1e-7), 400))
+    sigma = np.exp(rng.uniform(math.log(250.0), math.log(11000.0), 400))
+    inverted = 0
+    for k, s in zip((d * sigma).tolist(), sigma.tolist()):
+        price = float(call_price(k, s))
+        try:
+            r = implied_vol_call(k, price)
+        except AccuracyNotReached:
+            continue
+        assert r.residual <= 1e-12
+        assert r.sigma == pytest.approx(s, rel=1e-12)
+        inverted += 1
+    assert inverted == 362
 
 
 def test_result_is_frozen():

@@ -703,14 +703,16 @@ MIXED_GRID = np.concatenate([np.linspace(-6.0, 6.0, 13), [10.0, 20.0, 30.0]])
 @pytest.mark.parametrize("model", [GAUSS1, LAPLACE, NIG], ids=lambda m: m.name)
 def test_smile_mixed_statuses_match_per_point_solvers(model, tol_iv):
     # the batched inversion gives every point what the scalar solvers
-    # give on that point's out-of-the-money quote, failures included
+    # give on that point's out-of-the-money leg, priced alone, failures
+    # included; the in-the-money leg plays no part
     smile = smile_from_model(model, MIXED_GRID, tol_iv=tol_iv)
-    kappas, quotes = price_grid(model, MIXED_GRID)
-    assert [p.kappa for p in smile.points] == kappas.tolist()
-    for p, k, q in zip(smile.points, kappas.tolist(), quotes):
+    assert [p.kappa for p in smile.points] == MIXED_GRID.tolist()
+    for p, k in zip(smile.points, MIXED_GRID.tolist()):
+        ln_s, _, ok = pricing._log_payoff_integrals(model, np.array([k]), np.array([1.0 if k >= 0.0 else -1.0]),
+                                                    DEFAULT_SETTINGS.abs_tol, DEFAULT_SETTINGS.rel_tol)
         expected = None
-        if q is not None:
-            price = q.call if k >= 0.0 else q.put
+        if ok[0]:
+            price = pricing._price(float(ln_s[0]))
             solve = implied_vol_call if k >= 0.0 else implied_vol_put
             try:
                 expected = (price, math.log(price), solve(k, price, tol_iv).sigma)
