@@ -18,21 +18,30 @@ scalar implied_vol_call quote (kappa 2, sigma 1) in microseconds, and
 L1_solve_otm_log_1e5_ms one batched solve of a fixed deck of 100,000
 out-of-the-money quotes (d = kappa/sigma log-uniform over 0.01-40, sigma
 over 0.2-2, seed 10); L1_evaluations_mean and L1_evaluations_max are the
-solver evaluations per quote on that deck.  BENCH_*.json files at the
-repository root hold its output for a parent commit and a change, run
-alternately.
+solver evaluations per quote on that deck.  L6_cli_smile_ms is one
+in-process cli.main call of `smile --format csv` on a 9-point linear grid
+over +-4 scales for each report model, reading the model from a JSON
+file in a temporary directory, with stdout sent to a StringIO: parsing,
+the L4 smile and the CSV encoding, as a caller that runs the CLI many
+times in one process pays them.  BENCH_*.json files at the repository
+root hold its output for a parent commit and a change, run alternately.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import statistics
+import tempfile
 import time
 
 import numpy as np
 
+from bachelier_wings import cli
 from bachelier_wings.bachelier import call_price, call_price_log
 from bachelier_wings.inversion import _solve_otm_log, implied_vol_call
 from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
@@ -100,6 +109,20 @@ def otm_deck(n: int = 100_000):
     return kappa, call_price_log(kappa, sigma)
 
 
+def cli_smile_argv(model, path: str) -> list[str]:
+    """argv of a csv smile on 9 points over +-4 scales; writes model to path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"model": model.name, "params": model.params}, fh)
+    half = 4.0 * model.scale
+    return ["smile", "--model", path, "--grid", f"{-half!r}:{half!r}:9", "--format", "csv"]
+
+
+def run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"cli.main({argv}) failed")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
@@ -135,6 +158,11 @@ def main() -> None:
     evaluations = _solve_otm_log(kappa, log_price, 1e-12).iterations
     out["L1_evaluations_mean"] = float(evaluations.mean())
     out["L1_evaluations_max"] = int(evaluations.max())
+    out["L6_cli_smile_ms"] = {}
+    with tempfile.TemporaryDirectory() as model_dir:
+        for i, name in enumerate(REPORTS):
+            argv = cli_smile_argv(MODELS[name], os.path.join(model_dir, f"model{i}.json"))
+            out["L6_cli_smile_ms"][name] = median_ms(lambda: run_cli(argv), reps)
     print(json.dumps(out))
 
 

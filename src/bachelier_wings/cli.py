@@ -7,14 +7,16 @@ quantities.  Under that normalization the fitted volatility is already
 the raw Bachelier volatility per square root of time, which is why the
 ivol output carries the same number in both columns.
 
-Exit codes: 0 success, 1 configuration error, 2 per-point failures in an
-otherwise successful run, 3 implied vol does not exist (price at or
-below intrinsic), 4 a diagnostic check failed.
+Exit codes: 0 success, 1 configuration error (bad arguments, an
+unreadable or invalid model file, an unwritable --out), 2 per-point
+failures in an otherwise successful run, 3 implied vol does not exist
+(price at or below intrinsic), 4 a diagnostic check failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -147,6 +149,11 @@ def _parse_float(text: str) -> float:
     return value
 
 
+# built on first use and shared by every later main() call in the
+# process: parsing leaves the parser untouched (each call gets a fresh
+# Namespace), and usage and help output look up sys.stdout/sys.stderr
+# when printed, so redirected callers see their own streams
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bachelier-wings", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -490,6 +497,12 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
     except BachelierWingsError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
+    except OSError as exc:
+        # a model file that cannot be read is a ModelConfigError already;
+        # the one file left that a handler opens is --out
+        if args.out is None:
+            raise
+        return _fail(f"cannot write {args.out}: {exc.strerror}")
 
 
 def entry() -> None:

@@ -1,18 +1,27 @@
 """Command-line interface: exit codes, output formats, normalization at
-the quote boundary, determinism, and the invariant-suite runner.
+the quote boundary, determinism, the invariant-suite runner, and repeated
+and concurrent in-process calls sharing one parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import bachelier_wings
 from bachelier_wings.bachelier import call_price
 from bachelier_wings.cli import main
 
@@ -362,6 +371,17 @@ def test_out_flag_writes_file(model_files, tmp_path):
     assert path.read_text().startswith("kappa,call,put,")
 
 
+def test_unwritable_out_is_config_error(model_files, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        "smile", "--model", model_files["gauss1"], "--grid", "-1:1:3",
+        "--out", str(path),
+    )
+    assert code == 1
+    assert out == ""
+    assert f"cannot write {path}: {os.strerror(errno.ENOENT)}" in err
+
+
 def test_models_listing():
     code, out, _ = run_cli("models")
     assert code == 0
@@ -382,3 +402,108 @@ def test_console_script_wired():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("model,parameter,required")
+
+
+# =============================================================================
+# one parser per process: repeated, concurrent and fresh-process calls
+# =============================================================================
+
+def test_parser_reuse_keeps_each_call_independent(model_files):
+    argv = ("smile", "--model", model_files["laplace"], "--grid", "-3:3:7", "--format", "json")
+    first = run_cli(*argv)
+    assert first[0] == 0
+
+    code, out, err = run_cli("price", "--model", model_files["gauss1"], "--grid", "2:1:5")
+    assert (code, out) == (1, "")
+    assert "error: argument --grid" in err
+
+    code, out, err = run_cli("--help")
+    assert code == 0
+    assert out.startswith("usage: bachelier-wings") and err == ""
+
+    code, out, err = run_cli("frobnicate")
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'frobnicate'" in err
+
+    assert run_cli(*argv) == first
+
+
+def test_parser_built_once_per_process(model_files, monkeypatch):
+    run_cli("models")  # the first call in the process may build the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [
+        run_cli("models")[0],
+        run_cli("price", "--model", model_files["gauss1"], "--grid", "0:1:2")[0],
+        run_cli("smile", "--model", model_files["gauss1"], "--grid", "-1:1:3",
+                "--format", "json")[0],
+        run_cli("price", "--model", model_files["gauss1"], "--grid", "1:2")[0],
+        run_cli("frobnicate")[0],
+    ]
+    assert codes == [0, 0, 0, 1, 1]
+    assert built == []
+
+
+CONCURRENT_CALLERS = 4
+
+
+def _file_runs(model_files, out_dir):
+    """(argv, out path) of price and smile in csv and json on every model."""
+    runs = []
+    for name, model in model_files.items():
+        for command in ("price", "smile"):
+            for fmt in ("csv", "json"):
+                path = out_dir / f"{name}-{command}.{fmt}"
+                runs.append((name, [command, "--model", model, "--grid", "-4:4:9",
+                                    "--format", fmt, "--out", str(path)], path))
+    return runs
+
+
+def test_concurrent_callers_match_serial(model_files, tmp_path):
+    (tmp_path / "serial").mkdir()
+    (tmp_path / "threads").mkdir()
+    serial = _file_runs(model_files, tmp_path / "serial")
+    for _, argv, _ in serial:
+        assert main(argv) == 0
+
+    threaded = _file_runs(model_files, tmp_path / "threads")
+    start = threading.Barrier(CONCURRENT_CALLERS)
+
+    def caller(name):
+        start.wait(timeout=60)
+        return [main(argv) for run_name, argv, _ in threaded if run_name == name]
+
+    assert len(model_files) == CONCURRENT_CALLERS
+    # switch threads often so that calls interleave inside the parser
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=CONCURRENT_CALLERS) as pool:
+            futures = [pool.submit(caller, name) for name in model_files]
+            codes = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [[0, 0, 0, 0]] * CONCURRENT_CALLERS
+    for (_, _, want), (_, _, got) in zip(serial, threaded):
+        assert got.read_bytes() == want.read_bytes(), got.name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fresh_process_matches_in_process(model_files, fmt):
+    argv = ["smile", "--model", model_files["nig"], "--grid", "-4:4:9", "--format", fmt]
+    src = str(Path(bachelier_wings.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bachelier_wings.cli", *argv],
+        capture_output=True, env=env, check=False,
+    )
+    code, out, _ = run_cli(*argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode("utf-8")
