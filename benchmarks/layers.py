@@ -1,4 +1,4 @@
-"""Per-layer timings and log_pdf work counts for the checkout on the import path.
+"""Per-layer timings and log_pdf/mgf work counts for the checkout on the import path.
 
     PYTHONPATH=src python benchmarks/layers.py [--reps 30]
 
@@ -9,8 +9,10 @@ nig(2, 0.5, 1) report grid, of L4 smile_from_model on each report
 model's grid, of L5 theorem_verdicts, and of the NIG
 tail_reference_curve + rv_index pair on both sides, plus the number of
 log_pdf calls each L3/L4/L5 call makes and the nodes (log_pdf points)
-each L4 call evaluates.  L2_nig_log_pdf_ns_per_node is the
-median time of one nig(2, 0.5, 1).log_pdf call on a fixed array of
+each L4 call evaluates, and the mgf calls and points of each L5 report
+(mgf_work_theorem_verdicts: the condition-(i) strip probes).
+L2_nig_log_pdf_ns_per_node is the median time of one
+nig(2, 0.5, 1).log_pdf call on a fixed array of
 100,000 points spread evenly over +-50 (about +-67 scales) in ns per
 point: the density evaluation every NIG node of the tail core pays.
 The L1 rows time the inversion core: L1_implied_vol_call_us is one
@@ -75,17 +77,18 @@ def median_ms(fn, reps: int) -> float:
     return 1e3 * statistics.median(times)
 
 
-def log_pdf_work(model, fn) -> tuple[int, int]:
-    """(calls, nodes) of model.log_pdf while fn runs on a counting copy of model."""
-    work = [0, 0]
+def work(model, fn, attr: str = "log_pdf") -> tuple[int, int]:
+    """(calls, points) of the model callable attr while fn runs on a counting copy of model."""
+    counts = [0, 0]
+    inner = getattr(model, attr)
 
-    def log_pdf(x):
-        work[0] += 1
-        work[1] += np.size(x)
-        return model.log_pdf(x)
+    def counted(x):
+        counts[0] += 1
+        counts[1] += np.size(x)
+        return inner(x)
 
-    fn(dataclasses.replace(model, log_pdf=log_pdf))
-    return work[0], work[1]
+    fn(dataclasses.replace(model, **{attr: counted}))
+    return counts[0], counts[1]
 
 
 def fourier_cross_check(model, grid) -> None:
@@ -129,20 +132,23 @@ def main() -> None:
     reps = parser.parse_args().reps
     out = {"L3_price_grid_ms": {}, "L4_smile_from_model_ms": {}, "L5_theorem_verdicts_ms": {},
            "log_pdf_calls_price_grid": {}, "log_pdf_calls_smile_from_model": {},
-           "log_pdf_nodes_smile_from_model": {}, "log_pdf_calls_theorem_verdicts": {}}
+           "log_pdf_nodes_smile_from_model": {}, "log_pdf_calls_theorem_verdicts": {},
+           "mgf_work_theorem_verdicts": {}}
     for name, model in MODELS.items():
         grid = report_grid(model)
         out["L3_price_grid_ms"][name] = median_ms(lambda: price_grid(model, grid), reps)
-        out["log_pdf_calls_price_grid"][name] = log_pdf_work(model, lambda m: price_grid(m, grid))[0]
+        out["log_pdf_calls_price_grid"][name] = work(model, lambda m: price_grid(m, grid))[0]
     for name in REPORTS:
         model = MODELS[name]
         grid = report_grid(model)
         out["L4_smile_from_model_ms"][name] = median_ms(lambda: smile_from_model(model, grid), reps)
-        calls, nodes = log_pdf_work(model, lambda m: smile_from_model(m, grid))
+        calls, nodes = work(model, lambda m: smile_from_model(m, grid))
         out["log_pdf_calls_smile_from_model"][name] = calls
         out["log_pdf_nodes_smile_from_model"][name] = nodes
         out["L5_theorem_verdicts_ms"][name] = median_ms(lambda: theorem_verdicts(model), reps)
-        out["log_pdf_calls_theorem_verdicts"][name] = log_pdf_work(model, theorem_verdicts)[0]
+        out["log_pdf_calls_theorem_verdicts"][name] = work(model, theorem_verdicts)[0]
+        calls, points = work(model, theorem_verdicts, "mgf")
+        out["mgf_work_theorem_verdicts"][name] = {"calls": calls, "points": points}
     nig = MODELS["nig(2, 0.5, 1)"]
     nodes = np.linspace(-50.0, 50.0, 100_000)
     out["L2_nig_log_pdf_ns_per_node"] = (

@@ -70,7 +70,8 @@ class ModelSpec:
     always derived from the other).  log_* variants stay finite far past
     the double underflow floor.  char_fn accepts complex xi strictly
     inside the strip; mgf(s) = char_fn(-i s) for s in (-lambda_plus,
-    lambda_minus), both raising DomainError outside.  scale is the
+    lambda_minus), both raising DomainError if any argument is outside
+    (a far Gaussian mgf, past the double range, is inf).  scale is the
     standard deviation, used to size wing grids.  Pricing reads log_pdf;
     char_fn feeds only the Fourier cross-check.  The strip's boundaries
     are > 0, so both exponential moments the tail engine needs exist.
@@ -133,9 +134,9 @@ def gaussian_model(sigma: float) -> ModelSpec:
         return complex(out) if np.ndim(xi) == 0 else out
 
     def mgf(t):
-        t = float(t)
-        _require(math.isfinite(t), "mgf argument must be finite")
-        return math.exp(0.5 * s * s * t * t)
+        _require(np.isfinite(t).all(), "mgf argument must be finite")
+        with np.errstate(over="ignore"):
+            return np.exp(0.5 * s * s * t * t)
 
     return ModelSpec(
         name="gaussian",
@@ -147,7 +148,7 @@ def gaussian_model(sigma: float) -> ModelSpec:
         log_cdf=_scalarize(lambda x: sc.log_ndtr(x * inv)),
         log_complement_cdf=_scalarize(lambda x: sc.log_ndtr(-x * inv)),
         char_fn=char_fn,
-        mgf=mgf,
+        mgf=_scalarize(mgf),
         strip=AnalyticityStrip(math.inf, math.inf),
         mean=0.0,
         scale=s,
@@ -219,9 +220,8 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
         return complex(out) if scalar else out
 
     def mgf(t):
-        t = float(t)
-        _require(-ll < t < lr, f"mgf argument must lie in (-{ll:g}, {lr:g})")
-        return math.exp(-t * m) * lr * ll / ((lr - t) * (ll + t))
+        _require(((-ll < t) & (t < lr)).all(), f"mgf argument must lie in (-{ll:g}, {lr:g})")
+        return np.exp(-t * m) * lr * ll / ((lr - t) * (ll + t))
 
     return ModelSpec(
         name="asym_laplace",
@@ -233,7 +233,7 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
         log_cdf=_scalarize(log_cdf),
         log_complement_cdf=_scalarize(log_sf),
         char_fn=char_fn,
-        mgf=mgf,
+        mgf=_scalarize(mgf),
         strip=AnalyticityStrip(lambda_minus=lr, lambda_plus=ll),
         mean=0.0,
         scale=math.sqrt(1.0 / (lr * lr) + 1.0 / (ll * ll)),
@@ -360,10 +360,10 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         return complex(out) if scalar else out
 
     def mgf(t):
-        t = float(t)
-        _require(-lam_plus < t < lam_minus, f"mgf argument must lie in (-{lam_plus:g}, {lam_minus:g})")
+        _require(((-lam_plus < t) & (t < lam_minus)).all(),
+                 f"mgf argument must lie in (-{lam_plus:g}, {lam_minus:g})")
         bt = b + t
-        return math.exp(m * t + d * (gamma - math.sqrt(a * a - bt * bt)))
+        return np.exp(m * t + d * (gamma - np.sqrt(a * a - bt * bt)))
 
     params = {"alpha": a, "beta": b, "delta": d, "mu": m}
     return ModelSpec(
@@ -376,7 +376,7 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         log_cdf=_scalarize(lambda x: log_tail(x, -1)),
         log_complement_cdf=_scalarize(lambda x: log_tail(x, +1)),
         char_fn=char_fn,
-        mgf=mgf,
+        mgf=_scalarize(mgf),
         strip=AnalyticityStrip(lambda_minus=lam_minus, lambda_plus=lam_plus),
         mean=mean,
         scale=math.sqrt(d * a * a / gamma**3),
@@ -476,8 +476,26 @@ def mgf_blowup_boundary(
         return math.inf
     if n_points < 4:
         raise DomainError("n_points must be at least 4")
-    x = np.geomspace(x_far / 4.0, x_far, n_points)
+    x = _geometric_grid(x_far / 4.0, x_far, n_points)
     sign = 1.0 if side == "right" else -1.0
-    lf = np.asarray(model.log_pdf(sign * x), dtype=float)
-    slope = np.polyfit(x, lf, 1)[0]
-    return float(-slope)
+    slope, _, _ = _line_fit(x, model.log_pdf(sign * x))
+    return -slope
+
+
+def _geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.geomspace(lo, hi, n) to rounding, without its overhead."""
+    return lo * (hi / lo) ** (np.arange(n) / (n - 1))
+
+
+def _line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through (x, y) on centred sums: slope, intercept
+    and r^2 = 1 - residual/total sum of squares (0 for a constant y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_mean, y_mean = x.sum() / x.size, y.sum() / y.size
+    dx, dy = x - x_mean, y - y_mean
+    slope = (dx @ dy) / (dx @ dx)
+    res = dy - slope * dx
+    ss_tot = dy @ dy
+    r2 = 1.0 - (res @ res) / ss_tot if ss_tot > 0.0 else 0.0
+    return float(slope), float(y_mean - slope * x_mean), float(r2)

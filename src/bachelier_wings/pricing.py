@@ -426,8 +426,8 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
 
     def excess(a: float) -> float:
         # increasing in a on either side; its root is the saddle point
-        t = sign * a
-        slope = (math.log(model.mgf(t + h)) - math.log(model.mgf(t - h))) / (2.0 * h)
+        m_minus, m_plus = model.mgf(sign * a + np.array([-h, h]))
+        slope = (math.log(m_plus) - math.log(m_minus)) / (2.0 * h)
         return sign * (slope - kappa)
 
     lo, hi = 0.05 * lam, 0.9 * lam

@@ -28,7 +28,7 @@ from .errors import (
     TailUnderflow,
 )
 from .inversion import implied_vol_call_log
-from .models import ModelSpec, mgf_blowup_boundary
+from .models import ModelSpec, _geometric_grid, _line_fit, mgf_blowup_boundary
 from .pricing import _log_call_prices_from_tail, smile_from_model
 from .pricing import log_call_price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK, SmileGrid
@@ -162,9 +162,8 @@ def wing_slope(smile: SmileGrid, side: str) -> WingEstimate:
 def _extrapolate(samples) -> float:
     """The 1/|kappa| -> 0 intercept of a + b/|kappa| fitted to the outer (up to six) samples."""
     outer = samples[-6:]
-    inv_k = np.array([1.0 / abs(k) for k, _ in outer])
-    vals = np.array([v for _, v in outer])
-    return float(np.polyfit(inv_k, vals, 1)[1])
+    _, intercept, _ = _line_fit([1.0 / abs(k) for k, _ in outer], [v for _, v in outer])
+    return intercept
 
 
 def _log_tails(model: ModelSpec, side: str, mags: np.ndarray) -> list[float]:
@@ -212,9 +211,9 @@ def rv_index(model: ModelSpec, side: str, kappa_lo: float, kappa_hi: float) -> f
         raise DomainError("need 1 < kappa_lo < kappa_hi")
 
     # the fit's grid ends at hi; the doubling ratio needs hi / 2 too
-    grid = np.geomspace(lo, hi, 16)
-    g = [-lt for lt in _log_tails(model, side, np.append(grid, hi / 2.0))]
-    theta = float(np.polyfit(np.log(grid), np.log(g[:-1]), 1)[0])
+    grid = np.append(_geometric_grid(lo, hi, 16), hi / 2.0)
+    g = -np.array(_log_tails(model, side, grid))
+    theta, _, _ = _line_fit(np.log(grid[:-1]), np.log(g[:-1]))
     # defining ratio at the top: g(2k)/g(k) should be ~ 2^theta
     ratio_theta = math.log2(g[-2] / g[-1])
     if abs(ratio_theta - theta) > 0.25:
@@ -272,21 +271,38 @@ def asymptotic_residuals(smile: SmileGrid, model: ModelSpec):
 # strip-boundary probe of the MGF
 # =============================================================================
 
-def _mgf_derivative(model: ModelSpec, arg: float, n: int, h: float) -> float:
-    if n == 0:
-        return model.mgf(arg)
-    # central binomial stencil; error O(h^2) with a constant relative
-    # bias across an s-proportional step, so log-log slopes stay clean
-    total = 0.0
-    for j in range(n + 1):
-        x = arg + (n / 2.0 - j) * h
-        total += (-1.0) ** j * math.comb(n, j) * model.mgf(x)
-    return total / h**n
+def _probe_derivatives(model: ModelSpec, side: str, orders, s_min: float):
+    """The probe's s grid and |M^(n)| on it for each order n, from one mgf call:
+    central binomial differences of step s/10, whose O(h^2) error is a
+    constant relative bias across the grid, so log-log slopes stay clean."""
+    _require_side(side)
+    boundary = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
+    if math.isinf(boundary):
+        raise NotApplicableInfiniteStrip(f"{model.name} has an infinite strip on the {side} side")
+    s_min = float(s_min)
+    if not (0.0 < s_min < boundary / 16.0):
+        raise DomainError("s_min must be well inside the strip (below boundary/16)")
+
+    sign = 1.0 if side == "right" else -1.0
+    s = _geometric_grid(s_min, boundary / 8.0, 9)
+    h = s / 10.0
+    offsets = np.array([n / 2.0 - j for n in orders for j in range(n + 1)])
+    rows = iter(model.mgf(sign * (boundary - s) + offsets[:, None] * h))  # one per offset
+    return s, [np.abs(sum((-1.0) ** j * math.comb(n, j) * next(rows) for j in range(n + 1))) / h**n
+               for n in orders]
 
 
-def condition_i_probe(
-    model: ModelSpec, side: str, n: int, s_min: float
-) -> ConditionIProbe:
+def _probe_fit(side: str, n: int, s: np.ndarray, deriv: np.ndarray) -> ConditionIProbe:
+    kept = np.isfinite(deriv) & (deriv > 0.0)
+    if np.count_nonzero(kept) < 4:
+        raise AccuracyNotReached("too few finite MGF derivative values for a probe fit",
+                                 achieved=float(np.count_nonzero(kept)))
+    slope, _, r2 = _line_fit(np.log(s[kept]), np.log(deriv[kept]))
+    return ConditionIProbe(side=side, n=n, rho_estimate=-slope, regression_r2=r2,
+                           s_grid=tuple(s[kept].tolist()))
+
+
+def condition_i_probe(model: ModelSpec, side: str, n: int, s_min: float) -> ConditionIProbe:
     """Fit how the n-th MGF derivative blows up approaching the strip edge.
 
     Evaluates M^(n) at boundary distance s over a geometric grid down to
@@ -294,48 +310,10 @@ def condition_i_probe(
     slope.  Derivatives use central differences with step s/10, which
     keeps the relative finite-difference bias constant across the grid.
     """
-    _require_side(side)
     if not (0 <= n <= 4):
         raise DomainError("derivative order n must be between 0 and 4")
-    boundary = (
-        model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
-    )
-    if math.isinf(boundary):
-        raise NotApplicableInfiniteStrip(
-            f"{model.name} has an infinite strip on the {side} side"
-        )
-    s_min = float(s_min)
-    if not (0.0 < s_min < boundary / 16.0):
-        raise DomainError("s_min must be well inside the strip (below boundary/16)")
-
-    sign = 1.0 if side == "right" else -1.0
-    s_grid = np.geomspace(s_min, boundary / 8.0, 9)
-    kept_s, kept_val = [], []
-    for s in s_grid:
-        arg = sign * (boundary - s)
-        val = abs(_mgf_derivative(model, arg, n, s / 10.0))
-        if math.isfinite(val) and val > 0.0:
-            kept_s.append(float(s))
-            kept_val.append(val)
-    if len(kept_s) < 4:
-        raise AccuracyNotReached(
-            "too few finite MGF derivative values for a probe fit",
-            achieved=float(len(kept_s)),
-        )
-    x = np.log(kept_s)
-    y = np.log(kept_val)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    return ConditionIProbe(
-        side=side,
-        n=n,
-        rho_estimate=float(-slope),
-        regression_r2=r2,
-        s_grid=tuple(kept_s),
-    )
+    s, (deriv,) = _probe_derivatives(model, side, (n,), s_min)
+    return _probe_fit(side, n, s, deriv)
 
 
 # =============================================================================
@@ -381,10 +359,11 @@ def _power_law_blowup(probe: ConditionIProbe) -> bool:
 def _escalating_probe(model: ModelSpec, side: str, s_min: float) -> ConditionIProbe:
     # a bounded MGF at the boundary shows rho ~ 0 at order 0, and a weak
     # branch point pollutes the order-0 fit; step up the derivative order
-    # until the blow-up is both visible and cleanly power-like
-    probe = None
-    for n in (0, 1, 2):
-        probe = condition_i_probe(model, side, n, s_min)
+    # until the blow-up is both visible and cleanly power-like.  All three
+    # orders come from one mgf call; each fit equals condition_i_probe's
+    s, derivs = _probe_derivatives(model, side, (0, 1, 2), s_min)
+    for n, deriv in enumerate(derivs):
+        probe = _probe_fit(side, n, s, deriv)
         if _power_law_blowup(probe):
             return probe
     return probe

@@ -6,6 +6,7 @@ enforcement, config parsing, and the strip-boundary probe.
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -285,6 +286,50 @@ def test_mgf_domain_enforced():
     assert NIG.mgf(0.0) == pytest.approx(1.0, rel=1e-15)
     # gaussian strip is infinite: any real argument works
     assert GAUSS.mgf(10.0) == pytest.approx(math.exp(0.5 * 4.0 * 100.0), rel=1e-14)
+
+
+MGF_GRIDS = {
+    "gaussian": np.linspace(-6.0, 6.0, 49),
+    "asym_laplace": np.linspace(-1.999, 0.999, 61),  # strip (-2, 1)
+    "nig": np.linspace(-2.499, 1.499, 61),           # strip (-2.5, 1.5)
+}
+
+
+@pytest.mark.parametrize("model", [GAUSS, LAPLACE, NIG], ids=lambda m: m.name)
+def test_mgf_takes_arrays_bit_for_bit(model):
+    t = MGF_GRIDS[model.name]
+    got = model.mgf(t)
+    one_by_one = [model.mgf(v) for v in t]
+    assert all(type(v) is float for v in one_by_one)
+    assert got.shape == t.shape
+    assert got.tobytes() == np.array(one_by_one).tobytes()
+    # any shape, as the strip probe passes a stencil-by-grid block
+    assert model.mgf(t.reshape(-1, 1)).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("model, outside", [(GAUSS, math.inf), (LAPLACE, 1.0), (NIG, -2.5)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_mgf_array_with_one_point_outside_raises_like_a_scalar(model, outside):
+    with pytest.raises(DomainError) as scalar:
+        model.mgf(outside)
+    t = np.append(MGF_GRIDS[model.name], outside)
+    with pytest.raises(DomainError) as array:
+        model.mgf(t)
+    assert str(array.value) == str(scalar.value)
+    with pytest.raises(DomainError):
+        model.mgf(np.append(t[:3], math.nan))
+
+
+def test_gaussian_mgf_past_double_range_is_a_quiet_inf():
+    # e^(sigma^2 t^2 / 2) overflows near |t| = 18.8 for sigma 2; the value is
+    # inf with no warning, in either form, and finite arguments stay finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GAUSS.mgf(19.0) == math.inf
+        assert GAUSS.mgf(-1e200) == math.inf
+        got = GAUSS.mgf(np.array([-1e200, -19.0, 0.0, 18.0, 19.0]))
+    assert got[[0, 1, 4]].tolist() == [math.inf] * 3
+    assert got[2] == 1.0 and math.isfinite(got[3])
 
 
 def test_mgf_matches_integral():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bachelier_wings.errors import (
     NotApplicableInfiniteStrip,
     TailUnderflow,
 )
-from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
+from bachelier_wings.models import _line_fit, asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import smile_from_model
 from bachelier_wings.smile import STATUS_FAILED, STATUS_OK, SmileGrid, SmilePoint
 from bachelier_wings.wings import (
@@ -28,6 +29,8 @@ from bachelier_wings.wings import (
     ConditionIProbe,
     VerdictSettings,
     WingEstimate,
+    _escalating_probe,
+    _PROBE_S_MIN_FRAC,
     asymptotic_residuals,
     condition_i_probe,
     rv_index,
@@ -282,6 +285,90 @@ def test_probe_nig_left_boundary():
 def test_probe_infinite_strip_not_applicable():
     with pytest.raises(NotApplicableInfiniteStrip):
         condition_i_probe(GAUSS1, "right", 0, 1e-3)
+
+
+PROBE_MODELS = [asym_laplace_model(2.0, 0.7), NIG, nig_model(3.5744, -3.3765, 1.3122)]
+
+
+@pytest.mark.parametrize("model", [GAUSS1] + PROBE_MODELS, ids=lambda m: str(dict(m.params)))
+def test_report_makes_one_mgf_call_per_finite_side(model):
+    calls = []
+
+    def mgf(t):
+        calls.append(np.size(t))
+        return model.mgf(t)
+
+    theorem_verdicts(dataclasses.replace(model, mgf=mgf))
+    finite_sides = sum(math.isfinite(lam) for lam in (model.strip.lambda_minus,
+                                                       model.strip.lambda_plus))
+    assert len(calls) == finite_sides
+
+
+@pytest.mark.parametrize("model", PROBE_MODELS, ids=lambda m: str(dict(m.params)))
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_escalation_chooses_the_probe_condition_i_probe_returns(model, side):
+    # the report fits orders 0-2 from one shared mgf call; the probe it
+    # keeps must be the one a caller gets asking for that order alone
+    lam = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
+    s_min = _PROBE_S_MIN_FRAC * lam
+    chosen = _escalating_probe(model, side, s_min)
+    assert chosen == condition_i_probe(model, side, chosen.n, s_min)
+
+
+def _report_grid(model) -> np.ndarray:
+    vs = VerdictSettings()
+    wing = np.geomspace(vs.wing_lo_scales * model.scale, vs.wing_hi_scales * model.scale,
+                        vs.points_per_side)
+    return np.concatenate([-wing[::-1], [0.0], wing])
+
+
+def _report_designs():
+    """(x, y) of each least-squares fit the report makes, on nig(2, 0.5, 1)."""
+    samples = wing_slope(smile_from_model(NIG, _report_grid(NIG)), "right").slope_samples[-6:]
+    extrapolation = ([1.0 / abs(k) for k, _ in samples], [v for _, v in samples])
+    grid = np.geomspace(10.0 * NIG.scale, 2000.0 * NIG.scale, 16)
+    growth = (np.log(grid), np.log(-NIG.log_complement_cdf(grid)))
+    s = np.geomspace(1.5 * 2.0**-12, 1.5 / 8.0, 9)
+    probe = (np.log(s), np.log(NIG.mgf(1.5 - s)))
+    x = np.geomspace(2000.0, 8000.0, 33)
+    blowup = (x, NIG.log_pdf(x))
+    return {"extrapolation": extrapolation, "growth": growth, "probe": probe, "blowup": blowup}
+
+
+def _exact_line_fit(x, y):
+    """Least squares in rational arithmetic on the double inputs."""
+    xs = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    ys = [Fraction(v) for v in np.asarray(y, dtype=float).tolist()]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+             / sum((a - x_mean) ** 2 for a in xs))
+    return slope, y_mean - slope * x_mean
+
+
+@pytest.mark.parametrize("design, reads", [("extrapolation", "intercept"), ("growth", "slope"),
+                                           ("probe", "slope"), ("blowup", "slope")])
+def test_line_fit_matches_polyfit_on_the_report_designs(design, reads):
+    x, y = _report_designs()[design]
+    slope, intercept, r2 = _line_fit(x, y)
+    want_slope, want_intercept = np.polyfit(x, y, 1)
+    got, want = (slope, want_slope) if reads == "slope" else (intercept, want_intercept)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    assert abs(slope - want_slope) <= 1e-13 * abs(want_slope)
+    fitted = want_slope * np.asarray(x) + want_intercept
+    ss_tot = np.sum((np.asarray(y) - np.mean(y)) ** 2)
+    assert r2 == pytest.approx(1.0 - np.sum((y - fitted) ** 2) / ss_tot, rel=1e-13)
+    # against the exact fit the closed form is the closer of the two: on the
+    # blow-up design, x in [2000, 8000], polyfit's intercept is 1.5e-13 off
+    exact_slope, exact_intercept = _exact_line_fit(x, y)
+    assert abs(Fraction(slope) - exact_slope) <= Fraction(1, 10**15) * abs(exact_slope)
+    assert abs(Fraction(intercept) - exact_intercept) <= Fraction(2, 10**14) * abs(exact_intercept)
+
+
+def test_line_fit_is_exact_on_a_line():
+    x = np.arange(8.0)
+    assert _line_fit(x, 3.0 * x - 2.0) == (3.0, -2.0, 1.0)
+    # a constant has no variance to explain
+    assert _line_fit(x, np.full(8, 5.0)) == (0.0, 5.0, 0.0)
 
 
 def test_probe_input_validation():
