@@ -15,11 +15,15 @@ L2_nig_log_pdf_ns_per_node is the median time of one
 nig(2, 0.5, 1).log_pdf call on a fixed array of
 100,000 points spread evenly over +-50 (about +-67 scales) in ns per
 point: the density evaluation every NIG node of the tail core pays.
-The L1 rows time the inversion core: L1_implied_vol_call_us is one
-scalar implied_vol_call quote (kappa 2, sigma 1) in microseconds, and
-L1_solve_otm_log_1e5_ms one batched solve of a fixed deck of 100,000
-out-of-the-money quotes (d = kappa/sigma log-uniform over 0.01-40, sigma
-over 0.2-2, seed 10); L1_evaluations_mean and L1_evaluations_max are the
+L0_call_price_log_us is one scalar call_price_log(2.0, 1.0) in
+microseconds, the re-pricing of a quote.  The L1 rows time the
+inversion: L1_implied_vol_call_us is one scalar implied_vol_call quote
+(kappa 2, sigma 1) and L1_implied_vol_call_log_deep_us one scalar
+implied_vol_call_log quote far below the double range (kappa 45,
+ln price -1000), both in microseconds, and L1_solve_otm_log_1e5_ms
+one batched solve of a fixed deck of 100,000 out-of-the-money quotes
+(d = kappa/sigma log-uniform over 0.01-40, sigma over 0.2-2, seed 10);
+L1_evaluations_mean and L1_evaluations_max are the
 solver evaluations per quote on that deck.  L6_cli_smile_ms is one
 in-process cli.main call of `smile --format csv` on a 9-point linear grid
 over +-4 scales for each report model, reading the model from a JSON
@@ -45,7 +49,7 @@ import numpy as np
 
 from bachelier_wings import cli
 from bachelier_wings.bachelier import call_price, call_price_log
-from bachelier_wings.inversion import _solve_otm_log, implied_vol_call
+from bachelier_wings.inversion import _solve_otm_log, implied_vol_call, implied_vol_call_log
 from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import _default_alpha, price_from_cf, price_grid, smile_from_model
 from bachelier_wings.wings import VerdictSettings, rv_index, tail_reference_curve, theorem_verdicts
@@ -157,8 +161,11 @@ def main() -> None:
         lambda: fourier_cross_check(nig, report_grid(nig)), reps)
     out["nig_tail_reference_and_rv_index_ms"] = median_ms(
         lambda: nig_wing_tails(MODELS["nig(2, 0.5, 1)"]), reps)
+    out["L0_call_price_log_us"] = 1e3 * median_ms(lambda: call_price_log(2.0, 1.0), reps)
     price = call_price(2.0, 1.0)
     out["L1_implied_vol_call_us"] = 1e3 * median_ms(lambda: implied_vol_call(2.0, price), reps)
+    out["L1_implied_vol_call_log_deep_us"] = 1e3 * median_ms(
+        lambda: implied_vol_call_log(45.0, -1000.0), reps)
     kappa, log_price = otm_deck()
     out["L1_solve_otm_log_1e5_ms"] = median_ms(lambda: _solve_otm_log(kappa, log_price, 1e-12), reps)
     evaluations = _solve_otm_log(kappa, log_price, 1e-12).iterations

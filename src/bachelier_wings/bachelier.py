@@ -78,6 +78,11 @@ def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
     return x, y, scalar
 
 
+def _negated(kappa):
+    """-kappa: a real scalar stays a scalar, anything else becomes a float array."""
+    return -kappa if isinstance(kappa, _REAL_SCALARS) else -np.asarray(kappa, dtype=float)
+
+
 def _scalar_or_array(out: NDArray[np.float64], scalar: bool):
     return float(out) if scalar else out
 
@@ -116,12 +121,12 @@ def _scaled_time_value(k: NDArray[np.float64], sigma: NDArray[np.float64]) -> ND
     d = k / sigma
     h = sigma * INV_SQRT_2PI - 0.5 * k * sc.erfcx(d / math.sqrt(2.0))
     far = d > _SERIES_D
-    if np.any(far):
-        with np.errstate(divide="ignore"):
-            inv2 = np.where(far, 1.0 / (d * d), 0.0)
-        series = sigma * INV_SQRT_2PI * inv2 * (1.0 + inv2 * (-3.0 + inv2 * (15.0 - 105.0 * inv2)))
-        h = np.where(far, series, h)
-    return h
+    if not (far.any() if isinstance(far, np.ndarray) else far):  # a float solve's d is a scalar
+        return h
+    with np.errstate(divide="ignore"):
+        inv2 = np.where(far, 1.0 / (d * d), 0.0)
+    series = sigma * INV_SQRT_2PI * inv2 * (1.0 + inv2 * (-3.0 + inv2 * (15.0 - 105.0 * inv2)))
+    return np.where(far, series, h)
 
 
 def call_price(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
@@ -141,7 +146,7 @@ def call_price(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
 
 def put_price(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     """Normalized Bachelier put, via the exact reflection p(kappa) = c(-kappa)."""
-    return call_price(-np.asarray(kappa, dtype=float) if np.ndim(kappa) else -kappa, sigma)
+    return call_price(_negated(kappa), sigma)
 
 
 def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
@@ -151,6 +156,8 @@ def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     through log1p so nothing is lost when the time value is negligible.
     """
     k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
+    if scalar:
+        return _call_price_log_float(float(k), float(s))
     k_abs = np.abs(k)
     d = k_abs / s
     log_otm = -0.5 * d * d + np.log(_scaled_time_value(k_abs, s))
@@ -163,9 +170,21 @@ def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     return _scalar_or_array(log_otm, scalar)
 
 
+def _call_price_log_float(k: float, s: float) -> float:
+    """call_price_log at one point on Python floats: the array path's operations
+    in its order, with numpy's exp and log, so the two agree bit for bit."""
+    k_abs = abs(k)
+    d = k_abs / s
+    log_otm = -0.5 * d * d + float(np.log(_scaled_time_value(k_abs, s)))
+    if k < 0.0:
+        log_intr = float(np.log(max(-k, 1e-300)))
+        log_otm = log_intr + float(np.log1p(np.exp(min(log_otm - log_intr, 700.0))))
+    return log_otm
+
+
 def put_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     """ln of the normalized put price; reflection of :func:`call_price_log`."""
-    return call_price_log(-np.asarray(kappa, dtype=float) if np.ndim(kappa) else -kappa, sigma)
+    return call_price_log(_negated(kappa), sigma)
 
 
 def vega(kappa: FloatLike, sigma: FloatLike) -> FloatLike:

@@ -23,6 +23,13 @@ tolerance still yields one last step.  Over 0.01 <= d <= 40 that is two to
 four evaluations, about three on average.  In-the-money inputs reduce
 through exact parity, so puts and calls share one code path and deep
 tails never subtract two close numbers.
+
+The _vec entry points (and pricing.smile_from_model) run the batch core
+_solve_otm_log on arrays.  A scalar entry point runs its float twin
+_solve_otm_log_scalar: the same steps in the same order on Python floats,
+without numpy's per-call cost on one-element arrays, and pinned field for
+field to the batch core by tests/test_inversion.py.  The batch core is the
+reference; a change to one must be made to both.
 """
 
 from __future__ import annotations
@@ -78,16 +85,27 @@ class IvolResult:
                past s, which leaves a residual of order this one cubed, or
                rounding.  Underflows to 0.0 in the deep tails, which is
                exact there
-    method     closed_form_atm | newton | bisection_fallback (price-space
-               tolerance) or newton_log | bisection_log (deep tail, log
-               tolerance of LOG_RESIDUAL_DEEP); newton and newton_log name
-               the derivative step, which is Halley's
+    method     closed_form_atm, else the step taken and the tolerance that
+               bound: newton | bisection_fallback when the price tolerance
+               tol did, newton_log | bisection_log when the log residual
+               LOG_RESIDUAL_DEEP did because tol / tv exceeds it, which at
+               the default tol is every time value below 0.01, not only
+               the tails; newton and newton_log name the derivative step,
+               which is Halley's
     """
 
     sigma: float
     iterations: int
     residual: float
     method: str
+
+
+def _exp_quiet(x: float) -> float:
+    """float(np.exp(x)), inf past the double range without an overflow warning."""
+    if x < 709.0:
+        return float(np.exp(x))
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
 
 
 def _validate_scalar(value: float, name: str) -> float:
@@ -182,6 +200,73 @@ def _solve_otm_log(
     return _Solved(x, iterations, bisected, deep, g, converged, unattainable, x_lo, x_hi)
 
 
+def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
+    """_solve_otm_log for one quote on Python floats, each field a float, int or bool.
+
+    The same seed, bracket, Halley step, noise floor, repeat stop and
+    unattainable rule in the same order of operations, with numpy's exp and
+    log (math.exp can differ from them in the last bit), so every field
+    equals the batch core's bit for bit.  Where the batch divides by zero
+    and gets inf or nan, a float division would raise: sigma and h stay
+    numpy scalars, and a zero Halley denominator counts as a non-finite step.
+    """
+    ln_k = float(np.log(k))
+    x_lo = log_tv + LN_SQRT_2PI
+    x_hi = float(np.logaddexp(log_tv, ln_k - _LN2)) + LN_SQRT_2PI
+    rhs = ln_k - LN_SQRT_2PI - log_tv
+    if rhs > _SEED_WING_RHS:
+        d2 = 2.0 * rhs
+        for _ in range(2):
+            d2 = 2.0 * max(1.5, rhs - 1.5 * float(np.log(d2)))
+        x = ln_k - 0.5 * float(np.log(d2))
+    else:
+        x = x_hi
+    x = x if x > x_lo else x_lo  # np.clip
+    x = x if x < x_hi else x_hi
+
+    ratio_tol = tol * _exp_quiet(-log_tv)
+    deep = ratio_tol > LOG_RESIDUAL_DEEP
+    base_tol = min(ratio_tol, LOG_RESIDUAL_DEEP)
+
+    iterations = 0
+    bisected = converged = False
+    for it in range(MAX_ITERATIONS):
+        sigma = np.exp(x)
+        d = float(k / sigma)
+        h = _scaled_time_value(k, sigma)
+        g = -0.5 * d * d + float(np.log(h)) - log_tv
+        noise = 8.0 * _EPS * max(1.0, d * d)
+        iterations += 1
+
+        if g < 0.0:
+            x_lo = max(x_lo, x)
+        else:
+            x_hi = min(x_hi, x)
+
+        converged = abs(g) <= max(base_tol, noise)
+
+        g1 = float(sigma / (SQRT_2PI * h))
+        den = 1.0 - 0.5 * g * (1.0 + d * d - g1) / g1
+        # the bracket is finite, so a non-finite step is never inside it
+        x_halley = x - (g / g1) / den if den else math.nan
+        x_prev = x
+        if x_lo < x_halley < x_hi:
+            x = x_halley
+        elif not converged:
+            bisected = True
+            x = 0.5 * (x_lo + x_hi)
+        if converged:
+            break
+        if it >= 3 and x == x_prev:
+            converged = True
+            break
+
+    unattainable = ratio_tol <= LOG_RESIDUAL_DEEP and ratio_tol < noise and abs(g) > ratio_tol
+    if it >= 3:
+        converged = converged and (abs(g) <= max(base_tol, noise) or unattainable)
+    return _Solved(x, iterations, bisected, deep, g, converged, unattainable, x_lo, x_hi)
+
+
 def _raise_first_failure(solved: _Solved, log_tv: NDArray[np.float64], tol: float) -> None:
     """Raise for the first unconverged element, else the first unattainable one."""
     if not solved.converged.all():
@@ -206,23 +291,25 @@ def _method_label(deep: bool, bisected: bool) -> str:
 
 
 def _result_from_core(k: float, log_tv: float, tol: float) -> IvolResult:
-    arr_tv = np.array([log_tv])
-    solved = _solve_otm_log(np.array([k]), arr_tv, tol)
-    _raise_first_failure(solved, arr_tv, tol)
-    with np.errstate(under="ignore"):
-        residual = float(np.exp(arr_tv[0]) * abs(np.expm1(solved.g[0])))
+    solved = _solve_otm_log_scalar(k, log_tv, tol)
+    if not solved.converged or solved.unattainable:
+        _raise_first_failure(_Solved(*(np.array([v]) for v in solved)), np.array([log_tv]), tol)
     return IvolResult(
-        sigma=float(np.exp(solved.x[0])),
-        iterations=int(solved.iterations[0]),
-        residual=residual,
-        method=_method_label(bool(solved.deep[0]), bool(solved.bisected[0])),
+        sigma=float(np.exp(solved.x)),
+        iterations=solved.iterations,
+        residual=float(np.exp(log_tv)) * abs(float(np.expm1(solved.g))),
+        method=_method_label(solved.deep, solved.bisected),
     )
 
 
 def _atm_result(price: float, tol: float) -> IvolResult:
+    """The at-the-money closed form sigma = price * sqrt(2 pi); the vec entry
+    points run it on each at-the-money element, so they raise alike."""
     if price <= 0.0:
         raise NoSolutionBelowIntrinsic(0.0, price, 0.0)
     sigma = price * SQRT_2PI
+    if not math.isfinite(sigma):
+        raise DomainError(f"at-the-money sigma = price * sqrt(2 pi) is not finite (price {price!r})")
     residual = abs(sigma / SQRT_2PI - price)  # rounding only
     if residual > tol and tol < 4.0 * _EPS * max(1.0, price):
         raise AccuracyNotReached(
@@ -237,8 +324,9 @@ def implied_vol_call(kappa: float, price: float, tol: float = 1e-12) -> IvolResu
 
     Requires price strictly above intrinsic max(-kappa, 0), else
     NoSolutionBelowIntrinsic.  tol is an absolute price-space residual;
-    quotes so deep that this is unrepresentable are solved to a log-price
-    residual of LOG_RESIDUAL_DEEP and flagged through result.method.
+    where tol / tv exceeds LOG_RESIDUAL_DEEP (time values below 0.01 at the
+    default tol) the quote is solved to that log-price residual instead and
+    result.method ends in _log.
     """
     k = _validate_scalar(kappa, "kappa")
     p = _validate_scalar(price, "price")
@@ -249,7 +337,7 @@ def implied_vol_call(kappa: float, price: float, tol: float = 1e-12) -> IvolResu
     tv = p - intrinsic
     if tv <= 0.0:
         raise NoSolutionBelowIntrinsic(k, p, intrinsic)
-    return _result_from_core(abs(k), math.log(tv), t)
+    return _result_from_core(abs(k), float(np.log(tv)), t)
 
 
 def implied_vol_put(kappa: float, price: float, tol: float = 1e-12) -> IvolResult:
@@ -271,12 +359,12 @@ def implied_vol_call_log(kappa: float, log_price: float, tol: float = 1e-12) -> 
         raise DomainError(f"log_price must be a real number or -inf, got {log_price!r}")
     t = _validate_tol(tol)
     if k == 0.0:
-        return _atm_result(math.exp(lp) if lp < 700.0 else math.inf, t)
+        return _atm_result(_exp_quiet(lp), t)
     if k < 0.0:
-        ln_intrinsic = math.log(-k)
+        ln_intrinsic = float(np.log(-k))
         if lp <= ln_intrinsic:
-            raise NoSolutionBelowIntrinsic(k, math.exp(lp) if lp < 700.0 else math.inf, -k)
-        log_tv = lp + math.log(-math.expm1(ln_intrinsic - lp))
+            raise NoSolutionBelowIntrinsic(k, _exp_quiet(lp), -k)
+        log_tv = lp + float(np.log(-np.expm1(ln_intrinsic - lp)))
     else:
         if lp == -math.inf:
             raise NoSolutionBelowIntrinsic(k, 0.0, 0.0)
@@ -307,10 +395,7 @@ def implied_vol_call_vec(
 
     atm = k == 0.0
     if np.any(atm):
-        if np.any(p[atm] <= 0.0):
-            bad = int(np.argmax(atm & (p <= 0.0)))
-            raise NoSolutionBelowIntrinsic(0.0, float(p.flat[bad]), 0.0)
-        out[atm] = p[atm] * SQRT_2PI
+        out[atm] = [_atm_result(price_atm, t).sigma for price_atm in p[atm].tolist()]
 
     solve = ~atm
     if np.any(solve):
@@ -352,9 +437,7 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
 
     atm = k == 0.0
     if np.any(atm):
-        if np.any(lp[atm] >= 700.0):
-            raise DomainError("log_price too large to represent at kappa = 0")
-        out[atm] = np.exp(lp[atm]) * SQRT_2PI
+        out[atm] = [_atm_result(_exp_quiet(lp_atm), t).sigma for lp_atm in lp[atm].tolist()]
 
     itm = k < 0.0
     log_tv = np.where(atm, 0.0, lp)
@@ -365,7 +448,7 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
             bad = int(np.argmax(no_sol))
             kb = float(k.flat[bad])
             lpb = float(lp.flat[bad])
-            raise NoSolutionBelowIntrinsic(kb, math.exp(lpb) if lpb < 700.0 else math.inf, -kb)
+            raise NoSolutionBelowIntrinsic(kb, _exp_quiet(lpb), -kb)
         with np.errstate(invalid="ignore"):
             folded = lp + np.log(-np.expm1(ln_intr - lp))
         log_tv = np.where(itm, folded, log_tv)

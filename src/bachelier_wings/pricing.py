@@ -488,8 +488,9 @@ def smile_from_model(
     ln_s, _, ok = _log_payoff_integrals(model, kappas, np.where(kappas >= 0.0, 1.0, -1.0),
                                         settings.abs_tol, settings.rel_tol)
     prices = np.array([_price(ln) if good else math.nan for ln, good in zip(ln_s.tolist(), ok.tolist())])
-    # math.log, as the scalar solvers take it; NaN marks a failed or underflowed quote
-    log_prices = np.array([math.log(p) if p > 0.0 else math.nan for p in prices.tolist()])
+    # np.log, as the scalar solvers take it; NaN marks a failed or underflowed quote
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_prices = np.where(prices > 0.0, np.log(prices), math.nan)
 
     ivols = np.full(kappas.shape, math.nan)
     off = np.flatnonzero((kappas != 0.0) & ~np.isnan(log_prices))
@@ -497,7 +498,7 @@ def smile_from_model(
     good = solved.converged & ~solved.unattainable
     ivols[off[good]] = np.exp(solved.x[good])
     for i in np.flatnonzero((kappas == 0.0) & ~np.isnan(log_prices)):  # at most one
-        with contextlib.suppress(AccuracyNotReached):
+        with contextlib.suppress(AccuracyNotReached, DomainError):
             ivols[i] = _atm_result(float(prices[i]), tol_iv).sigma
 
     failed = np.isnan(ivols)

@@ -12,6 +12,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bachelier_wings.bachelier import (
     INV_SQRT_2PI,
@@ -276,3 +278,27 @@ def test_broadcasting():
     kappa = np.array([[0.5], [1.0]])
     sigma = np.array([0.5, 1.0, 2.0])
     assert call_price(kappa, sigma).shape == (2, 3)
+
+
+def test_scalar_log_prices_equal_the_array_path_bit_for_bit():
+    # a scalar call_price_log runs on floats; it must be the array path's
+    # number, through the in-the-money fold and past d = 1e4 (the series)
+    rng = np.random.default_rng(13)
+    d = np.exp(rng.uniform(math.log(1e-9), math.log(1e6), 20_000))
+    sigma = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), d.size))
+    kappa = d * sigma * rng.choice([-1.0, 1.0], d.size)
+    assert (d > 1e4).sum() > 2_000 and (kappa < 0.0).sum() > 5_000
+    for log_price in (call_price_log, put_price_log):
+        scalar = [log_price(k, s) for k, s in zip(kappa.tolist(), sigma.tolist())]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_array_equal(scalar, log_price(kappa, sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=st.floats(-1e6, 1e6), sigma=st.floats(1e-3, 1e4))
+@example(kappa=-3.0, sigma=0.2)  # in the money, time value far below intrinsic
+@example(kappa=-2e4, sigma=1.0)  # the fold past d = 1e4
+@example(kappa=5e4, sigma=2.0)  # the asymptotic series
+def test_scalar_log_price_is_the_array_path_property(kappa, sigma):
+    for log_price in (call_price_log, put_price_log):
+        assert log_price(kappa, sigma) == log_price(np.array([kappa]), np.array([sigma]))[0]

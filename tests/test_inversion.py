@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bachelier_wings.bachelier import (
@@ -18,13 +19,19 @@ from bachelier_wings.bachelier import (
 )
 from bachelier_wings.errors import (
     AccuracyNotReached,
+    BachelierWingsError,
     DomainError,
     NoSolutionBelowIntrinsic,
 )
 from bachelier_wings.inversion import (
     MAX_ITERATIONS,
     IvolResult,
+    _method_label,
+    _raise_first_failure,
+    _result_from_core,
+    _Solved,
     _solve_otm_log,
+    _solve_otm_log_scalar,
     implied_vol_call,
     implied_vol_call_log,
     implied_vol_call_log_vec,
@@ -154,13 +161,149 @@ def test_linear_vec_on_representable_box():
     assert np.max(np.abs(got - sigma) / sigma) < ROUND_TRIP_REL
 
 
-def test_vec_matches_scalar_exactly():
-    kappa = np.array([0.0, 0.7, -3.2, 12.0])
-    sigma = np.array([1.1, 0.3, 2.0, 0.9])
-    price = call_price(kappa, sigma)
-    vec = implied_vol_call_vec(kappa, price)
-    for i in range(kappa.size):
-        assert vec[i] == implied_vol_call(float(kappa[i]), float(price[i])).sigma
+TOLS = (1e-12, 1e-6, 1e-300)
+
+
+@st.composite
+def quotes(draw):
+    """(kappa, sigma): d = |kappa|/sigma log-uniform over 1e-9..400, sigma over 1e-3..1e4,
+    at the money, in it or out of it."""
+    d = 10.0 ** draw(st.floats(-9.0, math.log10(400.0)))
+    sigma = 10.0 ** draw(st.floats(-3.0, 4.0))
+    return draw(st.sampled_from([-1.0, 0.0, 1.0])) * d * sigma, sigma
+
+
+def assert_same_outcome(scalar, vec, kappa, quote, tol):
+    """scalar(kappa, quote, tol).sigma == vec([kappa], [quote], tol)[0], or both raise alike."""
+    try:
+        want = scalar(kappa, quote, tol).sigma
+    except BachelierWingsError as err:
+        with pytest.raises(type(err)):
+            vec([kappa], [quote], tol)
+    else:
+        assert vec([kappa], [quote], tol)[0] == want
+
+
+def batch_element(batch: _Solved, i: int) -> _Solved:
+    return _Solved(*(np.asarray(field)[i:i + 1] for field in batch))
+
+
+def assert_kernels_agree(got: _Solved, want: _Solved) -> None:
+    """The float kernel's fields equal the batch core's one-element arrays bit for bit."""
+    for name, g, w in zip(_Solved._fields, got, want):
+        assert type(g) is (int if name == "iterations" else float if name[0] in "xg" else bool), name
+        np.testing.assert_array_equal(np.array([g]), w, err_msg=name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quote=quotes(), tol=st.sampled_from(TOLS))
+@example(quote=(0.0, 1.1), tol=1e-12)
+@example(quote=(0.7, 0.3), tol=1e-12)
+@example(quote=(-3.2, 2.0), tol=1e-12)
+@example(quote=(12.0, 0.9), tol=1e-12)
+def test_vec_matches_scalar_exactly(quote, tol):
+    # every scalar entry point equals its vec twin, failures included, and
+    # the float kernel under the scalar ones equals the batch core
+    kappa, sigma = quote
+    for scalar, vec, price in [
+        (implied_vol_call, implied_vol_call_vec, call_price),
+        (implied_vol_put, implied_vol_put_vec, put_price),
+        (implied_vol_call_log, implied_vol_call_log_vec, call_price_log),
+        (implied_vol_put_log, implied_vol_put_log_vec, put_price_log),
+    ]:
+        assert_same_outcome(scalar, vec, kappa, price(kappa, sigma), tol)
+    if kappa != 0.0:
+        k = abs(kappa)
+        log_tv = call_price_log(k, sigma)
+        assert_kernels_agree(_solve_otm_log_scalar(k, log_tv, tol),
+                             _solve_otm_log(np.array([k]), np.array([log_tv]), tol))
+
+
+def kernel_deck(n: int, seed: int):
+    """(kappa, ln price) of n call quotes, half of them in the money: d = |kappa|/sigma
+    log-uniform over 1e-9..400 and sigma over 1e-3..1e4, so ln price reaches about -8e4."""
+    rng = np.random.default_rng(seed)
+    d = np.exp(rng.uniform(math.log(1e-9), math.log(400.0), n))
+    sigma = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), n))
+    kappa = d * sigma * rng.choice([-1.0, 1.0], n)
+    return kappa, call_price_log(kappa, sigma)
+
+
+@pytest.mark.parametrize("tol, seed", [(1e-12, 21), (1e-6, 22), (1e-300, 23)])
+def test_float_kernel_matches_batch_core_bit_for_bit(tol, seed):
+    # over 100,000 quotes across the three tolerances: the scalar entry
+    # point reduces each through parity and solves it in floats; the batch
+    # core solves the same time values in one call.  Every _Solved field
+    # and every IvolResult field agrees, and so does every raised error
+    kappa, lp = kernel_deck(37_000, seed)
+    assert lp.min() < -745.0 and (kappa < 0.0).sum() > 10_000
+    ln_intr = np.log(np.maximum(-kappa, 1e-300))
+    valid = (kappa > 0.0) | (lp > ln_intr)  # the rest lost their time value to rounding
+    assert 3 * valid.sum() > 100_000
+    kappa, lp, ln_intr = kappa[valid], lp[valid], ln_intr[valid]
+    itm = kappa < 0.0
+    log_tv = lp.copy()  # the in-the-money fold as the vec entry points take it
+    log_tv[itm] += np.log(-np.expm1(ln_intr[itm] - lp[itm]))
+    k = np.abs(kappa)
+    batch = _solve_otm_log(k, log_tv, tol)
+
+    floats = [_solve_otm_log_scalar(*q, tol) for q in zip(k.tolist(), log_tv.tolist())]
+    for name, want in zip(_Solved._fields, batch):
+        np.testing.assert_array_equal(np.array([getattr(f, name) for f in floats]), want, err_msg=name)
+
+    ok = batch.converged & ~batch.unattainable
+    assert ok.any() and (tol > 1e-300 or not ok.all())  # tol 1e-300 fails many quotes
+    want_sigma = np.exp(batch.x)
+    want_residual = np.exp(log_tv) * np.abs(np.expm1(batch.g))
+    for i, q in enumerate(zip(kappa.tolist(), lp.tolist())):
+        if ok[i]:
+            r = implied_vol_call_log(*q, tol)
+            assert (r.sigma, r.iterations, r.residual) == (
+                want_sigma[i], batch.iterations[i], want_residual[i]), q
+            assert r.method == _method_label(bool(batch.deep[i]), bool(batch.bisected[i])), q
+        else:
+            assert_raises_as_batch(lambda: implied_vol_call_log(*q, tol),
+                                   batch_element(batch, i), log_tv[i:i + 1], tol)
+
+
+def assert_raises_as_batch(call, one: _Solved, log_tv, tol) -> None:
+    """call raises what _raise_first_failure raises on the batch core's element."""
+    with pytest.raises(BachelierWingsError) as want:
+        _raise_first_failure(one, log_tv, tol)
+    with pytest.raises(type(want.value)) as got:
+        call()
+    assert getattr(got.value, "bracket", None) == getattr(want.value, "bracket", None)
+    assert getattr(got.value, "achieved", None) == getattr(want.value, "achieved", None)
+
+
+@pytest.mark.parametrize("kappa, log_tv, tol", [
+    (4.575635314717512e-16, math.log(7.76274387948033e-08), 1e-300),  # the repeat stop, unattainable
+    (1.0, math.log(0.3), 1e-18),  # unattainable
+    (1e-300, -1e5, 1e-12),  # ConvergenceFailure: the iterate repeats short of tolerance
+])
+def test_float_kernel_raises_as_batch_core(kappa, log_tv, tol):
+    log_tv = np.array([log_tv])
+    one = _solve_otm_log(np.array([kappa]), log_tv, tol)
+    assert not (one.converged[0] and not one.unattainable[0])
+    assert_raises_as_batch(lambda: _result_from_core(kappa, float(log_tv[0]), tol), one, log_tv, tol)
+
+
+@pytest.mark.parametrize("kappa, log_tv", [
+    (1e-300, -1e5), (1e300, -1e5), (1.0, -1e5),
+    (1e-300, 0.0), (1e300, 0.0),
+    (1e-300, math.log(5e-301)), (1.0, math.log(0.5)), (1e300, math.log(5e299)),  # tv = kappa/2
+])
+@pytest.mark.parametrize("tol", TOLS)
+def test_float_kernel_on_extreme_inputs(kappa, log_tv, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _solve_otm_log_scalar(kappa, log_tv, tol)
+        want = _solve_otm_log(np.array([kappa]), np.array([log_tv]), tol)
+        assert_kernels_agree(got, want)
+        try:
+            implied_vol_call_log(kappa, log_tv, tol)
+        except BachelierWingsError:
+            pass
 
 
 def test_put_vec_reflects():
@@ -295,6 +438,34 @@ def test_domain_errors():
         implied_vol_call(1.0, 0.5, tol=-1e-9)
     with pytest.raises(DomainError):
         implied_vol_call_log(1.0, float("nan"))
+
+
+@pytest.mark.parametrize("solve, kappa, quote", [
+    (implied_vol_call_log, 0.0, 800.0),
+    (implied_vol_call_log_vec, [0.0], [800.0]),
+    (implied_vol_call, 0.0, 1.7e308),
+    (implied_vol_call_vec, [0.0, 1.0], [1.7e308, 0.5]),
+])
+def test_atm_sigma_past_double_range_raises_domain_error(solve, kappa, quote):
+    # price * sqrt(2 pi) overflows: no inf sigma, no AccuracyNotReached, no warning
+    with pytest.raises(DomainError):
+        solve(kappa, quote)
+
+
+@pytest.mark.parametrize("log_price", [708.0, 708.86, 708.87, 709.5])
+def test_atm_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
+    # ln(DBL_MAX / sqrt(2 pi)) = 708.8638: one rule, sigma finite, at both entry kinds
+    price = float(np.exp(log_price))
+    overflows = not math.isfinite(price * SQRT_2PI)
+    assert overflows == (log_price > 708.8638)
+    for scalar, vec, quote in [(implied_vol_call, implied_vol_call_vec, price),
+                               (implied_vol_call_log, implied_vol_call_log_vec, log_price)]:
+        assert_same_outcome(scalar, vec, 0.0, quote, 1e-12)
+        if overflows:
+            with pytest.raises(DomainError):
+                scalar(0.0, quote)
+        else:
+            assert scalar(0.0, quote).sigma == price * SQRT_2PI
 
 
 def test_tolerance_below_floating_point_floor():
