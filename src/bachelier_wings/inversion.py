@@ -449,9 +449,8 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
             kb = float(k.flat[bad])
             lpb = float(lp.flat[bad])
             raise NoSolutionBelowIntrinsic(kb, _exp_quiet(lpb), -kb)
-        with np.errstate(invalid="ignore"):
-            folded = lp + np.log(-np.expm1(ln_intr - lp))
-        log_tv = np.where(itm, folded, log_tv)
+        lp_itm = lp[itm]  # folding the rest could overflow expm1 and warn
+        log_tv[itm] = lp_itm + np.log(-np.expm1(ln_intr[itm] - lp_itm))
 
     solve = ~atm
     if np.any(solve):

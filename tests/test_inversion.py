@@ -195,28 +195,43 @@ def assert_kernels_agree(got: _Solved, want: _Solved) -> None:
         np.testing.assert_array_equal(np.array([g]), w, err_msg=name)
 
 
+ENTRY_POINTS = [
+    (implied_vol_call, implied_vol_call_vec, call_price),
+    (implied_vol_put, implied_vol_put_vec, put_price),
+    (implied_vol_call_log, implied_vol_call_log_vec, call_price_log),
+    (implied_vol_put_log, implied_vol_put_log_vec, put_price_log),
+]
+
+
 @settings(max_examples=300, deadline=None)
-@given(quote=quotes(), tol=st.sampled_from(TOLS))
-@example(quote=(0.0, 1.1), tol=1e-12)
-@example(quote=(0.7, 0.3), tol=1e-12)
-@example(quote=(-3.2, 2.0), tol=1e-12)
-@example(quote=(12.0, 0.9), tol=1e-12)
-def test_vec_matches_scalar_exactly(quote, tol):
-    # every scalar entry point equals its vec twin, failures included, and
-    # the float kernel under the scalar ones equals the batch core
-    kappa, sigma = quote
-    for scalar, vec, price in [
-        (implied_vol_call, implied_vol_call_vec, call_price),
-        (implied_vol_put, implied_vol_put_vec, put_price),
-        (implied_vol_call_log, implied_vol_call_log_vec, call_price_log),
-        (implied_vol_put_log, implied_vol_put_log_vec, put_price_log),
-    ]:
-        assert_same_outcome(scalar, vec, kappa, price(kappa, sigma), tol)
-    if kappa != 0.0:
-        k = abs(kappa)
-        log_tv = call_price_log(k, sigma)
-        assert_kernels_agree(_solve_otm_log_scalar(k, log_tv, tol),
-                             _solve_otm_log(np.array([k]), np.array([log_tv]), tol))
+@given(batch=st.lists(quotes(), min_size=1, max_size=6), tol=st.sampled_from(TOLS))
+@example(batch=[(0.0, 1.1), (0.7, 0.3), (-3.2, 2.0), (12.0, 0.9)], tol=1e-12)
+def test_vec_matches_scalar_exactly(batch, tol):
+    # one vec call over the whole batch equals the scalar entry point on
+    # each element; a batch with a failing element raises, and that element
+    # alone raises as its scalar solve does.  Under the scalar entry points
+    # the float kernel equals the batch core on every out-of-the-money element
+    kappa = [q[0] for q in batch]
+    for scalar, vec, price in ENTRY_POINTS:
+        quote = [float(price(k, sigma)) for k, sigma in batch]
+        want = []
+        for k, q in zip(kappa, quote):
+            try:
+                want.append(scalar(k, q, tol).sigma)
+            except BachelierWingsError as err:
+                want.append(None)
+                with pytest.raises(type(err)):
+                    vec([k], [q], tol)
+        if None in want:
+            with pytest.raises(BachelierWingsError):
+                vec(kappa, quote, tol)
+        else:
+            assert vec(kappa, quote, tol).tolist() == want
+    otm = [(abs(k), float(call_price_log(abs(k), sigma))) for k, sigma in batch if k != 0.0]
+    if otm:
+        core = _solve_otm_log(*(np.array(side) for side in zip(*otm)), tol)
+        for i, q in enumerate(otm):
+            assert_kernels_agree(_solve_otm_log_scalar(*q, tol), batch_element(core, i))
 
 
 def kernel_deck(n: int, seed: int):
@@ -347,6 +362,15 @@ def test_itm_log_input_reduces_through_parity():
     lp = call_price_log(kappa, sigma)
     r = implied_vol_call_log(kappa, lp)
     assert r.sigma == pytest.approx(sigma, rel=1e-6)
+
+
+def test_log_vec_folds_only_in_the_money_entries():
+    # an out-of-the-money entry below exp's range beside an in-the-money
+    # one: the parity fold must not touch it (it overflowed expm1 and warned)
+    kappa = [45.0, -2.0, 0.5]
+    log_price = [-1000.0, float(call_price_log(-2.0, 1.0)), float(call_price_log(0.5, 2.0))]
+    got = implied_vol_call_log_vec(kappa, log_price)
+    assert got.tolist() == [implied_vol_call_log(k, lp).sigma for k, lp in zip(kappa, log_price)]
 
 
 # ---------------------------------------------------------------------------
