@@ -11,6 +11,11 @@ tail_reference_curve + rv_index pair on both sides, plus the number of
 log_pdf calls each L3/L4/L5 call makes and the nodes (log_pdf points)
 each L4 call evaluates, and the mgf calls and points of each L5 report
 (mgf_work_theorem_verdicts: the condition-(i) strip probes).
+L3_tail_core_cli_grid_us is one call of the batched tail core
+pricing._log_payoff_integrals on the CLI's 9-point linear grid over +-4
+scales for each report model, in microseconds: "both_legs" integrates
+call and put at every kappa (as price_grid does), "otm_leg" only the
+out-of-the-money one (as smile_from_model does).
 L2_nig_log_pdf_ns_per_node is the median time of one
 nig(2, 0.5, 1).log_pdf call on a fixed array of
 100,000 points spread evenly over +-50 (about +-67 scales) in ns per
@@ -51,7 +56,14 @@ from bachelier_wings import cli
 from bachelier_wings.bachelier import call_price, call_price_log
 from bachelier_wings.inversion import _solve_otm_log, implied_vol_call, implied_vol_call_log
 from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
-from bachelier_wings.pricing import _default_alpha, price_from_cf, price_grid, smile_from_model
+from bachelier_wings.pricing import (
+    DEFAULT_SETTINGS,
+    _default_alpha,
+    _log_payoff_integrals,
+    price_from_cf,
+    price_grid,
+    smile_from_model,
+)
 from bachelier_wings.wings import VerdictSettings, rv_index, tail_reference_curve, theorem_verdicts
 
 MODELS = {
@@ -153,6 +165,16 @@ def main() -> None:
         out["log_pdf_calls_theorem_verdicts"][name] = work(model, theorem_verdicts)[0]
         calls, points = work(model, theorem_verdicts, "mgf")
         out["mgf_work_theorem_verdicts"][name] = {"calls": calls, "points": points}
+    out["L3_tail_core_cli_grid_us"] = {}
+    tol = DEFAULT_SETTINGS.abs_tol, DEFAULT_SETTINGS.rel_tol
+    for name in REPORTS:
+        model = MODELS[name]
+        grid = np.linspace(-4.0 * model.scale, 4.0 * model.scale, 9)
+        legs = {"both_legs": (np.repeat(grid, 2), np.tile([1.0, -1.0], grid.size)),
+                "otm_leg": (grid, np.where(grid >= 0.0, 1.0, -1.0))}
+        out["L3_tail_core_cli_grid_us"][name] = {
+            leg: 1e3 * median_ms(lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
+            for leg, (ks, signs) in legs.items()}
     nig = MODELS["nig(2, 0.5, 1)"]
     nodes = np.linspace(-50.0, 50.0, 100_000)
     out["L2_nig_log_pdf_ns_per_node"] = (

@@ -47,7 +47,6 @@ from .models import ModelSpec, model_schemas, parse_model_config
 from .pricing import QuadratureSettings, price_grid, smile_from_model
 from .pricing import price_from_cf  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .pricing import price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
-from .smile import STATUS_OK
 from .wings import VerdictSettings, _check, theorem_verdicts
 
 __all__ = ["main", "entry"]
@@ -233,6 +232,18 @@ def _csv_cell(value) -> str:
     return f"{v:.15g}"
 
 
+# a flat row on the C encoder, one key per line as indent=2 lays it out two levels deep
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_text(meta: dict, rows: list[dict]) -> str:
+    """json.dumps({"meta": meta, "rows": rows}, indent=2), byte for byte, for rows of scalars."""
+    body = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" if row else "{}"
+                           for row in rows)
+    rows_text = f"[\n    {body}\n  ]" if rows else "[]"
+    return json.dumps({"meta": meta}, indent=2)[:-2] + f',\n  "rows": {rows_text}\n}}'
+
+
 def _emit(args, meta: dict, columns: list[str], rows: list[dict]) -> None:
     if args.format == "csv":
         lines = [",".join(columns)]
@@ -240,11 +251,7 @@ def _emit(args, meta: dict, columns: list[str], rows: list[dict]) -> None:
             lines.append(",".join(_csv_cell(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
-        doc = {
-            "meta": meta,
-            "rows": [{c: _round15(row[c]) for c in columns} for row in rows],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_text(meta, [{c: _round15(row[c]) for c in columns} for row in rows]) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -334,19 +341,10 @@ _SMILE_COLUMNS = ["kappa", "price", "log_price", "ivol", "status"]
 def cmd_smile(args) -> int:
     model = _load_model(args.model)
     smile = smile_from_model(model, args.grid.values(), tol_iv=args.tol)
-    rows = [
-        {
-            "kappa": p.kappa,
-            "price": p.price if p.status == STATUS_OK else None,
-            "log_price": p.log_price if p.status == STATUS_OK else None,
-            "ivol": p.ivol if p.status == STATUS_OK else None,
-            "status": p.status,
-        }
-        for p in smile.points
-    ]
-    n_failed = sum(1 for p in smile.points if p.status != STATUS_OK)
+    # a failed point's numeric slots hold NaN, which both formats print as empty
+    rows = [{c: getattr(p, c) for c in _SMILE_COLUMNS} for p in smile.points]
     _emit(args, _meta(args, "smile", model), _SMILE_COLUMNS, rows)
-    return _EXIT_PARTIAL if n_failed else _EXIT_OK
+    return _EXIT_PARTIAL if len(smile.ok_points()) < len(smile) else _EXIT_OK
 
 
 _CHECK_ROW_COLUMNS = ["name", "measured", "reference", "tolerance", "pass"]

@@ -13,6 +13,7 @@ and comparing them is the point; neither is defined in terms of the other.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +73,9 @@ DEFAULT_SETTINGS = QuadratureSettings()
 # both engines' roundoff floor: 50 eps, relative to the integral of |f|
 _ROUNDOFF_FLOOR = 50.0 * math.ulp(1.0)
 
+# the smallest normal double, below which _price reads 0
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True, slots=True)
 class PriceQuote:
@@ -110,9 +114,10 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
     to infinity.  The step halves until two levels differ by at most
     max(abs_tol, rel_tol S) over the roundoff floor, their difference
     plus the floor being the estimate; abs_tol = 0 asks for rel_tol
-    alone.  One log_pdf call probes all decay rates; each level then
-    takes one call (per chunk) for all open integrals' nodes.  Each
-    integral sums its own pieces x nodes block, whatever the batch.
+    alone.  The integrals are sorted by piece count and their pieces laid
+    out end to end once.  One log_pdf call probes all decay rates; each
+    level then takes one call (per chunk) for all open integrals' nodes.
+    Each integral sums its own pieces x nodes row, whatever the batch.
     """
     ends_all = []
     for k, sign in zip(ks.tolist(), signs.tolist()):
@@ -122,49 +127,59 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
         # (y, x) where each piece starts, one per distinct y
         ends_all.append([(0.0, k),
                          *sorted({sign * (x - k): x for x in cuts if sign * (x - k) > 0.0}.items())])
-    ya, xa = np.array([end for ends in ends_all for end in ends], dtype=float).reshape(-1, 2).T
-    counts = np.array([len(ends) for ends in ends_all], dtype=int)
+    # by piece count; sorted is stable, so equal counts keep the callers' order
+    order = np.array(sorted(range(ks.size), key=lambda i: len(ends_all[i])), dtype=int)
+    counts = np.array([len(ends_all[i]) for i in order.tolist()], dtype=int)
     last = np.cumsum(counts) - 1
-    rows = np.bincount(last, minlength=ya.size)  # 1 on the exp-sinh pieces
+    ya, xa = np.array([end for i in order.tolist() for end in ends_all[i]], dtype=float).reshape(-1, 2).T
+    sign = np.repeat(signs[order], counts)
     # the last piece's length is the density's decay length there, at most its scale
     delta = 1e-3 * model.scale
-    lf0, lf1 = np.split(model.log_pdf(np.concatenate([xa[last] + 0.0, xa[last] + signs * delta])), 2)
-    length = np.diff(ya, append=0.0)
+    lf0, lf1 = model.log_pdf(np.concatenate([xa[last] + 0.0, xa[last] + sign[last] * delta])).reshape(2, -1)
+    length = np.append(ya[1:], 0.0) - ya
     length[last] = 1.0 / np.fmax((lf0 - lf1) / delta, 1.0 / model.scale)  # NaN reads 1 / scale
+    # a column per piece, the integrals' pieces end to end: y and x where it starts, its
+    # length and ln length, and the sign; row is 1 on the exp-sinh pieces
+    pieces, row = np.array([ya, xa, length, np.log(length), sign]), np.bincount(last, minlength=ya.size)
 
     log_sum, ln_s, prev = np.full((3, counts.size), -math.inf)
     err, done = np.zeros(counts.size), np.zeros(counts.size, dtype=bool)
-    order = np.argsort(counts, kind="stable")  # equal piece counts side by side
     for level, (unit, unit_logw) in enumerate(_DE_LEVELS):
-        todo = order[~done[order]]
+        todo = np.flatnonzero(~done)
         if not todo.size:
             break
-        nodes = np.cumsum(counts[todo]) * unit.shape[1]
-        for chunk in np.split(todo, np.flatnonzero(np.diff(nodes // _MAX_TAIL_NODES_PER_CALL)) + 1):
-            groups = np.split(chunk, np.flatnonzero(np.diff(counts[chunk])) + 1)
-            pieces = [last[g, None] + np.arange(1 - counts[g[0]], 1) for g in groups]
-            dys = [length[p, None] * unit[rows[p[0]]] for p in pieces]
-            lf = model.log_pdf(np.concatenate([(xa[p, None] + signs[g, None, None] * dy).ravel()
-                                               for g, p, dy in zip(groups, pieces, dys)]))
-            lfs = np.split(lf, np.cumsum([dy.size for dy in dys])[:-1])
-            for g, p, dy, lf_g in zip(groups, pieces, dys, lfs):
-                terms = (unit_logw[rows[p[0]]] + np.log(length[p, None]) + np.log(ya[p, None] + dy)
-                         + lf_g.reshape(dy.shape)).reshape(g.size, -1)
-                # an all-zero block adds nothing; NaN passes, and fails every test below
-                peak = terms.max(axis=1)
-                sums = np.exp(terms - np.where(peak == -math.inf, 0.0, peak)[:, None]).sum(axis=1)
-                with np.errstate(invalid="ignore"):  # quiet on NaN
-                    log_sum[g] = np.logaddexp(log_sum[g], peak + np.array(
-                        [math.log(s) if s else -math.inf for s in sums.tolist()]))
-        ln_s[todo] = log_sum[todo] + math.log(_DE_STEP / (1 << level))
-        done[todo] = ln_s[todo] == -math.inf  # zero at every node, within double range
+        keep = np.repeat(~done, counts) if todo.size < counts.size else slice(None)
+        y, x, length, ln_length, sign = pieces[:, keep]
+        dy = length[:, None] * unit[row[keep]]
+        nodes = (x[:, None] + sign[:, None] * dy).ravel()
+        if nodes.size < _MAX_TAIL_NODES_PER_CALL:
+            lf = model.log_pdf(nodes)
+        else:  # a chunk ends at the integral whose nodes pass a multiple of the cap
+            ends = np.cumsum(counts[todo]) * unit.shape[1]
+            lf = np.concatenate([model.log_pdf(chunk) for chunk in np.split(
+                nodes, ends[np.flatnonzero(np.diff(ends // _MAX_TAIL_NODES_PER_CALL))])])
+        terms = unit_logw[row[keep]] + ln_length[:, None] + np.log(y[:, None] + dy) + lf.reshape(dy.shape)
+        peaks, sums, at = [], [], 0
+        for count, run in itertools.groupby(counts[todo].tolist()):
+            # one pieces x nodes row per integral, summed as alone; an all-zero
+            # row adds nothing, NaN passes, and fails every test below
+            n = len(list(run))
+            block = terms[at:(at := at + n * count)].reshape(n, -1)
+            peaks.append(peak := block.max(axis=1))
+            sums.append(np.exp(block - np.where(peak == -math.inf, 0.0, peak)[:, None]).sum(axis=1))
+        with np.errstate(invalid="ignore"):  # quiet on NaN
+            log_sum[todo] = np.logaddexp(log_sum[todo], np.concatenate(peaks) + np.array(
+                [math.log(s) if s else -math.inf for s in np.concatenate(sums).tolist()]))
+        ln_s[todo] = ln = log_sum[todo] + math.log(_DE_STEP / (1 << level))
         if level:
-            live = todo[~done[todo]]
-            err[live] = np.abs([math.expm1(d) for d in prev[live] - ln_s[live]]) + _ROUNDOFF_FLOOR
-            prices = np.array([math.exp(v) for v in ln_s[live].tolist()])
-            done[live] = (err[live] <= rel_tol) | (err[live] * prices < abs_tol)
-        prev[todo] = ln_s[todo]
-    return ln_s, err, done
+            for i, p, v in zip(todo.tolist(), prev[todo].tolist(), ln.tolist()):
+                if v != -math.inf:
+                    e = err[i] = abs(math.expm1(p - v)) + _ROUNDOFF_FLOOR
+                    done[i] = e <= rel_tol or e * math.exp(v) < abs_tol
+        done[todo] |= ln == -math.inf  # zero at every node, within double range
+        prev[todo] = ln
+    back = np.argsort(order)  # to the callers' order
+    return ln_s[back], err[back], done[back]
 
 
 def _checked_log_sums(model: ModelSpec, ks, signs, abs_tol: float, rel_tol: float):
@@ -179,7 +194,7 @@ def _checked_log_sums(model: ModelSpec, ks, signs, abs_tol: float, rel_tol: floa
 
 def _price(ln_s: float) -> float:
     # below the smallest normal double too few bits are left to invert: 0, and log prices take over
-    return p if (p := math.exp(ln_s)) >= np.finfo(float).tiny else 0.0
+    return p if (p := math.exp(ln_s)) >= _SMALLEST_NORMAL else 0.0
 
 
 def _tail_quote(k: float, ln_call: float, ln_put: float, err_call: float, err_put: float) -> PriceQuote:

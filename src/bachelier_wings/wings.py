@@ -207,12 +207,19 @@ def rv_index(model: ModelSpec, side: str, kappa_lo: float, kappa_hi: float) -> f
     """
     _require_side(side)
     lo, hi = float(kappa_lo), float(kappa_hi)
+    grid = _rv_grid(lo, hi)
+    return _rv_fit(lo, hi, grid, _log_tails(model, side, grid))
+
+
+def _rv_grid(lo: float, hi: float) -> np.ndarray:
     if not (1.0 < lo < hi):
         raise DomainError("need 1 < kappa_lo < kappa_hi")
-
     # the fit's grid ends at hi; the doubling ratio needs hi / 2 too
-    grid = np.append(_geometric_grid(lo, hi, 16), hi / 2.0)
-    g = -np.array(_log_tails(model, side, grid))
+    return np.append(_geometric_grid(lo, hi, 16), hi / 2.0)
+
+
+def _rv_fit(lo: float, hi: float, grid: np.ndarray, log_tails: list[float]) -> float:
+    g = -np.array(log_tails)
     theta, _, _ = _line_fit(np.log(grid[:-1]), np.log(g[:-1]))
     # defining ratio at the top: g(2k)/g(k) should be ~ 2^theta
     ratio_theta = math.log2(g[-2] / g[-1])
@@ -387,8 +394,14 @@ def _side_report(model: ModelSpec, smile: SmileGrid, side: str):
     est = wing_slope(smile, side)
     lam = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
     strip_ref = 0.0 if math.isinf(lam) else 1.0 / (2.0 * lam)
-    refs = tail_reference_curve(model, [k for k, _ in est.slope_samples], side)
-    theta = rv_index(model, side, _RV_LO_SCALES * model.scale, _RV_HI_SCALES * model.scale)
+    # tail_reference_curve and rv_index from one log-tail read, raising as they
+    # would in turn: a bad tail-reference point, then a bad range, then its points
+    ks = [k for k, _ in est.slope_samples]
+    lo, hi = _RV_LO_SCALES * model.scale, _RV_HI_SCALES * model.scale
+    grid = _rv_grid(lo, hi) if 1.0 < lo < hi else np.empty(0)
+    log_tails = _log_tails(model, side, np.concatenate([np.abs(ks), grid]))
+    refs = [(k, -abs(k) / (2.0 * lt)) for k, lt in zip(ks, log_tails)]
+    theta = _rv_fit(lo, hi, grid if grid.size else _rv_grid(lo, hi), log_tails[len(ks):])
     est = replace(est, tail_reference=tuple(refs), strip_reference=strip_ref, rv_index_theta=theta)
 
     checks = []

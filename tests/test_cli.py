@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import bachelier_wings
+from bachelier_wings import cli
 from bachelier_wings.bachelier import call_price
 from bachelier_wings.cli import main
 
@@ -507,3 +508,18 @@ def test_fresh_process_matches_in_process(model_files, fmt):
     code, out, _ = run_cli(*argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("meta, rows", [
+    ({"command": "smile", "grid": None}, []),
+    ({}, [{"kappa": 1.0}]),
+    ({"command": "price", "model": "nig", "params": {"alpha": 2.0, "nested": {"x": [1, None, True]}},
+      "seed": None, "tol": 1e-12},
+     [{"kappa": -4.0, "call": None, "put": 0.1234567890123, "method": "tail_integral", "status": "ok"},
+      {"kappa": -0.0, "call": 1e-300, "put": 12345678901234.5, "method": None, "status": "failed"}]),
+    ({"command": "models", "note": "naïve ✓"},
+     [{"model": "nig", "parameter": "µ", "required": False},
+      {"model": "ünï", "parameter": "α", "required": True}, {}]),
+])
+def test_json_text_matches_indented_dumps(meta, rows):
+    assert cli._json_text(meta, rows) == json.dumps({"meta": meta, "rows": rows}, indent=2)

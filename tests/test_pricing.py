@@ -501,6 +501,35 @@ def test_nan_density_grid_fails_every_point_in_bounded_calls():
         price_from_tail(model, 1.0)
 
 
+@pytest.mark.parametrize("model", [NIG, nig_model(3.5744, -3.3765, 1.3122)], ids=["nig", "nig_skewed"])
+def test_price_grid_entries_equal_points_priced_alone_nig(model):
+    # in-the-money legs add the mean's cut and, past eight scales, the
+    # bulk's edge, so the batch mixes integrals of one, two and three pieces
+    s = model.scale
+    grid = [model.mean, 0.0, *(w * s for w in (-30.0, -9.0, -3.0, -1e-3, 1e-3, 2.0, 8.5, 25.0))]
+    counts = {len(_piece_ends(model, k, sign)) for k in grid for sign in (1.0, -1.0)}
+    assert counts == {1, 2, 3}
+    kappas, quotes = price_grid(model, grid)
+    assert None not in quotes
+    for k, q in zip(kappas.tolist(), quotes):
+        assert repr(q) == repr(_priced_alone(model, k)), k
+
+
+def test_chunked_price_grid_entries_equal_points_priced_alone():
+    # 400 kappas, both legs: level 0 alone passes the node cap, so each
+    # level's log_pdf call splits at integral boundaries
+    base = asym_laplace_model(2.0, 0.7)
+    model, sizes = _counting_log_pdf(base)
+    grid = np.linspace(-30.0, 30.0, 400) * base.scale
+    pieces = sum(len(_piece_ends(base, k, sign)) for k in grid.tolist() for sign in (1.0, -1.0))
+    assert pieces * _DE_LEVELS[0][0].shape[1] > pricing._MAX_TAIL_NODES_PER_CALL
+    kappas, quotes = price_grid(model, grid)
+    assert max(sizes) <= pricing._MAX_TAIL_NODES_PER_CALL + 4 * _DE_LEVELS[-1][0].shape[1]
+    assert sizes[1] < pieces * _DE_LEVELS[0][0].shape[1]  # level 0 took more than one call
+    for k, q in zip(kappas.tolist(), quotes):
+        assert repr(q) == repr(_priced_alone(base, k)), k
+
+
 # =============================================================================
 # one production route: NIG grids on the tail engine, Fourier as cross-check
 # =============================================================================

@@ -213,6 +213,51 @@ def test_tail_reference_underflow_signalled():
             read(fake)
 
 
+def _counting_log_tails(model):
+    sizes = []
+
+    def counted(read):
+        def log_tail(x):
+            sizes.append(np.size(x))
+            return read(x)
+        return log_tail
+
+    return dataclasses.replace(model, log_cdf=counted(model.log_cdf),
+                               log_complement_cdf=counted(model.log_complement_cdf)), sizes
+
+
+@pytest.mark.parametrize("model", [LAPLACE, NIG], ids=["laplace", "nig"])
+def test_report_reads_the_log_tail_once_per_side(model):
+    # the 12 tail-reference kappas and rv_index's 17 points in one call
+    counted, sizes = _counting_log_tails(model)
+    report = theorem_verdicts(counted)
+    assert sizes == [12 + 17, 12 + 17]
+    assert json.dumps(report, sort_keys=True) == json.dumps(theorem_verdicts(model), sort_keys=True)
+
+
+def _right_side_error(model, bad):
+    # the right side's error when its log tail reads NaN where bad(|kappa|)
+    read = model.log_complement_cdf
+    fake = dataclasses.replace(model, log_complement_cdf=lambda x: np.where(bad(x), math.nan, read(x)))
+    return theorem_verdicts(fake)["sides"]["right"]["error"]
+
+
+def test_side_errors_keep_the_order_of_the_two_readers():
+    # tail-reference points (5-40 scales) first, then rv_index's range, then its points
+    s = LAPLACE.scale
+    refs = np.geomspace(5.0 * s, 40.0 * s, 12)
+    rv = np.geomspace(10.0 * s, 2000.0 * s, 16)
+    assert _right_side_error(LAPLACE, lambda x: x > refs[-2]) == (
+        f"DomainError: tail at |kappa|={refs[-1]:g} is not inside (0, 1)")
+    assert _right_side_error(LAPLACE, lambda x: x > refs[-1]) == (
+        f"DomainError: tail at |kappa|={rv[rv > refs[-1]][0]:g} is not inside (0, 1)")
+    narrow = asym_laplace_model(20.0, 20.0)  # rv_index's range would start below 1
+    assert _right_side_error(narrow, lambda x: x > 40.0 * narrow.scale) == (
+        "DomainError: need 1 < kappa_lo < kappa_hi")
+    assert _right_side_error(narrow, lambda x: x > 39.0 * narrow.scale) == (
+        f"DomainError: tail at |kappa|={40.0 * narrow.scale:g} is not inside (0, 1)")
+
+
 # =============================================================================
 # tail growth index
 # =============================================================================
