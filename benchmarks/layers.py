@@ -34,7 +34,12 @@ in-process cli.main call of `smile --format csv` on a 9-point linear grid
 over +-4 scales for each report model, reading the model from a JSON
 file in a temporary directory, with stdout sent to a StringIO: parsing,
 the L4 smile and the CSV encoding, as a caller that runs the CLI many
-times in one process pays them.  BENCH_*.json files at the repository
+times in one process pays them.  cold_start_import_and_models_ms is the
+wall time of a fresh interpreter that imports bachelier_wings and builds
+the five MODELS, the set-up each CLI process pays, and
+cold_start_floor_ms that of one that only imports numpy and scipy.special,
+the package's floor; each is the median of min(reps, 10) launches, the
+two programs launched alternately.  BENCH_*.json files at the repository
 root hold its output for a parent commit and a change, run alternately.
 """
 
@@ -47,11 +52,14 @@ import io
 import json
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 
 import numpy as np
 
+import bachelier_wings
 from bachelier_wings import cli
 from bachelier_wings.bachelier import call_price, call_price_log
 from bachelier_wings.inversion import _solve_otm_log, implied_vol_call, implied_vol_call_log
@@ -66,13 +74,14 @@ from bachelier_wings.pricing import (
 )
 from bachelier_wings.wings import VerdictSettings, rv_index, tail_reference_curve, theorem_verdicts
 
-MODELS = {
-    "gaussian(1)": gaussian_model(1.0),
-    "asym_laplace(1, 1)": asym_laplace_model(1.0, 1.0),
-    "asym_laplace(2, 0.7)": asym_laplace_model(2.0, 0.7),
-    "nig(2, 0.5, 1)": nig_model(2.0, 0.5, 1.0),
-    "nig(3.5744, -3.3765, 1.3122)": nig_model(3.5744, -3.3765, 1.3122),
+MODEL_CALLS = {
+    "gaussian(1)": (gaussian_model, (1.0,)),
+    "asym_laplace(1, 1)": (asym_laplace_model, (1.0, 1.0)),
+    "asym_laplace(2, 0.7)": (asym_laplace_model, (2.0, 0.7)),
+    "nig(2, 0.5, 1)": (nig_model, (2.0, 0.5, 1.0)),
+    "nig(3.5744, -3.3765, 1.3122)": (nig_model, (3.5744, -3.3765, 1.3122)),
 }
+MODELS = {name: factory(*args) for name, (factory, args) in MODEL_CALLS.items()}
 REPORTS = ("gaussian(1)", "asym_laplace(2, 0.7)", "nig(2, 0.5, 1)", "nig(3.5744, -3.3765, 1.3122)")
 
 
@@ -142,6 +151,30 @@ def run_cli(argv: list[str]) -> None:
             raise RuntimeError(f"cli.main({argv}) failed")
 
 
+COLD_START = {
+    "cold_start_floor_ms": "import numpy, scipy.special",
+    "cold_start_import_and_models_ms": "import bachelier_wings as bw\n" + "".join(
+        f"bw.{factory.__name__}{args!r}\n" for factory, args in MODEL_CALLS.values()),
+}
+COLD_START_MAX_LAUNCHES = 10
+
+
+def cold_start_ms(reps: int) -> dict:
+    """Median wall time of each COLD_START program in a fresh interpreter,
+    launched alternately after one warm-up round."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(bachelier_wings.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    times = {name: [] for name in COLD_START}
+    for i in range(1 + min(reps, COLD_START_MAX_LAUNCHES)):
+        for name, code in COLD_START.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            if i:
+                times[name].append(time.perf_counter() - start)
+    return {name: 1e3 * statistics.median(t) for name, t in times.items()}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
@@ -198,6 +231,7 @@ def main() -> None:
         for i, name in enumerate(REPORTS):
             argv = cli_smile_argv(MODELS[name], os.path.join(model_dir, f"model{i}.json"))
             out["L6_cli_smile_ms"][name] = median_ms(lambda: run_cli(argv), reps)
+    out.update(cold_start_ms(reps))
     print(json.dumps(out))
 
 

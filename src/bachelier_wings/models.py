@@ -21,9 +21,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.special as sc
-from scipy.optimize import brentq
 
-from .errors import DomainError, ModelConfigError
+from .errors import ConvergenceFailure, DomainError, ModelConfigError
 
 __all__ = [
     "AnalyticityStrip",
@@ -332,7 +331,7 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
     # mean round together) the mean is the mode to rounding
     mode = mean
     if b * dlog_pdf(mean) < 0.0:
-        mode = brentq(dlog_pdf, min(m, mean), max(m, mean), xtol=1e-14 * d)
+        mode = _brentq(dlog_pdf, min(m, mean), max(m, mean), xtol=1e-14 * d)
 
     def log_tail(x, sign: int):
         # ln P(sign X > sign x): the rule from the mode outward, and on the
@@ -499,3 +498,58 @@ def _line_fit(x, y) -> tuple[float, float, float]:
     ss_tot = dy @ dy
     r2 = 1.0 - (res @ res) / ss_tot if ss_tot > 0.0 else 0.0
     return float(slope), float(y_mean - slope * x_mean), float(r2)
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
+            maxiter: int = 100) -> float:
+    """A root of f between a and b, where f changes sign, by Brent's method.
+
+    scipy.optimize.brentq's algorithm (its C source, Zeros/brentq.c) step
+    for step, at its default rtol = 4 eps and maxiter, so it returns the
+    same double without loading scipy.optimize at import.  Each f value is
+    taken as a Python float: the loop never runs on numpy scalars.
+    """
+    rtol = 4.0 * 2.0 ** -52
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"f({a!r}) and f({b!r}) must be numbers of different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or nan, which the test below refuses
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise DomainError(f"f({xcur!r}) is nan")
+    raise ConvergenceFailure(f"Brent's method did not converge in {maxiter} iterations",
+                             bracket=(min(xcur, xblk), max(xcur, xblk)))

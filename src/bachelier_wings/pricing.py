@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (
     AccuracyNotReached,
@@ -28,7 +27,7 @@ from .errors import (
 from .inversion import _atm_result, _solve_otm_log
 from .inversion import implied_vol_call  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .inversion import implied_vol_put  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
-from .models import _DE_LEVELS, _DE_STEP, ModelSpec
+from .models import _DE_LEVELS, _DE_STEP, ModelSpec, _brentq
 from .smile import STATUS_FAILED, STATUS_OK, SmileGrid, SmilePoint
 
 __all__ = [
@@ -381,6 +380,8 @@ def price_from_cf(
         # algebraic decay stretching out for thousands of periods:
         # plain rule through the near-origin peak, then the
         # semi-infinite Fourier rule with cycle-wise extrapolation
+        from scipy import integrate  # the only user: importing the package need not load it
+
         split = _QAWF_HEAD_PHASE / abs(k)
         head, err_head = integrate.quad(
             lambda u: (transformed(u) * complex(math.cos(u * k), -math.sin(u * k))).real,
@@ -429,7 +430,7 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
     The saddle point of e^(-alpha kappa) M(alpha), where d ln M/d alpha
     = kappa: there the undamping factor tracks the price scale, so the
     oscillatory sum keeps relative accuracy from the money out to deep
-    wings.  The root (a central difference of ln mgf, then brentq) is
+    wings.  The root (a central difference of ln mgf, then _brentq) is
     clamped to [0.05, 0.9] of the strip boundary on that side; an
     infinite boundary counts as 10 / scale.
     """
@@ -450,7 +451,7 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
         return sign * lo
     if excess(hi) <= 0.0:
         return sign * hi
-    return sign * optimize.brentq(excess, lo, hi, xtol=1e-8 * lam)
+    return sign * _brentq(excess, lo, hi, xtol=1e-8 * lam)
 
 
 # =============================================================================

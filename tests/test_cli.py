@@ -510,6 +510,47 @@ def test_fresh_process_matches_in_process(model_files, fmt):
     assert proc.stdout == out.encode("utf-8")
 
 
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+import bachelier_wings as bw
+from bachelier_wings import cli
+from bachelier_wings.pricing import _default_alpha
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules)
+
+out = {"import": loaded()}
+nig = bw.nig_model(2.0, 0.5, 1.0)
+for model in (bw.gaussian_model(1.0), bw.asym_laplace_model(2.0, 0.7), nig):
+    bw.theorem_verdicts(model)
+for argv in (["smile", "--model", sys.argv[1], "--grid", "-4:4:9"],
+             ["price", "--model", sys.argv[2], "--grid", "-4:4:9"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+bw.price_from_cf(nig, 3.0, _default_alpha(nig, 3.0))
+out["reports, cli, nig fourier"] = loaded()
+laplace = bw.asym_laplace_model(1.0, 1.0)
+bw.price_from_cf(laplace, 3.0, _default_alpha(laplace, 3.0))
+out["laplace fourier"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_fresh_interpreter_loads_neither_scipy_optimize_nor_integrate(model_files):
+    # only the semi-infinite Fourier rule (QAWF) of price_from_cf imports scipy.integrate,
+    # on a transform that decays algebraically (the Laplace family's)
+    src = str(Path(bachelier_wings.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, model_files["nig"], model_files["laplace"]],
+        capture_output=True, env=env, check=True, text=True,
+    )
+    loaded = json.loads(proc.stdout)
+    assert loaded["import"] == loaded["reports, cli, nig fourier"] == []
+    assert "scipy.integrate" in loaded["laplace fourier"]  # which loads scipy.optimize itself
+
+
 @pytest.mark.parametrize("meta, rows", [
     ({"command": "smile", "grid": None}, []),
     ({}, [{"kappa": 1.0}]),

@@ -20,6 +20,7 @@ from bachelier_wings.bachelier import (
 from bachelier_wings.errors import (
     AccuracyNotReached,
     BachelierWingsError,
+    ConvergenceFailure,
     DomainError,
     NoSolutionBelowIntrinsic,
 )
@@ -490,6 +491,54 @@ def test_atm_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
                 scalar(0.0, quote)
         else:
             assert scalar(0.0, quote).sigma == price * SQRT_2PI
+
+
+@pytest.mark.parametrize("solve, kappa, quote", [
+    (implied_vol_call, 1.0, 1e308),
+    (implied_vol_put, -1.0, 1e308),
+    (implied_vol_call, 1.7e308, 1.0),  # kappa/2 alone overflows the top
+    (implied_vol_call_log, 1.0, 800.0),
+    (implied_vol_put_log, 2.0, 800.0),  # in the money: parity leaves ln tv = 800
+    (implied_vol_call_vec, [0.5, 1.0], [0.5, 1e308]),
+    (implied_vol_put_vec, [-0.5, -1.0], [0.5, 1e308]),
+    (implied_vol_call_log_vec, [0.5, -2.0], [-1.0, 800.0]),
+    (implied_vol_put_log_vec, [0.0, -1.0], [-1.0, 800.0]),
+])
+def test_bracket_top_past_double_range_raises_domain_error(solve, kappa, quote):
+    # (tv + kappa/2) sqrt(2 pi) overflows: the solve would run on sigma = inf
+    # and end in AccuracyNotReached after overflow warnings, which fail the suite
+    with pytest.raises(DomainError, match="bracket top"):
+        solve(kappa, quote)
+
+
+@pytest.mark.parametrize("log_price", [708.0, 708.86, 708.87, 709.5])
+def test_bracket_top_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
+    # at kappa 1 the top overflows where the at-the-money sigma does, past ln tv 708.8638
+    price = float(np.exp(log_price))
+    overflows = log_price > 708.8638
+    for scalar, vec, quote in [(implied_vol_call, implied_vol_call_vec, price),
+                               (implied_vol_call_log, implied_vol_call_log_vec, log_price)]:
+        assert_same_outcome(scalar, vec, 1.0, quote, 1e-12 * price)
+        if overflows:
+            with pytest.raises(DomainError):
+                scalar(1.0, quote, 1e-12 * price)
+        else:
+            assert math.isfinite(scalar(1.0, quote, 1e-12 * price).sigma)
+
+
+def test_convergence_failure_names_the_evaluations_made():
+    # the repeat stop ends this solve short of tolerance near its 30th evaluation
+    kappa, log_tv = 1e-300, -1e5
+    n = int(_solve_otm_log(np.array([kappa]), np.array([log_tv]), 1e-12).iterations[0])
+    assert 3 < n < MAX_ITERATIONS
+    for solve in (implied_vol_call_log, implied_vol_call_log_vec):
+        with pytest.raises(ConvergenceFailure, match=f"iterate repeated after {n} evaluations"):
+            solve(kappa, log_tv)
+    # out of budget, the message names the budget
+    spent = _Solved(*(np.array([v]) for v in (0.0, MAX_ITERATIONS, False, False, 1.0, False, False,
+                                               -1.0, 1.0)))
+    with pytest.raises(ConvergenceFailure, match=f"in {MAX_ITERATIONS} evaluations"):
+        _raise_first_failure(spent, np.array([0.0]), 1e-12)
 
 
 def test_tolerance_below_floating_point_floor():
