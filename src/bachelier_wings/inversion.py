@@ -35,6 +35,7 @@ reference; a change to one must be made to both.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -72,10 +73,12 @@ _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
 # d^2/2 + 3 ln d at d^2 = 3, where the seed equation's fixed-point map starts to contract
 _SEED_WING_RHS = 1.5 * (1.0 + math.log(3.0))
-# With ln tv and kappa at most these, the bracket top (tv + kappa/2) sqrt(2 pi)
-# stays below e^702, so only quotes beyond them need _check_bracket_top
-_LOG_TV_SAFE = 700.0
-_KAPPA_SAFE = 1e300
+# ln of the largest double: e^x is inf past it
+_LN_DBL_MAX = math.log(sys.float_info.max)
+# Below this ln tv no solve starts on sigma = inf (_check_sigma_in_range): the
+# floor tv sqrt(2 pi) overflows past ln tv 708.86, and where the seed is the top,
+# kappa <= tv sqrt(2 pi) e^_SEED_WING_RHS keeps that top under 31 times the floor
+_LOG_TV_NEAR_MAX = 705.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,16 +274,22 @@ def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
     return _Solved(x, iterations, bisected, deep, g, converged, unattainable, x_lo, x_hi)
 
 
-def _check_bracket_top(k: NDArray[np.float64], log_tv: NDArray[np.float64]) -> None:
-    """DomainError for the first quote whose bracket top (tv + kappa/2) sqrt(2 pi),
-    computed as _solve_otm_log computes it, is past the double range: its
-    solve would run on sigma = inf.  k and log_tv are the core's arguments."""
-    with np.errstate(over="ignore"):
-        over = np.isinf(np.exp(np.logaddexp(log_tv, np.log(k) - _LN2) + LN_SQRT_2PI))
+def _check_sigma_in_range(k: NDArray[np.float64], log_tv: NDArray[np.float64]) -> None:
+    """DomainError for the first quote whose solve would start on sigma = inf:
+    its bracket floor tv sqrt(2 pi) is past the double range, so sigma is too,
+    or its top (tv + kappa/2) sqrt(2 pi) is and the seed is that top.  k and
+    log_tv are the core's arguments; one comparison passes a batch below
+    _LOG_TV_NEAR_MAX."""
+    if log_tv.max() <= _LOG_TV_NEAR_MAX:
+        return
+    ln_k = np.log(k)
+    x_hi = np.logaddexp(log_tv, ln_k - _LN2) + LN_SQRT_2PI  # as _solve_otm_log
+    seed_at_top = ln_k - LN_SQRT_2PI - log_tv <= _SEED_WING_RHS
+    over = (log_tv + LN_SQRT_2PI > _LN_DBL_MAX) | (seed_at_top & (x_hi > _LN_DBL_MAX))
     if over.any():
         idx = int(np.argmax(over))
         raise DomainError(
-            f"bracket top (tv + kappa/2) sqrt(2 pi) is past the double range "
+            f"sigma's bracket (tv, tv + kappa/2) sqrt(2 pi) is past the double range "
             f"at kappa={float(k.flat[idx])!r}, ln tv={float(log_tv.flat[idx])!r}"
         )
 
@@ -305,14 +314,6 @@ def _raise_first_failure(solved: _Solved, log_tv: NDArray[np.float64], tol: floa
         )
 
 
-def _solve_checked(k: NDArray[np.float64], log_tv: NDArray[np.float64], tol: float) -> _Solved:
-    """_solve_otm_log for a _vec entry point, after _check_bracket_top where
-    some quote lies beyond _LOG_TV_SAFE or _KAPPA_SAFE."""
-    if log_tv.max() > _LOG_TV_SAFE or k.max() > _KAPPA_SAFE:
-        _check_bracket_top(k, log_tv)
-    return _solve_otm_log(k, log_tv, tol)
-
-
 def _method_label(deep: bool, bisected: bool) -> str:
     if deep:
         return "bisection_log" if bisected else "newton_log"
@@ -320,8 +321,8 @@ def _method_label(deep: bool, bisected: bool) -> str:
 
 
 def _result_from_core(k: float, log_tv: float, tol: float) -> IvolResult:
-    if log_tv > _LOG_TV_SAFE or k > _KAPPA_SAFE:
-        _check_bracket_top(np.array([k]), np.array([log_tv]))
+    if log_tv > _LOG_TV_NEAR_MAX:
+        _check_sigma_in_range(np.array([k]), np.array([log_tv]))
     solved = _solve_otm_log_scalar(k, log_tv, tol)
     if not solved.converged or solved.unattainable:
         _raise_first_failure(_Solved(*(np.array([v]) for v in solved)), np.array([log_tv]), tol)
@@ -354,8 +355,10 @@ def implied_vol_call(kappa: float, price: float, tol: float = 1e-12) -> IvolResu
     """Implied normal vol of a call quote at moneyness kappa.
 
     Requires price strictly above intrinsic max(-kappa, 0), else
-    NoSolutionBelowIntrinsic, and a bracket top (tv + |kappa|/2) sqrt(2 pi)
-    inside the double range, else DomainError.  tol is an absolute price-space residual;
+    NoSolutionBelowIntrinsic.  A quote whose solve would start on sigma
+    past the double range raises DomainError: the floor tv sqrt(2 pi) is
+    past it, or the top (tv + |kappa|/2) sqrt(2 pi) is and the seed sits
+    there (_check_sigma_in_range).  tol is an absolute price-space residual;
     where tol / tv exceeds LOG_RESIDUAL_DEEP (time values below 0.01 at the
     default tol) the quote is solved to that log-price residual instead and
     result.method ends in _log.
@@ -438,7 +441,9 @@ def implied_vol_call_vec(
             kb = float(k.flat[bad])
             raise NoSolutionBelowIntrinsic(kb, float(p.flat[bad]), max(-kb, 0.0))
         log_tv = np.log(tv)
-        solved = _solve_checked(np.abs(k[solve]), log_tv, t)
+        k_otm = np.abs(k[solve])
+        _check_sigma_in_range(k_otm, log_tv)
+        solved = _solve_otm_log(k_otm, log_tv, t)
         _raise_first_failure(solved, log_tv, t)
         out[solve] = np.exp(solved.x)
     return out
@@ -492,7 +497,9 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
             kb = float(k.flat[bad])
             raise NoSolutionBelowIntrinsic(kb, 0.0, max(-kb, 0.0))
         log_tv = log_tv[solve]
-        solved = _solve_checked(np.abs(k[solve]), log_tv, t)
+        k_otm = np.abs(k[solve])
+        _check_sigma_in_range(k_otm, log_tv)
+        solved = _solve_otm_log(k_otm, log_tv, t)
         _raise_first_failure(solved, log_tv, t)
         out[solve] = np.exp(solved.x)
     return out

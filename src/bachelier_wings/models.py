@@ -70,7 +70,7 @@ class ModelSpec:
     the double underflow floor.  char_fn accepts complex xi strictly
     inside the strip; mgf(s) = char_fn(-i s) for s in (-lambda_plus,
     lambda_minus), both raising DomainError if any argument is outside
-    (a far Gaussian mgf, past the double range, is inf).  scale is the
+    (an mgf past the double range is inf, without a warning).  scale is the
     standard deviation, used to size wing grids.  Pricing reads log_pdf;
     char_fn feeds only the Fourier cross-check.  The strip's boundaries
     are > 0, so both exponential moments the tail engine needs exist.
@@ -220,7 +220,8 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
 
     def mgf(t):
         _require(((-ll < t) & (t < lr)).all(), f"mgf argument must lie in (-{ll:g}, {lr:g})")
-        return np.exp(-t * m) * lr * ll / ((lr - t) * (ll + t))
+        with np.errstate(over="ignore"):
+            return np.exp(-t * m) * lr * ll / ((lr - t) * (ll + t))
 
     return ModelSpec(
         name="asym_laplace",
@@ -362,7 +363,8 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         _require(((-lam_plus < t) & (t < lam_minus)).all(),
                  f"mgf argument must lie in (-{lam_plus:g}, {lam_minus:g})")
         bt = b + t
-        return np.exp(m * t + d * (gamma - np.sqrt(a * a - bt * bt)))
+        with np.errstate(over="ignore"):  # past the double range, inf as for the Gaussian
+            return np.exp(m * t + d * (gamma - np.sqrt(a * a - bt * bt)))
 
     params = {"alpha": a, "beta": b, "delta": d, "mu": m}
     return ModelSpec(
@@ -500,14 +502,13 @@ def _line_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(y_mean - slope * x_mean), float(r2)
 
 
-def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
-            maxiter: int = 100) -> float:
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
     """A root of f between a and b, where f changes sign, by Brent's method.
 
     scipy.optimize.brentq's algorithm (its C source, Zeros/brentq.c) step
-    for step, at its default rtol = 4 eps and maxiter, so it returns the
-    same double without loading scipy.optimize at import.  Each f value is
-    taken as a Python float: the loop never runs on numpy scalars.
+    for step, at its defaults rtol = 4 eps and maxiter = 100, so it returns
+    the same double without loading scipy.optimize at import.  Each f value
+    is taken as a Python float: the loop never runs on numpy scalars.
     """
     rtol = 4.0 * 2.0 ** -52
     xpre, xcur = float(a), float(b)
@@ -519,7 +520,7 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
     if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
         raise DomainError(f"f({a!r}) and f({b!r}) must be numbers of different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -551,5 +552,5 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
         fcur = float(f(xcur))
         if math.isnan(fcur):
             raise DomainError(f"f({xcur!r}) is nan")
-    raise ConvergenceFailure(f"Brent's method did not converge in {maxiter} iterations",
+    raise ConvergenceFailure("Brent's method did not converge in 100 iterations",
                              bracket=(min(xcur, xblk), max(xcur, xblk)))

@@ -441,8 +441,12 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
     h = 1e-5 * lam
 
     def excess(a: float) -> float:
-        # increasing in a on either side; its root is the saddle point
+        # increasing in a on either side; its root is the saddle point.  Where
+        # M is past the double range the saddle counts as lying below, so the
+        # root stops at the edge of that range
         m_minus, m_plus = model.mgf(sign * a + np.array([-h, h]))
+        if math.isinf(m_minus) or math.isinf(m_plus):
+            return math.inf
         slope = (math.log(m_plus) - math.log(m_minus)) / (2.0 * h)
         return sign * (slope - kappa)
 

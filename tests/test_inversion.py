@@ -496,7 +496,7 @@ def test_atm_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
 @pytest.mark.parametrize("solve, kappa, quote", [
     (implied_vol_call, 1.0, 1e308),
     (implied_vol_put, -1.0, 1e308),
-    (implied_vol_call, 1.7e308, 1.0),  # kappa/2 alone overflows the top
+    (implied_vol_call, 1.5e308, 1e307),  # only the top overflows, and the seed is the top
     (implied_vol_call_log, 1.0, 800.0),
     (implied_vol_put_log, 2.0, 800.0),  # in the money: parity leaves ln tv = 800
     (implied_vol_call_vec, [0.5, 1.0], [0.5, 1e308]),
@@ -504,15 +504,23 @@ def test_atm_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
     (implied_vol_call_log_vec, [0.5, -2.0], [-1.0, 800.0]),
     (implied_vol_put_log_vec, [0.0, -1.0], [-1.0, 800.0]),
 ])
-def test_bracket_top_past_double_range_raises_domain_error(solve, kappa, quote):
-    # (tv + kappa/2) sqrt(2 pi) overflows: the solve would run on sigma = inf
-    # and end in AccuracyNotReached after overflow warnings, which fail the suite
-    with pytest.raises(DomainError, match="bracket top"):
+def test_sigma_past_double_range_raises_domain_error(solve, kappa, quote):
+    # the solve would start on sigma = inf and end after overflow warnings,
+    # which fail the suite
+    with pytest.raises(DomainError, match="past the double range"):
         solve(kappa, quote)
 
 
+def test_top_past_double_range_with_a_wing_seed_still_solves():
+    # kappa/2 alone overflows the top, but the wing seed starts far below it:
+    # the solve runs on finite sigma as before
+    sigma = float.fromhex("0x1.9eb1bdc5ea1dap+1018")
+    assert implied_vol_call(1.7e308, 1.0, tol=1e-9).sigma == sigma
+    assert implied_vol_call_vec([1.7e308], [1.0], tol=1e-9)[0] == sigma
+
+
 @pytest.mark.parametrize("log_price", [708.0, 708.86, 708.87, 709.5])
-def test_bracket_top_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
+def test_sigma_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
     # at kappa 1 the top overflows where the at-the-money sigma does, past ln tv 708.8638
     price = float(np.exp(log_price))
     overflows = log_price > 708.8638

@@ -332,6 +332,20 @@ def test_gaussian_mgf_past_double_range_is_a_quiet_inf():
     assert got[2] == 1.0 and math.isfinite(got[3])
 
 
+@pytest.mark.parametrize("model, t", [
+    # a large mean: m t passes 709 well inside the strip (14.37 wide)
+    (nig_model(math.exp(2.0), -0.9453125 * math.exp(2.0), math.exp(3.0)), 12.94),
+    # lambda_l 1e-3 shifts the mean to -999, so e^(-t m) overflows near t = 0.71
+    (asym_laplace_model(1.0, 1e-3), 0.99),
+])
+def test_mgf_past_double_range_is_a_quiet_inf(model, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.mgf(t) == math.inf
+        got = model.mgf(np.array([0.5, t]))
+    assert math.isfinite(got[0]) and got[1] == math.inf
+
+
 def test_mgf_matches_integral():
     tilt = lambda x: math.exp(0.7 * x) * LAPLACE.pdf(x)
     lo, _ = quad(tilt, -160.0, -0.5, limit=400)   # split at the density kink
