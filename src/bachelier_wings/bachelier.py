@@ -45,15 +45,30 @@ LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Above this |d| the erfcx difference loses too many digits; use the
 # asymptotic series for the scaled time value instead (rel error ~945/d^8).
 _SERIES_D = 1.0e4
+_SQRT2 = math.sqrt(2.0)
 
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 def _as_array(x, name: str) -> NDArray[np.float64]:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite, got {x!r}")
     return arr
+
+
+def _real_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]) -> tuple[float, float]:
+    """Two real scalars as floats, with _validated_pair's checks and messages."""
+    x, y = float(a), float(b)
+    if not math.isfinite(x):
+        raise DomainError(f"{names[0]} must be finite, got {a!r}")
+    if not math.isfinite(y):
+        raise DomainError(f"{names[1]} must be finite, got {b!r}")
+    if x <= 0.0 and names[0] in positive:
+        raise DomainError(f"{names[0]} must be > 0")
+    if y <= 0.0 and names[1] in positive:
+        raise DomainError(f"{names[1]} must be > 0")
+    return x, y
 
 
 def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
@@ -61,20 +76,15 @@ def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
     came in as scalars; inputs named in `positive` must also be > 0."""
     if isinstance(a, _REAL_SCALARS) and isinstance(b, _REAL_SCALARS):
         # two scalars: the same checks and 0-d arrays without numpy's array machinery
-        values = (float(a), float(b))
-        for v, raw, name in zip(values, (a, b), names):
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {raw!r}")
-        for v, name in zip(values, names):
-            if name in positive and v <= 0.0:
-                raise DomainError(f"{name} must be > 0")
-        return np.array(values[0]), np.array(values[1]), True
+        x, y = _real_pair(a, b, names, positive)
+        return np.array(x), np.array(y), True
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    arrays = [_as_array(v, name) for v, name in zip((a, b), names)]
-    for arr, name in zip(arrays, names):
-        if name in positive and np.any(arr <= 0.0):
+    x, y = (_as_array(v, name) for v, name in zip((a, b), names))
+    for arr, name in zip((x, y), names):
+        if name in positive and (arr <= 0.0).any():
             raise DomainError(f"{name} must be > 0")
-    x, y = np.broadcast_arrays(*arrays)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
     return x, y, scalar
 
 
@@ -109,7 +119,7 @@ def log_norm_cdf(x: FloatLike) -> FloatLike:
     return _scalar_or_array(sc.log_ndtr(arr), np.ndim(x) == 0)
 
 
-def _scaled_time_value(k: NDArray[np.float64], sigma: NDArray[np.float64]) -> NDArray[np.float64]:
+def _scaled_time_value(k, sigma, d):
     """h(k, sigma) = exp(d^2/2) * c_b(k, sigma) for k >= 0, d = k/sigma.
 
     Identity: h = sigma/sqrt(2 pi) - (k/2) * erfcx(d/sqrt(2)).  The
@@ -117,11 +127,21 @@ def _scaled_time_value(k: NDArray[np.float64], sigma: NDArray[np.float64]) -> ND
     the equivalent asymptotic series h = sigma/sqrt(2 pi) * (1/d^2 - 3/d^4
     + 15/d^6 - 105/d^8).  h is strictly positive and bounded by the ATM
     value sigma/sqrt(2 pi).
+
+    The caller passes d = k / sigma, which it needs too.  Python floats in
+    (a float solve or a scalar price) give a float out, from the same
+    operations in the same order as on arrays, with scipy's erfcx, so the
+    two agree bit for bit.
     """
-    d = k / sigma
-    h = sigma * INV_SQRT_2PI - 0.5 * k * sc.erfcx(d / math.sqrt(2.0))
+    if isinstance(d, float):
+        if d > _SERIES_D:
+            inv2 = 1.0 / (d * d)
+            poly = 1.0 + inv2 * (-3.0 + inv2 * (15.0 - 105.0 * inv2))
+            return sigma * INV_SQRT_2PI * inv2 * poly
+        return sigma * INV_SQRT_2PI - 0.5 * k * float(sc.erfcx(d / _SQRT2))
+    h = sigma * INV_SQRT_2PI - 0.5 * k * sc.erfcx(d / _SQRT2)
     far = d > _SERIES_D
-    if not (far.any() if isinstance(far, np.ndarray) else far):  # a float solve's d is a scalar
+    if not far.any():
         return h
     with np.errstate(divide="ignore"):
         inv2 = np.where(far, 1.0 / (d * d), 0.0)
@@ -140,7 +160,7 @@ def call_price(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
     k_abs = np.abs(k)
     d = k_abs / s
-    otm = np.exp(-0.5 * d * d) * _scaled_time_value(k_abs, s)
+    otm = np.exp(-0.5 * d * d) * _scaled_time_value(k_abs, s, d)
     return _scalar_or_array(otm + np.maximum(-k, 0.0), scalar)
 
 
@@ -155,14 +175,14 @@ def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     OTM branch: ln c = -d^2/2 + ln h.  ITM branch folds the intrinsic in
     through log1p so nothing is lost when the time value is negligible.
     """
+    if isinstance(kappa, _REAL_SCALARS) and isinstance(sigma, _REAL_SCALARS):
+        return _call_price_log_float(*_real_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",)))
     k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
-    if scalar:
-        return _call_price_log_float(float(k), float(s))
     k_abs = np.abs(k)
     d = k_abs / s
-    log_otm = -0.5 * d * d + np.log(_scaled_time_value(k_abs, s))
+    log_otm = -0.5 * d * d + np.log(_scaled_time_value(k_abs, s, d))
     itm = k < 0.0
-    if np.any(itm):
+    if itm.any():
         with np.errstate(divide="ignore", invalid="ignore"):
             log_intr = np.where(itm, np.log(np.maximum(-k, 1e-300)), 0.0)
         folded = log_intr + np.log1p(np.exp(np.minimum(log_otm - log_intr, 700.0)))
@@ -172,10 +192,10 @@ def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
 
 def _call_price_log_float(k: float, s: float) -> float:
     """call_price_log at one point on Python floats: the array path's operations
-    in its order, with numpy's exp and log, so the two agree bit for bit."""
+    in its order, with numpy's exp, log and log1p, so the two agree bit for bit."""
     k_abs = abs(k)
     d = k_abs / s
-    log_otm = -0.5 * d * d + float(np.log(_scaled_time_value(k_abs, s)))
+    log_otm = -0.5 * d * d + float(np.log(_scaled_time_value(k_abs, s, d)))
     if k < 0.0:
         log_intr = float(np.log(max(-k, 1e-300)))
         log_otm = log_intr + float(np.log1p(np.exp(min(log_otm - log_intr, 700.0))))

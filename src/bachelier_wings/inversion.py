@@ -24,12 +24,17 @@ four evaluations, about three on average.  In-the-money inputs reduce
 through exact parity, so puts and calls share one code path and deep
 tails never subtract two close numbers.
 
-The _vec entry points (and pricing.smile_from_model) run the batch core
-_solve_otm_log on arrays.  A scalar entry point runs its float twin
-_solve_otm_log_scalar: the same steps in the same order on Python floats,
-without numpy's per-call cost on one-element arrays, and pinned field for
-field to the batch core by tests/test_inversion.py.  The batch core is the
-reference; a change to one must be made to both.
+Two kernels run these steps.  The array loop _solve_otm_log_array solves
+a whole batch per numpy call; its float twin _solve_otm_log_scalar solves
+one quote on Python floats, without numpy's per-call cost, calling numpy
+only for exp, log and logaddexp and scipy for erfcx.  Their fields agree
+bit for bit.  A scalar entry point runs the twin.  The _vec entry points
+and pricing.smile_from_model call _solve_otm_log, which runs the array
+loop on a batch of _MIN_ARRAY_BATCH quotes or more and the twin on each
+quote of a smaller one, where the per-call cost of the array loop's
+numpy calls outweighs the twin's per-quote cost.  The array loop is the
+reference: tests/test_inversion.py pins the twin and the dispatch to it
+field for field, and a change to one kernel must be made to both.
 """
 
 from __future__ import annotations
@@ -134,6 +139,14 @@ def _validate_tol(tol: float) -> float:
 # floor) within MAX_ITERATIONS, or x repeated where unattainable: the price tolerance
 # lies below what doubles deliver there; x_lo, x_hi: the final bracket.
 _Solved = namedtuple("_Solved", "x iterations bisected deep g converged unattainable x_lo x_hi")
+_SOLVED_DTYPES = (float, np.int64, bool, bool, float, bool, bool, float, float)
+
+# A batch of fewer quotes than this is solved quote by quote in the float twin:
+# the largest size in benchmarks/layers.py's L1_crossover_us rows at which the
+# twin beats the array loop (it loses at 32).  Where every quote of a batch
+# solves within three evaluations, as on a wing report's smile, the array loop
+# makes one pass fewer and the crossover falls toward 16
+_MIN_ARRAY_BATCH = 16
 
 
 def _solve_otm_log(
@@ -141,12 +154,38 @@ def _solve_otm_log(
     log_tv: NDArray[np.float64],
     tol: float,
 ) -> _Solved:
-    """Core solver loop; k > 0 elementwise, target ln(time value) = log_tv.
+    """Core solver; k > 0 elementwise, target ln(time value) = log_tv, both of one shape.
 
     Never raises: each element's failure shows in the converged and
     unattainable masks, so a batch keeps its good elements.  Callers that
     must fail on the first bad element pass the result to _raise_first_failure.
+    A batch of fewer than _MIN_ARRAY_BATCH quotes runs the float twin on each
+    quote, a larger one the array loop; the fields are the same either way.
     """
+    if k.size < _MIN_ARRAY_BATCH:
+        return _solve_otm_log_floats(k, log_tv, tol)
+    return _solve_otm_log_array(k, log_tv, tol)
+
+
+def _solve_otm_log_floats(
+    k: NDArray[np.float64],
+    log_tv: NDArray[np.float64],
+    tol: float,
+) -> _Solved:
+    """_solve_otm_log_array's result, from the float twin run on each quote."""
+    quotes = zip(k.ravel().tolist(), log_tv.ravel().tolist())
+    rows = [_solve_otm_log_scalar(k_i, log_tv_i, tol) for k_i, log_tv_i in quotes]
+    columns = zip(*rows) if rows else [()] * len(_Solved._fields)
+    return _Solved(*(np.array(col, dtype=dtype).reshape(k.shape)
+                     for col, dtype in zip(columns, _SOLVED_DTYPES)))
+
+
+def _solve_otm_log_array(
+    k: NDArray[np.float64],
+    log_tv: NDArray[np.float64],
+    tol: float,
+) -> _Solved:
+    """The array loop of _solve_otm_log, for any batch size: the reference."""
     ln_k = np.log(k)
     x_lo = log_tv + LN_SQRT_2PI
     x_hi = np.logaddexp(log_tv, ln_k - _LN2) + LN_SQRT_2PI
@@ -165,40 +204,54 @@ def _solve_otm_log(
     iterations = np.zeros(k.shape, dtype=np.int64)
     bisected = np.zeros(k.shape, dtype=bool)
     converged = np.zeros(k.shape, dtype=bool)
-    g = np.zeros(k.shape)
-    noise = np.zeros(k.shape)
+    some_converged = False  # until then every element is active and no mask is needed
 
     for it in range(MAX_ITERATIONS):
-        active = ~converged
         sigma = np.exp(x)
         d = k / sigma
-        h = _scaled_time_value(k, sigma)
-        g = np.where(active, -0.5 * d * d + np.log(h) - log_tv, g)
-        # the noise floor, achievable |g|: the log-price evaluation itself carries ~d^2 * eps
-        noise = np.where(active, 8.0 * _EPS * np.maximum(1.0, d * d), noise)
-        iterations[active] += 1
-
-        below = g < 0.0
-        x_lo = np.where(active & below, np.maximum(x_lo, x), x_lo)
-        x_hi = np.where(active & ~below, np.minimum(x_hi, x), x_hi)
-
-        converged = converged | (active & (np.abs(g) <= np.maximum(base_tol, noise)))
+        dd = d * d
+        h = _scaled_time_value(k, sigma, d)
+        g1 = sigma / (SQRT_2PI * h)
+        # (-0.5 d) d, not -0.5 dd: the two round apart where d*d is subnormal
+        g_new = -0.5 * d * d + np.log(h) - log_tv
+        # the noise floor, achievable |g|: the log-price evaluation itself carries
+        # ~d^2 eps, and the rounding of x = ln sigma ~|x| eps moves g by g' times that
+        noise_new = np.maximum(8.0 * _EPS * np.maximum(1.0, dd), g1 * np.abs(x) * _EPS)
+        # the iterate lies in its bracket, so the bracket's new end is x itself
+        if some_converged:
+            active = ~converged
+            g = np.where(active, g_new, g)
+            noise = np.where(active, noise_new, noise)
+            iterations += active
+            below = g < 0.0
+            x_lo = np.where(active & below, x, x_lo)
+            x_hi = np.where(active & ~below, x, x_hi)
+            converged = converged | (active & (np.abs(g) <= np.maximum(base_tol, noise)))
+        else:
+            g, noise = g_new, noise_new
+            iterations += 1
+            below = g < 0.0
+            x_lo = np.where(below, x, x_lo)
+            x_hi = np.where(below, x_hi, x)
+            converged = np.abs(g) <= np.maximum(base_tol, noise)
 
         # Halley: -(g/g') / (1 - g g'' / (2 g'^2)); an element that has just
-        # converged takes its step too, unevaluated
-        g1 = sigma / (SQRT_2PI * h)
+        # converged takes its step too, unevaluated.  Between the bracket's
+        # ends means finite too: no infinity lies strictly inside it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_halley = x - (g / g1) / (1.0 - 0.5 * g * (1.0 + d * d - g1) / g1)
-        inside = np.isfinite(x_halley) & (x_halley > x_lo) & (x_halley < x_hi)
-        bisect = ~converged & ~inside
+            x_halley = x - (g / g1) / (1.0 - 0.5 * g * (1.0 + dd - g1) / g1)
+        inside = (x_halley > x_lo) & (x_halley < x_hi)
+        bisect = ~(converged | inside)
         bisected |= bisect
-        x, x_prev = np.where(active & inside, x_halley, np.where(bisect, 0.5 * (x_lo + x_hi), x)), x
+        step = np.where(bisect, 0.5 * (x_lo + x_hi), x)
+        x, x_prev = np.where(active & inside if some_converged else inside, x_halley, step), x
         if converged.all():
             break
         # past the two to four evaluations most quotes take, end an element whose
         # x repeats (a collapsed bracket, a step below one ulp): it would forever
         if it >= 3:
             converged |= x == x_prev
+        some_converged = some_converged or converged.any()
 
     # honest failure when the caller asked for less than doubles can deliver
     unattainable = (ratio_tol <= LOG_RESIDUAL_DEEP) & (ratio_tol < noise) & (np.abs(g) > ratio_tol)
@@ -208,14 +261,16 @@ def _solve_otm_log(
 
 
 def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
-    """_solve_otm_log for one quote on Python floats, each field a float, int or bool.
+    """The float twin of _solve_otm_log_array: one quote, each field a float, int or bool.
 
     The same seed, bracket, Halley step, noise floor, repeat stop and
-    unattainable rule in the same order of operations, with numpy's exp and
-    log (math.exp can differ from them in the last bit), so every field
-    equals the batch core's bit for bit.  Where the batch divides by zero
-    and gets inf or nan, a float division would raise: sigma and h stay
-    numpy scalars, and a zero Halley denominator counts as a non-finite step.
+    unattainable rule in the same order of operations on Python floats,
+    with numpy's exp, log and logaddexp and scipy's erfcx (math.exp can
+    differ from them in the last bit), so every field equals the array
+    loop's bit for bit.  Where the array loop divides by zero and gets inf
+    or nan, a float division would raise: sigma = 0 gives d = inf, h = 0
+    gives g' = inf (nan at sigma = 0), and a zero g' or Halley denominator
+    counts as a non-finite step.
     """
     ln_k = float(np.log(k))
     x_lo = log_tv + LN_SQRT_2PI
@@ -224,7 +279,8 @@ def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
     if rhs > _SEED_WING_RHS:
         d2 = 2.0 * rhs
         for _ in range(2):
-            d2 = 2.0 * max(1.5, rhs - 1.5 * float(np.log(d2)))
+            d2 = rhs - 1.5 * float(np.log(d2))
+            d2 = 2.0 * (d2 if d2 > 1.5 else 1.5)
         x = ln_k - 0.5 * float(np.log(d2))
     else:
         x = x_hi
@@ -233,28 +289,34 @@ def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
 
     ratio_tol = tol * _exp_quiet(-log_tv)
     deep = ratio_tol > LOG_RESIDUAL_DEEP
-    base_tol = min(ratio_tol, LOG_RESIDUAL_DEEP)
+    base_tol = LOG_RESIDUAL_DEEP if LOG_RESIDUAL_DEEP < ratio_tol else ratio_tol
 
     iterations = 0
     bisected = converged = False
     for it in range(MAX_ITERATIONS):
-        sigma = np.exp(x)
-        d = float(k / sigma)
-        h = _scaled_time_value(k, sigma)
+        sigma = float(np.exp(x))
+        d = k / sigma if sigma else math.inf
+        dd = d * d
+        h = _scaled_time_value(k, sigma, d)
+        sh = SQRT_2PI * h
+        g1 = sigma / sh if sh else (math.inf if sigma else math.nan)
         g = -0.5 * d * d + float(np.log(h)) - log_tv
-        noise = 8.0 * _EPS * max(1.0, d * d)
+        noise = 8.0 * _EPS * (dd if dd > 1.0 else 1.0)
+        floor = g1 * abs(x) * _EPS
+        if not noise >= floor:  # np.maximum: a nan floor wins
+            noise = floor
+        tol_g = base_tol if base_tol >= noise else noise  # np.maximum again
         iterations += 1
 
-        if g < 0.0:
-            x_lo = max(x_lo, x)
+        if g < 0.0:  # x lies in its bracket, as in the array loop
+            x_lo = x
         else:
-            x_hi = min(x_hi, x)
+            x_hi = x
 
-        converged = abs(g) <= max(base_tol, noise)
+        converged = abs(g) <= tol_g
 
-        g1 = float(sigma / (SQRT_2PI * h))
-        den = 1.0 - 0.5 * g * (1.0 + d * d - g1) / g1
-        # the bracket is finite, so a non-finite step is never inside it
+        # no infinity lies strictly inside the bracket: a non-finite step never is
+        den = 1.0 - 0.5 * g * (1.0 + dd - g1) / g1 if g1 else 0.0
         x_halley = x - (g / g1) / den if den else math.nan
         x_prev = x
         if x_lo < x_halley < x_hi:
@@ -270,7 +332,7 @@ def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
 
     unattainable = ratio_tol <= LOG_RESIDUAL_DEEP and ratio_tol < noise and abs(g) > ratio_tol
     if it >= 3:
-        converged = converged and (abs(g) <= max(base_tol, noise) or unattainable)
+        converged = converged and (abs(g) <= tol_g or unattainable)
     return _Solved(x, iterations, bisected, deep, g, converged, unattainable, x_lo, x_hi)
 
 
@@ -278,9 +340,9 @@ def _check_sigma_in_range(k: NDArray[np.float64], log_tv: NDArray[np.float64]) -
     """DomainError for the first quote whose solve would start on sigma = inf:
     its bracket floor tv sqrt(2 pi) is past the double range, so sigma is too,
     or its top (tv + kappa/2) sqrt(2 pi) is and the seed is that top.  k and
-    log_tv are the core's arguments; one comparison passes a batch below
-    _LOG_TV_NEAR_MAX."""
-    if log_tv.max() <= _LOG_TV_NEAR_MAX:
+    log_tv are the core's arguments; one comparison passes an empty batch or
+    one below _LOG_TV_NEAR_MAX."""
+    if not log_tv.size or log_tv.max() <= _LOG_TV_NEAR_MAX:
         return
     ln_k = np.log(k)
     x_hi = np.logaddexp(log_tv, ln_k - _LN2) + LN_SQRT_2PI  # as _solve_otm_log
@@ -305,7 +367,7 @@ def _raise_first_failure(solved: _Solved, log_tv: NDArray[np.float64], tol: floa
             f"implied vol did not converge {reason}",
             bracket=(float(np.exp(solved.x_lo.flat[idx])), float(np.exp(solved.x_hi.flat[idx]))),
         )
-    if np.any(solved.unattainable):
+    if solved.unattainable.any():
         idx = int(np.argmax(solved.unattainable))
         achieved = float(np.exp(log_tv.flat[idx]) * abs(np.expm1(solved.g.flat[idx])))
         raise AccuracyNotReached(
@@ -423,29 +485,44 @@ def implied_vol_call_vec(
     t = _validate_tol(tol)
     k = np.asarray(kappa, dtype=float)
     p = np.asarray(price, dtype=float)
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(p))):
+    if not (np.isfinite(k).all() and np.isfinite(p).all()):
         raise DomainError("kappa and price must be finite")
-    k, p = np.broadcast_arrays(k, p)
+    if k.shape != p.shape:
+        k, p = np.broadcast_arrays(k, p)
+    out, solve = _atm_closed_forms(k, p, t)
+    if solve is not None:
+        k, p = k[solve], p[solve]
+    tv = p - np.maximum(-k, 0.0)
+    below = tv <= 0.0
+    if below.any():
+        bad = int(np.argmax(below))
+        kb = float(k.flat[bad])
+        raise NoSolutionBelowIntrinsic(kb, float(p.flat[bad]), max(-kb, 0.0))
+    return _solved_sigma(np.abs(k), np.log(tv), t, out, solve)
+
+
+def _atm_closed_forms(k: NDArray[np.float64], quote: NDArray[np.float64], tol: float,
+                      price_of=float):
+    """The vec entry points' output array with each at-the-money element solved
+    in closed form from its price price_of(quote), and the mask of the other
+    elements, None when no element is at the money."""
     out = np.empty(k.shape)
-
     atm = k == 0.0
-    if np.any(atm):
-        out[atm] = [_atm_result(price_atm, t).sigma for price_atm in p[atm].tolist()]
+    if not atm.any():
+        return out, None
+    out[atm] = [_atm_result(price_of(q), tol).sigma for q in quote[atm].tolist()]
+    return out, ~atm
 
-    solve = ~atm
-    if np.any(solve):
-        tv = p[solve] - np.maximum(-k[solve], 0.0)
-        if np.any(tv <= 0.0):
-            rows = np.flatnonzero(solve)
-            bad = rows[int(np.argmax(tv <= 0.0))]
-            kb = float(k.flat[bad])
-            raise NoSolutionBelowIntrinsic(kb, float(p.flat[bad]), max(-kb, 0.0))
-        log_tv = np.log(tv)
-        k_otm = np.abs(k[solve])
-        _check_sigma_in_range(k_otm, log_tv)
-        solved = _solve_otm_log(k_otm, log_tv, t)
-        _raise_first_failure(solved, log_tv, t)
-        out[solve] = np.exp(solved.x)
+
+def _solved_sigma(k_otm, log_tv, tol: float, out, solve) -> NDArray[np.float64]:
+    """The vec entry points' solve of their out-of-the-money time values: sigma
+    for each, written into out, at the mask solve unless it is None."""
+    _check_sigma_in_range(k_otm, log_tv)
+    solved = _solve_otm_log(k_otm, log_tv, tol)
+    _raise_first_failure(solved, log_tv, tol)
+    if solve is None:
+        return np.exp(solved.x, out=out)
+    out[solve] = np.exp(solved.x)
     return out
 
 
@@ -465,44 +542,33 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
     t = _validate_tol(tol)
     k = np.asarray(kappa, dtype=float)
     lp = np.asarray(log_price, dtype=float)
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise DomainError("kappa must be finite")
-    if np.any(np.isnan(lp)) or np.any(lp == np.inf):
+    if not (lp < np.inf).all():
         raise DomainError("log_price entries must be real or -inf")
-    k, lp = np.broadcast_arrays(k, lp)
-    out = np.empty(k.shape)
+    if k.shape != lp.shape:
+        k, lp = np.broadcast_arrays(k, lp)
+    out, solve = _atm_closed_forms(k, lp, t, _exp_quiet)
+    if solve is not None:
+        k, lp = k[solve], lp[solve]
 
-    atm = k == 0.0
-    if np.any(atm):
-        out[atm] = [_atm_result(_exp_quiet(lp_atm), t).sigma for lp_atm in lp[atm].tolist()]
-
+    log_tv = lp
     itm = k < 0.0
-    log_tv = np.where(atm, 0.0, lp)
-    if np.any(itm):
-        ln_intr = np.where(itm, np.log(np.abs(np.where(itm, k, 1.0))), 0.0)
-        no_sol = itm & (lp <= ln_intr)
-        if np.any(no_sol):
+    if itm.any():
+        k_itm, lp_itm = k[itm], lp[itm]  # folding the rest could overflow expm1 and warn
+        ln_intr = np.log(-k_itm)
+        no_sol = lp_itm <= ln_intr
+        if no_sol.any():
             bad = int(np.argmax(no_sol))
-            kb = float(k.flat[bad])
-            lpb = float(lp.flat[bad])
-            raise NoSolutionBelowIntrinsic(kb, _exp_quiet(lpb), -kb)
-        lp_itm = lp[itm]  # folding the rest could overflow expm1 and warn
-        log_tv[itm] = lp_itm + np.log(-np.expm1(ln_intr[itm] - lp_itm))
-
-    solve = ~atm
-    if np.any(solve):
-        underflow = solve & (lp == -np.inf)
-        if np.any(underflow):
-            bad = int(np.argmax(underflow))
-            kb = float(k.flat[bad])
-            raise NoSolutionBelowIntrinsic(kb, 0.0, max(-kb, 0.0))
-        log_tv = log_tv[solve]
-        k_otm = np.abs(k[solve])
-        _check_sigma_in_range(k_otm, log_tv)
-        solved = _solve_otm_log(k_otm, log_tv, t)
-        _raise_first_failure(solved, log_tv, t)
-        out[solve] = np.exp(solved.x)
-    return out
+            kb = float(k_itm[bad])
+            raise NoSolutionBelowIntrinsic(kb, _exp_quiet(float(lp_itm[bad])), -kb)
+        log_tv = lp.copy()
+        log_tv[itm] = lp_itm + np.log(-np.expm1(ln_intr - lp_itm))
+    underflow = lp == -np.inf
+    if underflow.any():
+        kb = float(k.flat[int(np.argmax(underflow))])
+        raise NoSolutionBelowIntrinsic(kb, 0.0, max(-kb, 0.0))
+    return _solved_sigma(np.abs(k), log_tv, t, out, solve)
 
 
 def implied_vol_put_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np.float64]:

@@ -300,5 +300,33 @@ def test_scalar_log_prices_equal_the_array_path_bit_for_bit():
 @example(kappa=-2e4, sigma=1.0)  # the fold past d = 1e4
 @example(kappa=5e4, sigma=2.0)  # the asymptotic series
 def test_scalar_log_price_is_the_array_path_property(kappa, sigma):
+    # two real scalars run on Python floats: a float out, the array's bits
     for log_price in (call_price_log, put_price_log):
-        assert log_price(kappa, sigma) == log_price(np.array([kappa]), np.array([sigma]))[0]
+        got = log_price(kappa, sigma)
+        assert type(got) is float
+        assert got.hex() == float(log_price(np.array([kappa]), np.array([sigma]))[0]).hex()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("log_price, kappa, sigma, message", [
+    (call_price_log, NAN, 1.0, "kappa must be finite, got nan"),
+    (call_price_log, INF, 1.0, "kappa must be finite, got inf"),
+    (call_price_log, -INF, 2, "kappa must be finite, got -inf"),
+    (call_price_log, NAN, 0.0, "kappa must be finite, got nan"),
+    (call_price_log, 1.0, 0.0, "sigma must be > 0"),
+    (call_price_log, 3, -1, "sigma must be > 0"),
+    (call_price_log, 1.0, INF, "sigma must be finite, got inf"),
+    (call_price_log, 1.0, NAN, "sigma must be finite, got nan"),
+    (put_price_log, INF, 1.0, "kappa must be finite, got -inf"),
+    (put_price_log, np.float64(-INF), 1.0, "kappa must be finite, got np.float64(inf)"),
+    (put_price_log, 1.0, -2.0, "sigma must be > 0"),
+    (put_price_log, 1.0, np.float64(INF), "sigma must be finite, got np.float64(inf)"),
+])
+def test_scalar_log_price_rejects_what_the_array_path_rejects(log_price, kappa, sigma, message):
+    with pytest.raises(DomainError) as scalar:
+        log_price(kappa, sigma)
+    assert str(scalar.value) == message
+    with pytest.raises(DomainError, match="must be"):
+        log_price(np.array([kappa]), np.array([sigma]))

@@ -28,10 +28,12 @@ from bachelier_wings.inversion import (
     MAX_ITERATIONS,
     IvolResult,
     _method_label,
+    _MIN_ARRAY_BATCH,
     _raise_first_failure,
     _result_from_core,
     _Solved,
     _solve_otm_log,
+    _solve_otm_log_array,
     _solve_otm_log_scalar,
     implied_vol_call,
     implied_vol_call_log,
@@ -211,7 +213,7 @@ def test_vec_matches_scalar_exactly(batch, tol):
     # one vec call over the whole batch equals the scalar entry point on
     # each element; a batch with a failing element raises, and that element
     # alone raises as its scalar solve does.  Under the scalar entry points
-    # the float kernel equals the batch core on every out-of-the-money element
+    # the float kernel equals the array loop on every out-of-the-money element
     kappa = [q[0] for q in batch]
     for scalar, vec, price in ENTRY_POINTS:
         quote = [float(price(k, sigma)) for k, sigma in batch]
@@ -230,7 +232,7 @@ def test_vec_matches_scalar_exactly(batch, tol):
             assert vec(kappa, quote, tol).tolist() == want
     otm = [(abs(k), float(call_price_log(abs(k), sigma))) for k, sigma in batch if k != 0.0]
     if otm:
-        core = _solve_otm_log(*(np.array(side) for side in zip(*otm)), tol)
+        core = _solve_otm_log_array(*(np.array(side) for side in zip(*otm)), tol)
         for i, q in enumerate(otm):
             assert_kernels_agree(_solve_otm_log_scalar(*q, tol), batch_element(core, i))
 
@@ -261,7 +263,7 @@ def test_float_kernel_matches_batch_core_bit_for_bit(tol, seed):
     log_tv = lp.copy()  # the in-the-money fold as the vec entry points take it
     log_tv[itm] += np.log(-np.expm1(ln_intr[itm] - lp[itm]))
     k = np.abs(kappa)
-    batch = _solve_otm_log(k, log_tv, tol)
+    batch = _solve_otm_log_array(k, log_tv, tol)
 
     floats = [_solve_otm_log_scalar(*q, tol) for q in zip(k.tolist(), log_tv.tolist())]
     for name, want in zip(_Solved._fields, batch):
@@ -295,11 +297,11 @@ def assert_raises_as_batch(call, one: _Solved, log_tv, tol) -> None:
 @pytest.mark.parametrize("kappa, log_tv, tol", [
     (4.575635314717512e-16, math.log(7.76274387948033e-08), 1e-300),  # the repeat stop, unattainable
     (1.0, math.log(0.3), 1e-18),  # unattainable
-    (1e-300, -1e5, 1e-12),  # ConvergenceFailure: the iterate repeats short of tolerance
+    (1e-310, -1e5, 1e-12),  # ConvergenceFailure: a subnormal kappa, the iterate repeats short of tol
 ])
 def test_float_kernel_raises_as_batch_core(kappa, log_tv, tol):
     log_tv = np.array([log_tv])
-    one = _solve_otm_log(np.array([kappa]), log_tv, tol)
+    one = _solve_otm_log_array(np.array([kappa]), log_tv, tol)
     assert not (one.converged[0] and not one.unattainable[0])
     assert_raises_as_batch(lambda: _result_from_core(kappa, float(log_tv[0]), tol), one, log_tv, tol)
 
@@ -314,12 +316,84 @@ def test_float_kernel_on_extreme_inputs(kappa, log_tv, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _solve_otm_log_scalar(kappa, log_tv, tol)
-        want = _solve_otm_log(np.array([kappa]), np.array([log_tv]), tol)
+        want = _solve_otm_log_array(np.array([kappa]), np.array([log_tv]), tol)
         assert_kernels_agree(got, want)
         try:
             implied_vol_call_log(kappa, log_tv, tol)
         except BachelierWingsError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# the size dispatch and the noise floor
+# ---------------------------------------------------------------------------
+
+@st.composite
+def core_quotes(draw):
+    """(k, ln tv) as the vec entry points hand them to the core: a deep quote
+    (ln tv below -745, past any price in doubles), a near-money one, or an
+    in-the-money one folded through parity."""
+    kind = draw(st.sampled_from(["deep", "near", "folded"]))
+    sigma = 10.0 ** draw(st.floats(-6.0, 8.0))  # |ln sigma| past 8, where rounding x sets the floor
+    if kind == "deep":  # d >= 40 puts ln tv below -780 for every sigma drawn
+        k = draw(st.floats(40.0, 400.0)) * sigma
+        log_tv = float(call_price_log(k, sigma))
+    elif kind == "near":
+        k = 10.0 ** draw(st.floats(-9.0, 0.0)) * sigma
+        log_tv = float(call_price_log(k, sigma))
+    else:  # d <= 2 keeps the time value above the rounding of the price
+        k = 10.0 ** draw(st.floats(-3.0, math.log10(2.0))) * sigma
+        lp, ln_intr = float(call_price_log(-k, sigma)), math.log(k)
+        log_tv = lp + math.log(-math.expm1(ln_intr - lp))
+    return k, log_tv
+
+
+@st.composite
+def core_batches(draw):
+    n = draw(st.sampled_from([1, _MIN_ARRAY_BATCH - 1, _MIN_ARRAY_BATCH, _MIN_ARRAY_BATCH + 1]))
+    quotes = draw(st.lists(core_quotes(), min_size=n, max_size=n))
+    return tuple(np.array(side) for side in zip(*quotes))
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=core_batches(), tol=st.sampled_from(TOLS))
+def test_size_dispatch_equals_the_array_loop_property(batch, tol):
+    # below _MIN_ARRAY_BATCH the core runs the float twin on each quote: the
+    # same fields as the array loop, dtype, shape and bytes
+    k, log_tv = batch
+    got, want = _solve_otm_log(k, log_tv, tol), _solve_otm_log_array(k, log_tv, tol)
+    for name, g, w in zip(_Solved._fields, got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
+
+
+def test_empty_batch_solves_to_empty_fields():
+    empty = np.empty(0)
+    want = _solve_otm_log_array(empty, empty, 1e-12)
+    got = _solve_otm_log(empty, empty, 1e-12)
+    for name, g, w in zip(_Solved._fields, got, want):
+        assert (g.dtype, g.shape) == (w.dtype, (0,)), name
+    for vec in (implied_vol_call_vec, implied_vol_put_vec, implied_vol_call_log_vec,
+                implied_vol_put_log_vec):
+        assert vec([], []).shape == (0,)
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 1e300])
+def test_noise_floor_covers_the_rounding_of_ln_sigma(kappa):
+    # |ln sigma| is about 690 here: rounding x = ln sigma moves g by about
+    # g' |x| eps, far above 8 eps d^2, so without that term in the floor the
+    # iterate repeats short of tolerance.  With it the quote solves in two
+    # evaluations, as its image at kappa = 1 does (the normalized price is
+    # homogeneous of degree one in kappa and sigma)
+    image = implied_vol_call_log(1.0, -1e5 - math.log(kappa))
+    r = implied_vol_call_log(kappa, -1e5)
+    assert r.iterations == image.iterations == 2
+    assert r.sigma == pytest.approx(kappa * image.sigma, rel=1e-12)
+    assert implied_vol_put_log(-kappa, -1e5) == r
+    n = _MIN_ARRAY_BATCH  # the array loop
+    assert implied_vol_call_log_vec(np.full(n, kappa), np.full(n, -1e5)).tolist() == [r.sigma] * n
+    solved = _solve_otm_log_array(np.array([kappa]), np.array([-1e5]), 1e-12)
+    assert solved.converged[0] and solved.iterations[0] == 2
 
 
 def test_put_vec_reflects():
@@ -535,9 +609,10 @@ def test_sigma_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
 
 
 def test_convergence_failure_names_the_evaluations_made():
-    # the repeat stop ends this solve short of tolerance near its 30th evaluation
-    kappa, log_tv = 1e-300, -1e5
-    n = int(_solve_otm_log(np.array([kappa]), np.array([log_tv]), 1e-12).iterations[0])
+    # the repeat stop ends this solve short of tolerance at its 10th evaluation:
+    # kappa is subnormal, so sigma and h carry fewer digits than the noise floor allows for
+    kappa, log_tv = 1e-310, -1e5
+    n = int(_solve_otm_log_array(np.array([kappa]), np.array([log_tv]), 1e-12).iterations[0])
     assert 3 < n < MAX_ITERATIONS
     for solve in (implied_vol_call_log, implied_vol_call_log_vec):
         with pytest.raises(ConvergenceFailure, match=f"iterate repeated after {n} evaluations"):

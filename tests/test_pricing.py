@@ -501,6 +501,14 @@ def test_nan_density_grid_fails_every_point_in_bounded_calls():
         price_from_tail(model, 1.0)
 
 
+def test_smile_whose_every_point_fails_before_inversion():
+    # no quote reaches the inversion, which solves an empty batch
+    model, _ = _counting_log_pdf(LAPLACE, lambda x: np.ones(x.shape, dtype=bool))
+    smile = smile_from_model(model, [-2.0, -0.5, 0.0, 0.5, 2.0])
+    assert [p.status for p in smile.points] == ["failed"] * 5
+    assert all(math.isnan(v) for p in smile.points for v in (p.price, p.log_price, p.ivol))
+
+
 @pytest.mark.parametrize("model", [NIG, nig_model(3.5744, -3.3765, 1.3122)], ids=["nig", "nig_skewed"])
 def test_price_grid_entries_equal_points_priced_alone_nig(model):
     # in-the-money legs add the mean's cut and, past eight scales, the
