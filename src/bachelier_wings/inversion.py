@@ -180,6 +180,9 @@ def _solve_otm_log_floats(
                      for col, dtype in zip(columns, _SOLVED_DTYPES)))
 
 
+# quiet: a sigma or time value out of the double range gives an element inf
+# or nan fields, which fail it, as the float twin does without numpy
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve_otm_log_array(
     k: NDArray[np.float64],
     log_tv: NDArray[np.float64],
@@ -196,8 +199,7 @@ def _solve_otm_log_array(
         d2 = 2.0 * np.maximum(1.5, rhs - 1.5 * np.log(d2))
     x = np.clip(np.where(rhs > _SEED_WING_RHS, ln_k - 0.5 * np.log(d2), x_hi), x_lo, x_hi)
 
-    with np.errstate(over="ignore"):
-        ratio_tol = tol * np.exp(-log_tv)  # price tol as a log residual; inf is fine
+    ratio_tol = tol * np.exp(-log_tv)  # price tol as a log residual; inf is fine
     deep = ratio_tol > LOG_RESIDUAL_DEEP
     base_tol = np.minimum(ratio_tol, LOG_RESIDUAL_DEEP)
 
@@ -211,7 +213,8 @@ def _solve_otm_log_array(
         d = k / sigma
         dd = d * d
         h = _scaled_time_value(k, sigma, d)
-        g1 = sigma / (SQRT_2PI * h)
+        # a time value that underflowed to 0 (or below) has no slope: g' is nan
+        g1 = np.where(h > 0.0, sigma, math.nan) / (SQRT_2PI * h)
         # (-0.5 d) d, not -0.5 dd: the two round apart where d*d is subnormal
         g_new = -0.5 * d * d + np.log(h) - log_tv
         # the noise floor, achievable |g|: the log-price evaluation itself carries
@@ -238,8 +241,7 @@ def _solve_otm_log_array(
         # Halley: -(g/g') / (1 - g g'' / (2 g'^2)); an element that has just
         # converged takes its step too, unevaluated.  Between the bracket's
         # ends means finite too: no infinity lies strictly inside it
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_halley = x - (g / g1) / (1.0 - 0.5 * g * (1.0 + dd - g1) / g1)
+        x_halley = x - (g / g1) / (1.0 - 0.5 * g * (1.0 + dd - g1) / g1)
         inside = (x_halley > x_lo) & (x_halley < x_hi)
         bisect = ~(converged | inside)
         bisected |= bisect
@@ -268,9 +270,9 @@ def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
     with numpy's exp, log and logaddexp and scipy's erfcx (math.exp can
     differ from them in the last bit), so every field equals the array
     loop's bit for bit.  Where the array loop divides by zero and gets inf
-    or nan, a float division would raise: sigma = 0 gives d = inf, h = 0
-    gives g' = inf (nan at sigma = 0), and a zero g' or Halley denominator
-    counts as a non-finite step.
+    or nan, a float division would raise: sigma = 0 gives d = inf, h <= 0
+    gives g' = nan and ln h = -inf (nan below 0), and a zero g' or Halley
+    denominator counts as a non-finite step.
     """
     ln_k = float(np.log(k))
     x_lo = log_tv + LN_SQRT_2PI
@@ -298,9 +300,11 @@ def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
         d = k / sigma if sigma else math.inf
         dd = d * d
         h = _scaled_time_value(k, sigma, d)
-        sh = SQRT_2PI * h
-        g1 = sigma / sh if sh else (math.inf if sigma else math.nan)
-        g = -0.5 * d * d + float(np.log(h)) - log_tv
+        if h > 0.0:
+            g1, ln_h = sigma / (SQRT_2PI * h), float(np.log(h))
+        else:  # underflowed (nan passes here too): no slope, and no noise floor
+            g1, ln_h = math.nan, -math.inf if h == 0.0 else math.nan
+        g = -0.5 * d * d + ln_h - log_tv
         noise = 8.0 * _EPS * (dd if dd > 1.0 else 1.0)
         floor = g1 * abs(x) * _EPS
         if not noise >= floor:  # np.maximum: a nan floor wins

@@ -192,7 +192,7 @@ def _checked_log_sums(model: ModelSpec, ks, signs, abs_tol: float, rel_tol: floa
 
 
 def _price(ln_s: float) -> float:
-    # below the smallest normal double too few bits are left to invert: 0, and log prices take over
+    # a PriceQuote's price: 0 below the smallest normal double, where log prices take over
     return p if (p := math.exp(ln_s)) >= _SMALLEST_NORMAL else 0.0
 
 
@@ -228,15 +228,6 @@ def log_call_price_from_tail(model: ModelSpec, kappa: float) -> float:
     if not (math.isfinite(k) and k >= model.mean):
         raise DomainError("log-space call pricing needs kappa >= model mean")
     return _checked_log_sums(model, [k], [1.0], 0.0, DEFAULT_SETTINGS.rel_tol)[0][0]
-
-
-def _log_call_prices_from_tail(model: ModelSpec, kappas: list[float]) -> list[float | None]:
-    """log_call_price_from_tail at each kappa, bit for bit, from one core pass; None where it raises."""
-    inside = [k for k in kappas if math.isfinite(k) and k >= model.mean]
-    ln_c, _, ok = (_log_payoff_integrals(model, np.array(inside), np.ones(len(inside)), 0.0,
-                                         DEFAULT_SETTINGS.rel_tol) if inside else np.empty((3, 0)))
-    got = {k: v for k, v, good in zip(inside, ln_c.tolist(), ok.tolist()) if good}
-    return [got.get(k) for k in kappas]
 
 
 def log_put_price_from_tail(model: ModelSpec, kappa: float) -> float:
@@ -498,19 +489,19 @@ def smile_from_model(
     Each kappa is priced on its out-of-the-money leg alone (call at
     kappa >= 0, put below), the better conditioned one, the grid checked
     as in price_grid and its legs in one call of the batched tail core.
-    Reflected to calls at |kappa|, all quotes off the money are inverted
-    in one batched solve; kappa = 0 takes the closed form.  A point whose
-    own leg or inversion fails is marked failed; the rest proceed.
+    The core's ln S is the quote: reflected to calls at |kappa|, all
+    quotes off the money are inverted from it in one batched solve, so a
+    point far past double underflow inverts like any other; kappa = 0
+    takes the closed form.  A point whose own leg does not converge to a
+    finite ln S, or whose inversion fails, is marked failed; the rest
+    proceed.
     """
     if not (0.0 < tol_iv < math.inf):
         raise DomainError("tol_iv must be positive and finite")
     kappas = _checked_grid(grid)
     ln_s, _, ok = _log_payoff_integrals(model, kappas, np.where(kappas >= 0.0, 1.0, -1.0),
                                         settings.abs_tol, settings.rel_tol)
-    prices = np.array([_price(ln) if good else math.nan for ln, good in zip(ln_s.tolist(), ok.tolist())])
-    # np.log, as the scalar solvers take it; NaN marks a failed or underflowed quote
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_prices = np.where(prices > 0.0, np.log(prices), math.nan)
+    log_prices = np.where(ok & np.isfinite(ln_s), ln_s, math.nan)  # NaN marks a failed leg
 
     ivols = np.full(kappas.shape, math.nan)
     off = np.flatnonzero((kappas != 0.0) & ~np.isnan(log_prices))
@@ -519,12 +510,11 @@ def smile_from_model(
     ivols[off[good]] = np.exp(solved.x[good])
     for i in np.flatnonzero((kappas == 0.0) & ~np.isnan(log_prices)):  # at most one
         with contextlib.suppress(AccuracyNotReached, DomainError):
-            ivols[i] = _atm_result(float(prices[i]), tol_iv).sigma
+            ivols[i] = _atm_result(math.exp(log_prices[i]), tol_iv).sigma
 
-    failed = np.isnan(ivols)
-    prices[failed] = log_prices[failed] = math.nan
+    log_prices[np.isnan(ivols)] = math.nan
+    # math.exp, as in _price, so a price in the normal range keeps its PriceQuote bits
     return SmileGrid(points=tuple(
-        SmilePoint(k, p, lp, iv, STATUS_FAILED if math.isnan(iv) else STATUS_OK)
-        for k, p, lp, iv in zip(kappas.tolist(), prices.tolist(), log_prices.tolist(),
-                                ivols.tolist())
+        SmilePoint(k, math.exp(lp), lp, iv, STATUS_FAILED if math.isnan(iv) else STATUS_OK)
+        for k, lp, iv in zip(kappas.tolist(), log_prices.tolist(), ivols.tolist())
     ))

@@ -17,10 +17,11 @@ STATUS_FAILED = "failed"
 class SmilePoint:
     """One strike of a smile.
 
-    price is the normalized out-of-the-money option value at kappa (call
-    for kappa >= 0, put below), log_price its natural log kept separately
-    so deep wings stay usable past double underflow, ivol the implied
-    normal volatility.  Failed points carry NaN in the numeric slots.
+    log_price is the natural log of the normalized out-of-the-money
+    option value at kappa (call for kappa >= 0, put below), the quote the
+    implied normal volatility ivol is read from, so deep wings stay usable
+    past double underflow; price is its exp, subnormal or 0 there.
+    Failed points carry NaN in the numeric slots.
     """
 
     kappa: float

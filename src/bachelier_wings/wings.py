@@ -27,9 +27,9 @@ from .errors import (
     NotApplicableInfiniteStrip,
     TailUnderflow,
 )
-from .inversion import implied_vol_call_log
+from .inversion import implied_vol_call_log  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .models import ModelSpec, _geometric_grid, _line_fit, mgf_blowup_boundary
-from .pricing import _log_call_prices_from_tail, smile_from_model
+from .pricing import smile_from_model
 from .pricing import log_call_price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK, SmileGrid
 
@@ -236,32 +236,20 @@ def _rv_fit(lo: float, hi: float, grid: np.ndarray, log_tails: list[float]) -> f
 # residual diagnostics
 # =============================================================================
 
-def asymptotic_residuals(smile: SmileGrid, model: ModelSpec):
+def asymptotic_residuals(smile: SmileGrid):
     """Residuals of ln c(kappa) against the leading quadratic term.
 
-    Uses the right-wing points (kappa > 0).  Points whose pricing failed
-    by underflow are recovered through log-space tail prices (one batch)
-    and the log-channel inversion, so the diagnostics keep going where
-    linear doubles quit.
+    Uses the smile's ok right-wing points (kappa > 0), reading each one's
+    log_price and ivol; a smile keeps both past double underflow, so no
+    model is needed.  Failed points are skipped.
     """
-    right = [p for p in smile.points if p.kappa > 0.0]
-    redo = [p.kappa for p in right if p.status != STATUS_OK]
-    recovered = dict(zip(redo, _log_call_prices_from_tail(model, redo)))
     out = []
-    for p in right:
-        if p.status == STATUS_OK:
-            log_c, ivol = p.log_price, p.ivol
-        else:
-            log_c = recovered.get(p.kappa)
-            if log_c is None:
-                continue
-            try:
-                ivol = implied_vol_call_log(p.kappa, log_c).sigma
-            except BachelierWingsError:
-                continue
-        target = p.kappa**2 / (2.0 * ivol**2)
-        eps1 = log_c + target
-        root = math.sqrt(p.kappa**2 + 2.0 * ivol**2)
+    for p in smile.ok_points():
+        if p.kappa <= 0.0:
+            continue
+        target = p.kappa**2 / (2.0 * p.ivol**2)
+        eps1 = p.log_price + target
+        root = math.sqrt(p.kappa**2 + 2.0 * p.ivol**2)
         out.append(
             AsymptoticResidual(
                 kappa=p.kappa,
@@ -489,27 +477,23 @@ def theorem_verdicts(model: ModelSpec, settings: VerdictSettings | None = None) 
             errored = True
             report["sides"][side] = {"error": f"{type(err).__name__}: {err}"}
 
-    try:
-        residuals = asymptotic_residuals(smile, model)
-        if len(residuals) >= 4:
-            outer = residuals[-1]
-            ratios = [abs(r.eps1) / r.target for r in residuals]
-            tail_half = ratios[len(ratios) // 2:]
-            decreasing = all(b < a for a, b in zip(tail_half, tail_half[1:]))
-            report["residuals"] = {
-                "outer_kappa": float(outer.kappa),
-                "eps1_over_target": [float(r) for r in ratios],
-                "d_ratio": [float(r.d_ratio) for r in residuals],
-            }
-            report["checks"].append(
-                _check("d_ratio_outer", outer.d_ratio, 0.5, 0.1)
-            )
-            report["checks"].append(
-                _check("eps1_dominance", ratios[-1], 0.0, 0.1, ok=ratios[-1] < 0.1 and decreasing)
-            )
-    except BachelierWingsError as err:
-        errored = True
-        report["residuals"] = {"error": f"{type(err).__name__}: {err}"}
+    residuals = asymptotic_residuals(smile)
+    if len(residuals) >= 4:
+        outer = residuals[-1]
+        ratios = [abs(r.eps1) / r.target for r in residuals]
+        tail_half = ratios[len(ratios) // 2:]
+        decreasing = all(b < a for a, b in zip(tail_half, tail_half[1:]))
+        report["residuals"] = {
+            "outer_kappa": float(outer.kappa),
+            "eps1_over_target": [float(r) for r in ratios],
+            "d_ratio": [float(r.d_ratio) for r in residuals],
+        }
+        report["checks"].append(
+            _check("d_ratio_outer", outer.d_ratio, 0.5, 0.1)
+        )
+        report["checks"].append(
+            _check("eps1_dominance", ratios[-1], 0.0, 0.1, ok=ratios[-1] < 0.1 and decreasing)
+        )
 
     report["all_pass"] = bool(not errored and all(c["pass"] for c in report["checks"]))
     return report

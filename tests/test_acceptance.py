@@ -281,12 +281,12 @@ def test_08_asymptotic_residual_diagnostics():
     wing from 50 to 400 it stays below 0.1 while decreasing.  For this
     oracle the fraction is the slope gap of test_05, which decays like
     ln kappa / kappa and first drops below 0.1 at kappa ~ 40.3."""
-    model, smile = _laplace_wing_smile()
-    residuals = asymptotic_residuals(smile, model)
+    _, smile = _laplace_wing_smile()
+    residuals = asymptotic_residuals(smile)
     outer = residuals[len(residuals) // 2:]
     outer_ratios = [abs(r.eps1) / r.target for r in outer]
     _, deep_smile = _laplace_wing_smile(DEEP_LAPLACE_WING)
-    deep = asymptotic_residuals(deep_smile, model)
+    deep = asymptotic_residuals(deep_smile)
     deep_ratios = [abs(r.eps1) / r.target for r in deep]
     d40 = residuals[-1].d_ratio
 

@@ -306,6 +306,23 @@ def test_float_kernel_raises_as_batch_core(kappa, log_tv, tol):
     assert_raises_as_batch(lambda: _result_from_core(kappa, float(log_tv[0]), tol), one, log_tv, tol)
 
 
+@pytest.mark.parametrize("kappa, log_tv", [(1e-310, -1e5), (1e-315, -2000.0), (1e-315, -1e5)])
+def test_subnormal_sigma_fails_without_a_warning(kappa, log_tv):
+    # sigma is subnormal here, so h = e^(d^2/2) c_b underflows to 0 at some
+    # iterate: that evaluation has no slope and must neither warn nor count
+    # as converged (at 1e-315, -1e5 it did, on g = -inf), scalar or batch
+    n = 20  # the array loop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = _solve_otm_log_array(np.array([kappa]), np.array([log_tv]), 1e-12)
+        assert_kernels_agree(_solve_otm_log_scalar(kappa, log_tv, 1e-12), one)
+        assert not one.converged[0]
+        with pytest.raises(BachelierWingsError) as scalar:
+            implied_vol_call_log(kappa, log_tv)
+        with pytest.raises(type(scalar.value)):
+            implied_vol_call_log_vec(np.full(n, kappa), np.full(n, log_tv))
+
+
 @pytest.mark.parametrize("kappa, log_tv", [
     (1e-300, -1e5), (1e300, -1e5), (1.0, -1e5),
     (1e-300, 0.0), (1e300, 0.0),

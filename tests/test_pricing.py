@@ -25,14 +25,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bachelier_wings import pricing
-from bachelier_wings.bachelier import call_price
+from bachelier_wings.bachelier import call_price, call_price_log
 from bachelier_wings.errors import (
     AccuracyNotReached,
     BachelierWingsError,
     DampingOutsideStrip,
     DomainError,
 )
-from bachelier_wings.inversion import implied_vol_call, implied_vol_put
+from bachelier_wings.inversion import implied_vol_call, implied_vol_call_log, implied_vol_put_log
 from bachelier_wings.models import _DE_LEVELS, _DE_STEP, _DE_Y, asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import (
     DEFAULT_SETTINGS,
@@ -561,10 +561,10 @@ def test_nig_report_char_fn_calls():
 
 
 def test_hard_nig_report_keeps_its_grid():
-    # 12 of 25 points failed on the Fourier route; the 2 left are right-wing
-    # prices past double underflow, which the log channel still reads
+    # 12 of 25 points failed on the Fourier route; the 2 right-wing prices
+    # past double underflow (ln S down to -880) invert from their ln S
     report = theorem_verdicts(nig_model(3.5744, -3.3765, 1.3122))
-    assert report["failed_points"] <= 2
+    assert report["failed_points"] == 0
 
 
 def _mp_nig_call(alpha, beta, delta, kappa):
@@ -584,17 +584,38 @@ def _mp_nig_call(alpha, beta, delta, kappa):
         return mp.quad(integrand, [0, *(mp.mpf(2) ** j for j in range(-6, 24)), mp.inf])
 
 
-def test_nig_near_the_strip_edge_fails_only_its_underflowed_wing():
+def _mp_nig_log_put(alpha, beta, delta, kappa):
+    # 40-digit ln of int_0^inf y f(kappa - y) dy over the zero-mean NIG's
+    # Bessel density, taken relative to f(kappa) so that mp.quad's error
+    # estimate, which assumes an integral of order one, holds at ln p ~ -1e4
+    with mp.workdps(40):
+        a, b, d, k = (mp.mpf(x) for x in (alpha, beta, delta, kappa))
+        g = mp.sqrt(a * a - b * b)
+        mu = -d * b / g
+
+        def log_f(x):
+            s = mp.hypot(d, x - mu)
+            return mp.log(a * d / (mp.pi * s) * mp.besselk(1, a * s)) + d * g + b * (x - mu)
+
+        top = log_f(k)
+        return top + mp.log(mp.quad(lambda y: y * mp.exp(log_f(k - y) - top), [0, mp.inf]))
+
+
+def test_nig_near_the_strip_edge_keeps_its_deep_left_wing():
     # as |beta| -> alpha the left tail falls like e^(-(alpha + beta) x) on a
     # scale of 420: every left-wing put is far below double range (ln p
-    # below -8100 from 5 scales out), so those 12 points fail; the
-    # in-the-money legs, which do not converge, no longer fail the 13 others
+    # -8140.79 at 5 scales, -16550.72 at 10), and the smile inverts it from
+    # the tail core's ln S; the in-the-money legs, which do not converge,
+    # fail none of the points
     model = nig_model(2.0, 1.9998, 1.0)
-    report = theorem_verdicts(model)
-    assert report["failed_points"] == 12
-    smile = smile_from_model(model, _report_grid(model))
-    assert [p.kappa < 0.0 for p in smile.points] == [p.status == "failed" for p in smile.points]
-    assert log_put_price_from_tail(model, -5.0 * model.scale) < -8100.0
+    assert theorem_verdicts(model)["failed_points"] == 0
+    for n in (5.0, 10.0):
+        k = -n * model.scale
+        point = smile_from_model(model, [k]).points[0]
+        want = float(_mp_nig_log_put(2.0, 1.9998, 1.0, k))
+        assert (point.status, point.price) == ("ok", 0.0)
+        assert point.log_price == pytest.approx(want, rel=1e-12)
+        assert point.ivol == pytest.approx(implied_vol_put_log(k, want).sigma, rel=1e-12)
     for k in (0.0, 3.0 * model.scale):
         point = smile_from_model(model, [k]).points[0]
         assert point.status == "ok"
@@ -683,19 +704,49 @@ def test_smile_routes_otm_side():
     assert sm.points[1].price == pytest.approx(q_call.call, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+def test_gaussian_report_grid_is_flat_at_every_scale(s):
+    # the +-40-scale points are past double underflow (ln S about -808) at
+    # every scale and invert from their ln S
+    model = gaussian_model(s)
+    smile = smile_from_model(model, _report_grid(model))
+    assert len(smile) == 25
+    for p in smile.points:
+        assert p.status == "ok", p.kappa
+        assert p.ivol == pytest.approx(s, rel=1e-12), p.kappa
+
+
+def test_laplace_smile_is_scale_invariant():
+    # the normalized price is homogeneous of degree one in kappa and the
+    # law's scale, so ivol(s kappa) / s does not depend on s
+    grid = _report_grid(asym_laplace_model(2.0, 0.7))
+    rows = []
+    for s in (1e-3, 1.0, 1e3):
+        smile = smile_from_model(asym_laplace_model(2.0 / s, 0.7 / s), s * grid)
+        assert all(p.status == "ok" for p in smile.points)
+        rows.append([p.ivol / s for p in smile.points])
+    for row in rows:
+        assert row == pytest.approx(rows[1], rel=1e-9)
+
+
 def test_smile_sorts_and_dedupes_grid():
     sm = smile_from_model(GAUSS1, [2.0, -1.0, 2.0, 0.0])
     assert [p.kappa for p in sm.points] == [-1.0, 0.0, 2.0]
 
 
 def test_smile_marks_failed_points_and_continues():
-    # kappa = 800 is far past double representability for sigma = 2
-    sm = smile_from_model(GAUSS2, [0.0, 1.0, 800.0])
-    statuses = [p.status for p in sm.points]
-    assert statuses == ["ok", "ok", "failed"]
-    failed = sm.points[2]
-    assert math.isnan(failed.ivol)
-    assert sm.points[0].ivol == pytest.approx(2.0, abs=1e-9)
+    # NaN in the density on (-3.5, -3) fails the put leg at -1, which
+    # crosses it; kappa = 800 is far past double underflow for sigma = 2
+    # (ln S about -80000) and inverts from its ln S, with a price of 0
+    poisoned, _ = _counting_log_pdf(GAUSS2, lambda x: (x > -3.5) & (x < -3.0))
+    sm = smile_from_model(poisoned, [-1.0, 0.0, 3.0, 800.0])
+    assert [p.status for p in sm.points] == ["failed", "ok", "ok", "ok"]
+    assert all(math.isnan(v) for v in (sm.points[0].price, sm.points[0].log_price, sm.points[0].ivol))
+    deep = sm.points[3]
+    assert deep.price == 0.0
+    assert deep.log_price == pytest.approx(call_price_log(800.0, 2.0), rel=1e-12)
+    for p in sm.points[1:]:
+        assert p.ivol == pytest.approx(2.0, abs=1e-9)
 
 
 def test_smile_deterministic():
@@ -732,6 +783,36 @@ def test_smile_threaded_matches_serial():
             assert r.points == serial.points, model.name
 
 
+def _scalar_point(model, k, tol_iv):
+    """(price, log_price, ivol) from k's out-of-the-money leg priced alone and
+    its ln S inverted by the scalar solver, or None where either fails."""
+    ln_s, _, ok = pricing._log_payoff_integrals(model, np.array([k]), np.array([1.0 if k >= 0.0 else -1.0]),
+                                                DEFAULT_SETTINGS.abs_tol, DEFAULT_SETTINGS.rel_tol)
+    ln = float(ln_s[0])
+    if not (ok[0] and math.isfinite(ln)):
+        return None
+    try:
+        if k == 0.0:  # the closed form, from the price
+            sigma = implied_vol_call(0.0, math.exp(ln), tol_iv).sigma
+        else:
+            sigma = (implied_vol_call_log if k > 0.0 else implied_vol_put_log)(k, ln, tol_iv).sigma
+    except BachelierWingsError:
+        return None
+    return math.exp(ln), ln, sigma
+
+
+def _assert_points_match_scalar_solvers(model, smile, tol_iv):
+    # bit for bit, failures included; the in-the-money leg plays no part
+    for p in smile.points:
+        want = _scalar_point(model, p.kappa, tol_iv)
+        if want is None:
+            assert p.status == "failed", p.kappa
+            assert all(math.isnan(v) for v in (p.price, p.log_price, p.ivol)), p.kappa
+        else:
+            assert p.status == "ok", p.kappa
+            assert (p.price, p.log_price, p.ivol) == want, p.kappa
+
+
 # a grid on which tolerances of 1e-17 and 1e-20 fail some points and not others
 MIXED_GRID = np.concatenate([np.linspace(-6.0, 6.0, 13), [10.0, 20.0, 30.0]])
 
@@ -739,29 +820,36 @@ MIXED_GRID = np.concatenate([np.linspace(-6.0, 6.0, 13), [10.0, 20.0, 30.0]])
 @pytest.mark.parametrize("tol_iv", [1e-17, 1e-20])
 @pytest.mark.parametrize("model", [GAUSS1, LAPLACE, NIG], ids=lambda m: m.name)
 def test_smile_mixed_statuses_match_per_point_solvers(model, tol_iv):
-    # the batched inversion gives every point what the scalar solvers
-    # give on that point's out-of-the-money leg, priced alone, failures
-    # included; the in-the-money leg plays no part
+    # the batched inversion gives every point what the scalar log solvers
+    # give on that point's out-of-the-money ln S, priced alone
     smile = smile_from_model(model, MIXED_GRID, tol_iv=tol_iv)
     assert [p.kappa for p in smile.points] == MIXED_GRID.tolist()
-    for p, k in zip(smile.points, MIXED_GRID.tolist()):
-        ln_s, _, ok = pricing._log_payoff_integrals(model, np.array([k]), np.array([1.0 if k >= 0.0 else -1.0]),
-                                                    DEFAULT_SETTINGS.abs_tol, DEFAULT_SETTINGS.rel_tol)
-        expected = None
-        if ok[0]:
-            price = pricing._price(float(ln_s[0]))
-            solve = implied_vol_call if k >= 0.0 else implied_vol_put
-            try:
-                expected = (price, float(np.log(price)), solve(k, price, tol_iv).sigma)
-            except BachelierWingsError:
-                pass
-        if expected is None:
-            assert p.status == "failed", k
-            assert all(math.isnan(v) for v in (p.price, p.log_price, p.ivol)), k
-        else:
-            assert p.status == "ok", k
-            assert (p.price, p.log_price, p.ivol) == expected, k
+    _assert_points_match_scalar_solvers(model, smile, tol_iv)
     assert {p.status for p in smile.points} == {"ok", "failed"}
+
+
+@st.composite
+def _random_model(draw):
+    family = draw(st.sampled_from(["gaussian", "asym_laplace", "nig"]))
+    if family == "gaussian":
+        return gaussian_model(draw(st.floats(0.2, 5.0)))
+    if family == "asym_laplace":
+        return asym_laplace_model(draw(st.floats(0.3, 6.0)), draw(st.floats(0.3, 6.0)))
+    alpha = draw(st.floats(0.5, 4.0))
+    return nig_model(alpha, alpha * draw(st.floats(-0.9, 0.9)), draw(st.floats(0.3, 3.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_random_model(), wings=st.lists(st.floats(0.05, 60.0), min_size=1, max_size=6),
+       tol_iv=st.sampled_from([1e-12, 1e-17, 1e-20]))
+def test_smile_points_match_scalar_log_solvers_on_random_models(model, wings, tol_iv):
+    # out to 60 scales, where most legs are past double underflow: a point is
+    # ok exactly when its leg converges to a finite ln S that the scalar
+    # solver inverts, and then carries that ln S and that sigma
+    scales = [60.0, *wings]
+    grid = [0.0, *(w * model.scale for w in scales), *(-w * model.scale for w in scales[::2])]
+    smile = smile_from_model(model, grid, tol_iv=tol_iv)
+    _assert_points_match_scalar_solvers(model, smile, tol_iv)
 
 
 def test_smile_inverts_in_one_core_call(monkeypatch):

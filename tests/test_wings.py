@@ -439,7 +439,7 @@ def laplace_wing_smile():
 
 
 def test_residuals_cover_positive_wing_only(laplace_wing_smile):
-    res = asymptotic_residuals(laplace_wing_smile, LAPLACE)
+    res = asymptotic_residuals(laplace_wing_smile)
     assert len(res) == 12
     assert all(r.kappa > 0 for r in res)
     ks = [r.kappa for r in res]
@@ -447,7 +447,7 @@ def test_residuals_cover_positive_wing_only(laplace_wing_smile):
 
 
 def test_residual_identities_and_depth_values(laplace_wing_smile):
-    res = asymptotic_residuals(laplace_wing_smile, LAPLACE)
+    res = asymptotic_residuals(laplace_wing_smile)
     for r in res:
         assert r.eps2 - r.eps1 == LN_SQRT_2PI  # exact by construction
         assert 0.0 < r.d_ratio < 1.0
@@ -458,22 +458,27 @@ def test_residual_identities_and_depth_values(laplace_wing_smile):
 
 
 def test_residual_d_ratio_settles_monotonically(laplace_wing_smile):
-    d = [r.d_ratio for r in asymptotic_residuals(laplace_wing_smile, LAPLACE)]
+    d = [r.d_ratio for r in asymptotic_residuals(laplace_wing_smile)]
     gaps = [abs(x - 0.5) for x in d]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
-def test_residuals_recover_underflowed_points():
+def test_residuals_read_underflowed_points_off_the_smile():
     wing = np.geomspace(5.0, 40.0, 8)
     grid = np.concatenate([[0.0], wing])
     smile = smile_from_model(GAUSS1, grid)
-    # the deepest points underflow in the linear pricer
-    assert any(p.status == STATUS_FAILED for p in smile.points)
-    res = asymptotic_residuals(smile, GAUSS1)
-    assert res[-1].kappa == pytest.approx(40.0)
+    # the deepest point is past double underflow; the smile keeps its log price
+    deep = smile.points[-1]
+    assert (deep.status, deep.price) == (STATUS_OK, 0.0)
+    res = asymptotic_residuals(smile)
+    assert [r.kappa for r in res] == wing.tolist()
     # flat smile at sigma=1: d = sqrt(k^2+2)/(k+sqrt(k^2+2))
     expect = math.sqrt(1602.0) / (40.0 + math.sqrt(1602.0))
     assert res[-1].d_ratio == pytest.approx(expect, abs=1e-6)
+    assert res[-1].eps1 == deep.log_price + deep.kappa**2 / (2.0 * deep.ivol**2)
+    # a failed point is skipped
+    failed = dataclasses.replace(deep, price=math.nan, log_price=math.nan, ivol=math.nan, status=STATUS_FAILED)
+    assert asymptotic_residuals(SmileGrid(smile.points[:-1] + (failed,))) == res[:-1]
 
 
 # =============================================================================
@@ -518,8 +523,8 @@ def test_verdict_gaussian_reports_zero_strip_reference():
     for side in ("right", "left"):
         assert rep["sides"][side]["strip_reference"] == 0.0
         assert rep["sides"][side]["condition_i"] == {"applicable": False}
-    # underflowed outer points are reported, not hidden
-    assert rep["failed_points"] > 0
+    # the +-40-scale points, past double underflow, invert from their log prices
+    assert rep["failed_points"] == 0
     assert rep["all_pass"]
 
 
