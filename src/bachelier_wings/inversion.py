@@ -15,14 +15,17 @@ is available in closed form on both sides:
 
 from c_b <= ATM and c_b >= ATM - kappa/2; every evaluation shrinks it,
 and a step that is not finite or leaves it is replaced by bisection.
-The seed is the wing asymptotic ln c_b ~ -d^2/2 - 3 ln d + ln(kappa/sqrt(2 pi)):
-two fixed-point passes on d^2/2 + 3 ln d = ln kappa - ln sqrt(2 pi) - ln tv,
-whose map contracts where d^2 > 3.  Nearer the money the seed is the
-bracket's upper end, exact as d -> 0.  The evaluation that meets the
-tolerance still yields one last step.  Over 0.01 <= d <= 40 that is two to
-four evaluations, about three on average.  In-the-money inputs reduce
-through exact parity, so puts and calls share one code path and deep
-tails never subtract two close numbers.
+h is homogeneous of degree one, so g = 0 is an equation in d alone, rhs =
+ln kappa - ln sqrt(2 pi) - ln tv = d^2/2 - ln h(1, 1/d) - ln sqrt(2 pi); its
+inverse ln d(rhs), tabulated at import over 0.01 <= d <= 16 (_seed_table),
+gives the seed x = ln kappa - ln d within 5e-8 of ln sigma.  Past the table
+the seed is the wing asymptotic ln c_b ~ -d^2/2 - 3 ln d + ln(kappa/sqrt(2 pi)),
+two fixed-point passes on d^2/2 + 3 ln d = rhs; below it the bracket's upper
+end, exact as d -> 0.  The evaluation that meets the tolerance still yields
+one last step.  Over 0.01 <= d <= 40 that is at most two evaluations, about
+1.9 on average.  In-the-money inputs reduce through exact parity, so puts
+and calls share one code path and deep tails never subtract two close
+numbers.
 
 Two kernels run these steps.  The array loop _solve_otm_log_array solves
 a whole batch per numpy call; its float twin _solve_otm_log_scalar solves
@@ -39,6 +42,7 @@ field for field, and a change to one kernel must be made to both.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from collections import namedtuple
@@ -81,9 +85,26 @@ _SEED_WING_RHS = 1.5 * (1.0 + math.log(3.0))
 # ln of the largest double: e^x is inf past it
 _LN_DBL_MAX = math.log(sys.float_info.max)
 # Below this ln tv no solve starts on sigma = inf (_check_sigma_in_range): the
-# floor tv sqrt(2 pi) overflows past ln tv 708.86, and where the seed is the top,
-# kappa <= tv sqrt(2 pi) e^_SEED_WING_RHS keeps that top under 31 times the floor
+# floor tv sqrt(2 pi) overflows past ln tv 708.86, and where rhs <= _SEED_WING_RHS,
+# kappa <= tv sqrt(2 pi) e^_SEED_WING_RHS keeps the top under 31 times the floor
 _LOG_TV_NEAR_MAX = 705.0
+
+
+def _seed_table():
+    """rhs at 301 nodes uniform in ln d, and per interval the coefficients of the cubic Hermite
+    in t = rhs - node through ln d and its exact slope d(ln d)/d(rhs) = sqrt(2 pi) h d = 1/g'."""
+    ln_d = np.linspace(math.log(0.01), math.log(16.0), 301)
+    d = np.exp(ln_d)
+    h = _scaled_time_value(1.0, 1.0 / d, d)
+    rhs, slope = 0.5 * d * d - np.log(h) - LN_SQRT_2PI, SQRT_2PI * h * d
+    width, secant = np.diff(rhs), np.diff(ln_d) / np.diff(rhs)
+    c2 = (3.0 * secant - 2.0 * slope[:-1] - slope[1:]) / width
+    c3 = (slope[:-1] + slope[1:] - 2.0 * secant) / (width * width)
+    return rhs, np.column_stack([ln_d[:-1], slope[:-1], c2, c3])
+
+
+_SEED_RHS, _SEED_COEFS = _seed_table()
+_SEED_RHS_LIST, _SEED_COEFS_LIST = _SEED_RHS.tolist(), _SEED_COEFS.tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,9 +164,8 @@ _SOLVED_DTYPES = (float, np.int64, bool, bool, float, bool, bool, float, float)
 
 # A batch of fewer quotes than this is solved quote by quote in the float twin:
 # the largest size in benchmarks/layers.py's L1_crossover_us rows at which the
-# twin beats the array loop (it loses at 32).  Where every quote of a batch
-# solves within three evaluations, as on a wing report's smile, the array loop
-# makes one pass fewer and the crossover falls toward 16
+# twin beats the array loop, both at two evaluations a quote (208 against 259 us
+# at 16 quotes, 377 against 268 us at 32; medians of 10 pairs, reference units)
 _MIN_ARRAY_BATCH = 16
 
 
@@ -192,12 +212,17 @@ def _solve_otm_log_array(
     ln_k = np.log(k)
     x_lo = log_tv + LN_SQRT_2PI
     x_hi = np.logaddexp(log_tv, ln_k - _LN2) + LN_SQRT_2PI
-    # wing-asymptotic seed (module docstring), its passes floored at d^2 = 3
+    # the seed (module docstring): the table's, past it the wing asymptotic, below it the top
     rhs = ln_k - LN_SQRT_2PI - log_tv
-    d2 = 2.0 * np.maximum(rhs, 1.5)
+    d2 = 2.0 * rhs
     for _ in range(2):
-        d2 = 2.0 * np.maximum(1.5, rhs - 1.5 * np.log(d2))
-    x = np.clip(np.where(rhs > _SEED_WING_RHS, ln_k - 0.5 * np.log(d2), x_hi), x_lo, x_hi)
+        d2 = 2.0 * (rhs - 1.5 * np.log(d2))
+    x = np.where(rhs > _SEED_WING_RHS, ln_k - 0.5 * np.log(d2), x_hi)
+    i = np.clip(np.searchsorted(_SEED_RHS, rhs) - 1, 0, len(_SEED_COEFS) - 1)
+    c0, c1, c2, c3 = _SEED_COEFS[i].T
+    t = rhs - _SEED_RHS[i]
+    in_table = (rhs > _SEED_RHS[0]) & (rhs < _SEED_RHS[-1])
+    x = np.clip(np.where(in_table, ln_k - (c0 + t * (c1 + t * (c2 + t * c3))), x), x_lo, x_hi)
 
     ratio_tol = tol * np.exp(-log_tv)  # price tol as a log residual; inf is fine
     deep = ratio_tol > LOG_RESIDUAL_DEEP
@@ -249,7 +274,7 @@ def _solve_otm_log_array(
         x, x_prev = np.where(active & inside if some_converged else inside, x_halley, step), x
         if converged.all():
             break
-        # past the two to four evaluations most quotes take, end an element whose
+        # past the two evaluations most quotes take, end an element whose
         # x repeats (a collapsed bracket, a step below one ulp): it would forever
         if it >= 3:
             converged |= x == x_prev
@@ -278,11 +303,15 @@ def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
     x_lo = log_tv + LN_SQRT_2PI
     x_hi = float(np.logaddexp(log_tv, ln_k - _LN2)) + LN_SQRT_2PI
     rhs = ln_k - LN_SQRT_2PI - log_tv
-    if rhs > _SEED_WING_RHS:
+    if _SEED_RHS_LIST[0] < rhs < _SEED_RHS_LIST[-1]:
+        i = bisect.bisect_left(_SEED_RHS_LIST, rhs) - 1  # np.searchsorted
+        c0, c1, c2, c3 = _SEED_COEFS_LIST[i]
+        t = rhs - _SEED_RHS_LIST[i]
+        x = ln_k - (c0 + t * (c1 + t * (c2 + t * c3)))
+    elif rhs > _SEED_WING_RHS:
         d2 = 2.0 * rhs
         for _ in range(2):
-            d2 = rhs - 1.5 * float(np.log(d2))
-            d2 = 2.0 * (d2 if d2 > 1.5 else 1.5)
+            d2 = 2.0 * (rhs - 1.5 * float(np.log(d2)))
         x = ln_k - 0.5 * float(np.log(d2))
     else:
         x = x_hi
@@ -343,9 +372,10 @@ def _solve_otm_log_scalar(k: float, log_tv: float, tol: float) -> _Solved:
 def _check_sigma_in_range(k: NDArray[np.float64], log_tv: NDArray[np.float64]) -> None:
     """DomainError for the first quote whose solve would start on sigma = inf:
     its bracket floor tv sqrt(2 pi) is past the double range, so sigma is too,
-    or its top (tv + kappa/2) sqrt(2 pi) is and the seed is that top.  k and
-    log_tv are the core's arguments; one comparison passes an empty batch or
-    one below _LOG_TV_NEAR_MAX."""
+    or its top (tv + kappa/2) sqrt(2 pi) is and rhs <= _SEED_WING_RHS, conservative
+    since the seed is that top only below the seed table (implied_vol_call(1.5e308,
+    1e307) still raises).  k and log_tv are the core's arguments; one comparison
+    passes an empty batch or one below _LOG_TV_NEAR_MAX."""
     if not log_tv.size or log_tv.max() <= _LOG_TV_NEAR_MAX:
         return
     ln_k = np.log(k)

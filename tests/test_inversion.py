@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bachelier_wings.bachelier import (
+    LN_SQRT_2PI,
     SQRT_2PI,
     call_price,
     call_price_log,
@@ -31,9 +32,11 @@ from bachelier_wings.inversion import (
     _MIN_ARRAY_BATCH,
     _raise_first_failure,
     _result_from_core,
+    _SEED_RHS,
     _Solved,
     _solve_otm_log,
     _solve_otm_log_array,
+    _solve_otm_log_floats,
     _solve_otm_log_scalar,
     implied_vol_call,
     implied_vol_call_log,
@@ -489,21 +492,84 @@ def test_monotone_in_price():
 
 def test_iteration_counts_are_small():
     r = implied_vol_call(4.0, call_price(4.0, 0.8))
-    assert 0 < r.iterations < 40
+    assert r.iterations == 2
 
 
 def test_evaluation_count_on_out_of_the_money_deck():
-    # d = kappa/sigma log-uniform over 0.01-40, sigma over 0.2-2: the
-    # wing-asymptotic seed and the Halley step take about three evaluations
+    # d = kappa/sigma log-uniform over 0.01-40, sigma over 0.2-2: the tabulated
+    # seed (the wing asymptotic past d = 16) and one Halley step take two
+    # evaluations, one where the seed already meets the log residual
     rng = np.random.default_rng(7)
     d = np.exp(rng.uniform(math.log(0.01), math.log(40.0), 20_000))
     sigma = np.exp(rng.uniform(math.log(0.2), math.log(2.0), d.size))
     kappa = d * sigma
     solved = _solve_otm_log(kappa, call_price_log(kappa, sigma), 1e-12)
     assert solved.converged.all()
-    assert solved.iterations.mean() <= 3.2
-    assert np.all((solved.iterations <= 4) | solved.bisected)
+    assert solved.iterations.mean() <= 2.05
+    assert np.all((solved.iterations <= 2) | solved.bisected)
     assert np.max(np.abs(np.exp(solved.x) - sigma) / sigma) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the tabulated seed
+# ---------------------------------------------------------------------------
+
+@st.composite
+def table_batches(draw):
+    """(k, ln tv) of 1, 15, 16 or 17 quotes whose d lies inside the seed table
+    (0.0101..15.9, clear of its ends) and sigma over 1e-6..1e8."""
+    n = draw(st.sampled_from([1, _MIN_ARRAY_BATCH - 1, _MIN_ARRAY_BATCH, _MIN_ARRAY_BATCH + 1]))
+    d = [10.0 ** draw(st.floats(math.log10(0.0101), math.log10(15.9))) for _ in range(n)]
+    sigma = [10.0 ** draw(st.floats(-6.0, 8.0)) for _ in range(n)]
+    k = np.array(d) * np.array(sigma)
+    return k, call_price_log(k, np.array(sigma))
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=table_batches())
+def test_tabulated_seed_solves_in_two_evaluations_property(batch):
+    # at tol = 1e-12 tv, a log residual of 1e-12, each quote solves in at most
+    # two evaluations without bisecting, alone in the float twin and in any
+    # batch; the twin's fields equal the array loop's, dtype, shape and bytes
+    k, log_tv = batch
+    for k_i, log_tv_i in zip(k.tolist(), log_tv.tolist()):
+        one = _solve_otm_log_scalar(k_i, log_tv_i, 1e-12 * math.exp(log_tv_i))
+        assert one.converged and not one.unattainable and not one.bisected
+        assert one.iterations <= 2
+    # the loosest quote's tolerance: the iterates do not depend on tol, so no
+    # quote needs more evaluations than under its own
+    tol = 1e-12 * math.exp(log_tv.max())
+    got, want = _solve_otm_log(k, log_tv, tol), _solve_otm_log_array(k, log_tv, tol)
+    assert want.converged.all() and not want.bisected.any() and want.iterations.max() <= 2
+    for name, g, w in zip(_Solved._fields, got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
+
+
+# (k, ln tv, sigma as float.hex, evaluations, bisected) at the parent of the
+# seed table, at tol 1e-12: quotes whose rhs lies outside it (d below 0.01,
+# past 16, ln tv = -1e5) keep the wing or bracket-top seed and every bit
+OUTSIDE_TABLE_PINS = [
+    (0.0001, -0.9190638674724154, "0x1.0000000000000p+0", 2, False),  # d = 1e-4
+    (0.009, -0.9302414992407851, "0x1.fffffffffffffp-1", 2, False),  # d = 0.009
+    (3e-09, -7.133548511598713, "0x1.0624dd2f1a9fdp-9", 1, False),  # d = 1.5e-6
+    (17.0, -151.09562289868293, "0x1.ffffffffffffdp-1", 2, False),  # d = 17
+    (45.0, -1000.0, "0x1.02b277f8d2f37p+0", 2, False),  # d = 44.5
+    (210.0, -45012.6832117585, "0x1.6666666666667p-1", 2, False),  # d = 300
+    (1.0, -100000.0, "0x1.251d348a6f37dp-9", 2, False),  # d = 447
+    (1e+300, -100000.0, "0x1.b42e1e40069f5p+987", 2, False),  # d = 449
+]
+
+
+def test_quotes_outside_the_table_keep_their_bits():
+    k, log_tv = (np.array(side) for side in list(zip(*OUTSIDE_TABLE_PINS))[:2])
+    rhs = np.log(k) - LN_SQRT_2PI - log_tv
+    assert not ((rhs > _SEED_RHS[0]) & (rhs < _SEED_RHS[-1])).any()
+    for solve in (_solve_otm_log_array, _solve_otm_log_floats):
+        solved = solve(k, log_tv, 1e-12)
+        got = [(float(np.exp(x)).hex(), int(n), bool(b))
+               for x, n, b in zip(solved.x, solved.iterations, solved.bisected)]
+        assert got == [pin[2:] for pin in OUTSIDE_TABLE_PINS]
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +689,20 @@ def test_sigma_overflow_threshold_is_shared_by_scalar_and_vec(log_price):
                 scalar(1.0, quote, 1e-12 * price)
         else:
             assert math.isfinite(scalar(1.0, quote, 1e-12 * price).sigma)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+def test_overflow_edge_grid_warns_nowhere_and_scalar_equals_vec(tol):
+    # kappa and tv over e^690..e^709.78, 40 quotes, most inside the seed table:
+    # whether a quote solves, fails its (unattainable) tolerance or is rejected
+    # before a solve on sigma = inf, each entry kind ends alike and warns nowhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ln_k in np.linspace(690.0, 709.78, 8).tolist():
+            for ln_tv in np.linspace(690.0, 709.78, 5).tolist():
+                kappa = math.exp(ln_k)
+                assert_same_outcome(implied_vol_call, implied_vol_call_vec, kappa, math.exp(ln_tv), tol)
+                assert_same_outcome(implied_vol_call_log, implied_vol_call_log_vec, kappa, ln_tv, tol)
 
 
 def test_convergence_failure_names_the_evaluations_made():

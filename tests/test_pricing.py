@@ -729,6 +729,21 @@ def test_laplace_smile_is_scale_invariant():
         assert row == pytest.approx(rows[1], rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha, beta, delta", [(2.0, 0.5, 1.0), (3.5744, -3.3765, 1.3122),
+                                               (1.2, -0.5, 0.6)])
+def test_nig_smile_is_scale_invariant(alpha, beta, delta):
+    # nig(alpha/s, beta/s, delta s) is the law of s X: every report-grid point
+    # prices and inverts at each scale, and ivol(s kappa) / s does not depend on s
+    grid = _report_grid(nig_model(alpha, beta, delta))
+    rows = []
+    for s in (1e-3, 1.0, 1e3):
+        smile = smile_from_model(nig_model(alpha / s, beta / s, delta * s), s * grid)
+        assert len(smile) == 25 and all(p.status == "ok" for p in smile.points)
+        rows.append([p.ivol / s for p in smile.points])
+    for row in rows:
+        assert row == pytest.approx(rows[1], rel=1e-12)
+
+
 def test_smile_sorts_and_dedupes_grid():
     sm = smile_from_model(GAUSS1, [2.0, -1.0, 2.0, 0.0])
     assert [p.kappa for p in sm.points] == [-1.0, 0.0, 2.0]
