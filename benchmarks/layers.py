@@ -24,7 +24,10 @@ nig(2, 0.5, 1).log_pdf call on a fixed array of
 point: the density evaluation every NIG node of the tail core pays.
 L0_call_price_log_us is one scalar call_price_log(2.0, 1.0) and
 L0_put_price_log_us one scalar put_price_log(-2.0, 1.0) in
-microseconds, the re-pricing of a quote.  The L1 rows time the
+microseconds, the re-pricing of a quote, and L0_call_price_log_vec_us
+one array call_price_log on the first 8, 32 and 128 quotes of the L1
+deck below at their true sigma, the re-pricing of a batch, in
+microseconds.  The L1 rows time the
 inversion: L1_implied_vol_call_us is one scalar implied_vol_call quote
 (kappa 2, sigma 1) and L1_implied_vol_call_log_deep_us one scalar
 implied_vol_call_log quote far below the double range (kappa 45,
@@ -36,7 +39,7 @@ solver evaluations per quote on that deck.
 L1_implied_vol_call_log_vec_us is one implied_vol_call_log_vec call on
 the first 8, 32 and 128 quotes of that deck, the batch sizes of market
 smiles, in microseconds.  L1_crossover_us times the two kernels of the
-inversion core on batches of 4, 8, 16 and 32 quotes of that deck, in
+inversion core on batches of 4, 8, 12, 16, 24 and 32 quotes of that deck, in
 microseconds: "array_loop" is inversion._solve_otm_log_array,
 "float_twin" inversion._solve_otm_log_floats (the float twin run on
 each quote, with the result packed as the array loop's), the two run in
@@ -106,7 +109,7 @@ MODEL_CALLS = {
 }
 MODELS = {name: factory(*args) for name, (factory, args) in MODEL_CALLS.items()}
 VEC_SIZES = (8, 32, 128)
-CROSSOVER_SIZES = (4, 8, 16, 32)
+CROSSOVER_SIZES = (4, 8, 12, 16, 24, 32)
 REPORTS = ("gaussian(1)", "asym_laplace(2, 0.7)", "nig(2, 0.5, 1)", "nig(3.5744, -3.3765, 1.3122)")
 
 
@@ -192,12 +195,12 @@ def nig_wing_tails(model) -> None:
 
 
 def otm_deck(n: int = 100_000):
-    """(kappa, ln price) of n out-of-the-money calls, fixed by seed 10."""
+    """(kappa, sigma, ln price) of n out-of-the-money calls, fixed by seed 10."""
     rng = np.random.default_rng(10)
     d = np.exp(rng.uniform(np.log(0.01), np.log(40.0), n))
     sigma = np.exp(rng.uniform(np.log(0.2), np.log(2.0), n))
     kappa = d * sigma
-    return kappa, call_price_log(kappa, sigma)
+    return kappa, sigma, call_price_log(kappa, sigma)
 
 
 def cli_smile_argv(model, path: str) -> list[str]:
@@ -280,7 +283,9 @@ def main() -> None:
     out["L1_implied_vol_call_us"] = 1e3 * median_ms(lambda: implied_vol_call(2.0, price), reps)
     out["L1_implied_vol_call_log_deep_us"] = 1e3 * median_ms(
         lambda: implied_vol_call_log(45.0, -1000.0), reps)
-    kappa, log_price = otm_deck()
+    kappa, sigma, log_price = otm_deck()
+    out["L0_call_price_log_vec_us"] = {
+        n: 1e3 * median_ms(lambda: call_price_log(kappa[:n], sigma[:n]), reps) for n in VEC_SIZES}
     out["L1_solve_otm_log_1e5_ms"] = median_ms(lambda: _solve_otm_log(kappa, log_price, 1e-12), reps)
     evaluations = _solve_otm_log(kappa, log_price, 1e-12).iterations
     out["L1_evaluations_mean"] = float(evaluations.mean())

@@ -52,7 +52,7 @@ _REAL_SCALARS = (float, int, np.floating, np.integer)
 
 def _as_array(x, name: str) -> NDArray[np.float64]:
     arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise DomainError(f"{name} must be finite, got {x!r}")
     return arr
 
@@ -78,10 +78,10 @@ def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
         # two scalars: the same checks and 0-d arrays without numpy's array machinery
         x, y = _real_pair(a, b, names, positive)
         return np.array(x), np.array(y), True
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    x, y = (_as_array(v, name) for v, name in zip((a, b), names))
+    x, y = _as_array(a, names[0]), _as_array(b, names[1])
+    scalar = x.ndim == 0 and y.ndim == 0
     for arr, name in zip((x, y), names):
-        if name in positive and (arr <= 0.0).any():
+        if name in positive and np.count_nonzero(arr <= 0.0):
             raise DomainError(f"{name} must be > 0")
     if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)
@@ -141,7 +141,7 @@ def _scaled_time_value(k, sigma, d):
         return sigma * INV_SQRT_2PI - 0.5 * k * float(sc.erfcx(d / _SQRT2))
     h = sigma * INV_SQRT_2PI - 0.5 * k * sc.erfcx(d / _SQRT2)
     far = d > _SERIES_D
-    if not far.any():
+    if not np.count_nonzero(far):
         return h
     with np.errstate(divide="ignore"):
         inv2 = np.where(far, 1.0 / (d * d), 0.0)
@@ -182,7 +182,7 @@ def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     d = k_abs / s
     log_otm = -0.5 * d * d + np.log(_scaled_time_value(k_abs, s, d))
     itm = k < 0.0
-    if itm.any():
+    if np.count_nonzero(itm):
         with np.errstate(divide="ignore", invalid="ignore"):
             log_intr = np.where(itm, np.log(np.maximum(-k, 1e-300)), 0.0)
         folded = log_intr + np.log1p(np.exp(np.minimum(log_otm - log_intr, 700.0)))

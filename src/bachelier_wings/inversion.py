@@ -164,8 +164,8 @@ _SOLVED_DTYPES = (float, np.int64, bool, bool, float, bool, bool, float, float)
 
 # A batch of fewer quotes than this is solved quote by quote in the float twin:
 # the largest size in benchmarks/layers.py's L1_crossover_us rows at which the
-# twin beats the array loop, both at two evaluations a quote (208 against 259 us
-# at 16 quotes, 377 against 268 us at 32; medians of 10 pairs, reference units)
+# twin beats the array loop, both at two evaluations a quote (199 against 214 us
+# at 16 quotes, 282 against 219 us at 24; medians of 10 pairs, reference units)
 _MIN_ARRAY_BATCH = 16
 
 
@@ -196,8 +196,8 @@ def _solve_otm_log_floats(
     quotes = zip(k.ravel().tolist(), log_tv.ravel().tolist())
     rows = [_solve_otm_log_scalar(k_i, log_tv_i, tol) for k_i, log_tv_i in quotes]
     columns = zip(*rows) if rows else [()] * len(_Solved._fields)
-    return _Solved(*(np.array(col, dtype=dtype).reshape(k.shape)
-                     for col, dtype in zip(columns, _SOLVED_DTYPES)))
+    solved = _Solved._make(map(np.array, columns, _SOLVED_DTYPES))  # np.array(column, dtype)
+    return solved if k.ndim == 1 else _Solved._make(field.reshape(k.shape) for field in solved)
 
 
 # quiet: a sigma or time value out of the double range gives an element inf
@@ -208,26 +208,31 @@ def _solve_otm_log_array(
     log_tv: NDArray[np.float64],
     tol: float,
 ) -> _Solved:
-    """The array loop of _solve_otm_log, for any batch size: the reference."""
+    """The array loop of _solve_otm_log, for any batch size: the reference.  k and
+    log_tv have at least one dimension (_solve_otm_log sends one quote to the twin)."""
     ln_k = np.log(k)
     x_lo = log_tv + LN_SQRT_2PI
     x_hi = np.logaddexp(log_tv, ln_k - _LN2) + LN_SQRT_2PI
     # the seed (module docstring): the table's, past it the wing asymptotic, below it the top
     rhs = ln_k - LN_SQRT_2PI - log_tv
-    d2 = 2.0 * rhs
-    for _ in range(2):
-        d2 = 2.0 * (rhs - 1.5 * np.log(d2))
-    x = np.where(rhs > _SEED_WING_RHS, ln_k - 0.5 * np.log(d2), x_hi)
-    i = np.clip(np.searchsorted(_SEED_RHS, rhs) - 1, 0, len(_SEED_COEFS) - 1)
-    c0, c1, c2, c3 = _SEED_COEFS[i].T
+    i = _SEED_RHS[1:-1].searchsorted(rhs)  # the interval, clamped to the first and last
+    c0, c1, c2, c3 = _SEED_COEFS.T.take(i, axis=1)  # each of rhs's shape
     t = rhs - _SEED_RHS[i]
-    in_table = (rhs > _SEED_RHS[0]) & (rhs < _SEED_RHS[-1])
-    x = np.clip(np.where(in_table, ln_k - (c0 + t * (c1 + t * (c2 + t * c3))), x), x_lo, x_hi)
+    x = ln_k - (c0 + t * (c1 + t * (c2 + t * c3)))
+    outside = ~((rhs > _SEED_RHS[0]) & (rhs < _SEED_RHS[-1]))  # a nan rhs too
+    if np.count_nonzero(outside):
+        rhs_out = rhs[outside]
+        d2 = 2.0 * rhs_out
+        for _ in range(2):
+            d2 = 2.0 * (rhs_out - 1.5 * np.log(d2))
+        x[outside] = np.where(rhs_out > _SEED_WING_RHS, ln_k[outside] - 0.5 * np.log(d2), x_hi[outside])
+    x = np.minimum(np.maximum(x, x_lo), x_hi)  # np.clip, at less cost
 
     ratio_tol = tol * np.exp(-log_tv)  # price tol as a log residual; inf is fine
     deep = ratio_tol > LOG_RESIDUAL_DEEP
     base_tol = np.minimum(ratio_tol, LOG_RESIDUAL_DEEP)
 
+    n = k.size
     iterations = np.zeros(k.shape, dtype=np.int64)
     bisected = np.zeros(k.shape, dtype=bool)
     converged = np.zeros(k.shape, dtype=bool)
@@ -239,28 +244,31 @@ def _solve_otm_log_array(
         dd = d * d
         h = _scaled_time_value(k, sigma, d)
         # a time value that underflowed to 0 (or below) has no slope: g' is nan
-        g1 = np.where(h > 0.0, sigma, math.nan) / (SQRT_2PI * h)
+        positive = h > 0.0
+        g1 = sigma if np.count_nonzero(positive) == n else np.where(positive, sigma, math.nan)
+        g1 = g1 / (SQRT_2PI * h)
         # (-0.5 d) d, not -0.5 dd: the two round apart where d*d is subnormal
         g_new = -0.5 * d * d + np.log(h) - log_tv
         # the noise floor, achievable |g|: the log-price evaluation itself carries
         # ~d^2 eps, and the rounding of x = ln sigma ~|x| eps moves g by g' times that
         noise_new = np.maximum(8.0 * _EPS * np.maximum(1.0, dd), g1 * np.abs(x) * _EPS)
-        # the iterate lies in its bracket, so the bracket's new end is x itself
+        # the iterate lies in its bracket, so the bracket's new end is x itself,
+        # written in place: x_lo and x_hi are arrays this call made
         if some_converged:
             active = ~converged
             g = np.where(active, g_new, g)
             noise = np.where(active, noise_new, noise)
             iterations += active
             below = g < 0.0
-            x_lo = np.where(active & below, x, x_lo)
-            x_hi = np.where(active & ~below, x, x_hi)
+            np.copyto(x_lo, x, where=active & below)
+            np.copyto(x_hi, x, where=active & ~below)
             converged = converged | (active & (np.abs(g) <= np.maximum(base_tol, noise)))
         else:
             g, noise = g_new, noise_new
             iterations += 1
             below = g < 0.0
-            x_lo = np.where(below, x, x_lo)
-            x_hi = np.where(below, x_hi, x)
+            np.copyto(x_lo, x, where=below)
+            np.copyto(x_hi, x, where=~below)
             converged = np.abs(g) <= np.maximum(base_tol, noise)
 
         # Halley: -(g/g') / (1 - g g'' / (2 g'^2)); an element that has just
@@ -270,15 +278,15 @@ def _solve_otm_log_array(
         inside = (x_halley > x_lo) & (x_halley < x_hi)
         bisect = ~(converged | inside)
         bisected |= bisect
-        step = np.where(bisect, 0.5 * (x_lo + x_hi), x)
+        step = np.where(bisect, 0.5 * (x_lo + x_hi), x) if np.count_nonzero(bisect) else x
         x, x_prev = np.where(active & inside if some_converged else inside, x_halley, step), x
-        if converged.all():
+        if np.count_nonzero(converged) == n:
             break
         # past the two evaluations most quotes take, end an element whose
         # x repeats (a collapsed bracket, a step below one ulp): it would forever
         if it >= 3:
             converged |= x == x_prev
-        some_converged = some_converged or converged.any()
+        some_converged = some_converged or np.count_nonzero(converged) > 0
 
     # honest failure when the caller asked for less than doubles can deliver
     unattainable = (ratio_tol <= LOG_RESIDUAL_DEEP) & (ratio_tol < noise) & (np.abs(g) > ratio_tol)
@@ -382,7 +390,7 @@ def _check_sigma_in_range(k: NDArray[np.float64], log_tv: NDArray[np.float64]) -
     x_hi = np.logaddexp(log_tv, ln_k - _LN2) + LN_SQRT_2PI  # as _solve_otm_log
     seed_at_top = ln_k - LN_SQRT_2PI - log_tv <= _SEED_WING_RHS
     over = (log_tv + LN_SQRT_2PI > _LN_DBL_MAX) | (seed_at_top & (x_hi > _LN_DBL_MAX))
-    if over.any():
+    if np.count_nonzero(over):
         idx = int(np.argmax(over))
         raise DomainError(
             f"sigma's bracket (tv, tv + kappa/2) sqrt(2 pi) is past the double range "
@@ -392,7 +400,7 @@ def _check_sigma_in_range(k: NDArray[np.float64], log_tv: NDArray[np.float64]) -
 
 def _raise_first_failure(solved: _Solved, log_tv: NDArray[np.float64], tol: float) -> None:
     """Raise for the first unconverged element, else the first unattainable one."""
-    if not solved.converged.all():
+    if np.count_nonzero(solved.converged) < solved.converged.size:
         idx = int(np.argmax(~solved.converged))
         n = int(solved.iterations.flat[idx])
         reason = (f"in {n} evaluations" if n >= MAX_ITERATIONS
@@ -401,7 +409,7 @@ def _raise_first_failure(solved: _Solved, log_tv: NDArray[np.float64], tol: floa
             f"implied vol did not converge {reason}",
             bracket=(float(np.exp(solved.x_lo.flat[idx])), float(np.exp(solved.x_hi.flat[idx]))),
         )
-    if solved.unattainable.any():
+    if np.count_nonzero(solved.unattainable):
         idx = int(np.argmax(solved.unattainable))
         achieved = float(np.exp(log_tv.flat[idx]) * abs(np.expm1(solved.g.flat[idx])))
         raise AccuracyNotReached(
@@ -519,7 +527,7 @@ def implied_vol_call_vec(
     t = _validate_tol(tol)
     k = np.asarray(kappa, dtype=float)
     p = np.asarray(price, dtype=float)
-    if not (np.isfinite(k).all() and np.isfinite(p).all()):
+    if np.count_nonzero(np.isfinite(k)) + np.count_nonzero(np.isfinite(p)) < k.size + p.size:
         raise DomainError("kappa and price must be finite")
     if k.shape != p.shape:
         k, p = np.broadcast_arrays(k, p)
@@ -528,7 +536,7 @@ def implied_vol_call_vec(
         k, p = k[solve], p[solve]
     tv = p - np.maximum(-k, 0.0)
     below = tv <= 0.0
-    if below.any():
+    if np.count_nonzero(below):
         bad = int(np.argmax(below))
         kb = float(k.flat[bad])
         raise NoSolutionBelowIntrinsic(kb, float(p.flat[bad]), max(-kb, 0.0))
@@ -542,7 +550,7 @@ def _atm_closed_forms(k: NDArray[np.float64], quote: NDArray[np.float64], tol: f
     elements, None when no element is at the money."""
     out = np.empty(k.shape)
     atm = k == 0.0
-    if not atm.any():
+    if not np.count_nonzero(atm):
         return out, None
     out[atm] = [_atm_result(price_of(q), tol).sigma for q in quote[atm].tolist()]
     return out, ~atm
@@ -576,9 +584,9 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
     t = _validate_tol(tol)
     k = np.asarray(kappa, dtype=float)
     lp = np.asarray(log_price, dtype=float)
-    if not np.isfinite(k).all():
+    if np.count_nonzero(np.isfinite(k)) < k.size:
         raise DomainError("kappa must be finite")
-    if not (lp < np.inf).all():
+    if np.count_nonzero(lp < np.inf) < lp.size:
         raise DomainError("log_price entries must be real or -inf")
     if k.shape != lp.shape:
         k, lp = np.broadcast_arrays(k, lp)
@@ -588,18 +596,18 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
 
     log_tv = lp
     itm = k < 0.0
-    if itm.any():
+    if np.count_nonzero(itm):
         k_itm, lp_itm = k[itm], lp[itm]  # folding the rest could overflow expm1 and warn
         ln_intr = np.log(-k_itm)
         no_sol = lp_itm <= ln_intr
-        if no_sol.any():
+        if np.count_nonzero(no_sol):
             bad = int(np.argmax(no_sol))
             kb = float(k_itm[bad])
             raise NoSolutionBelowIntrinsic(kb, _exp_quiet(float(lp_itm[bad])), -kb)
         log_tv = lp.copy()
         log_tv[itm] = lp_itm + np.log(-np.expm1(ln_intr - lp_itm))
     underflow = lp == -np.inf
-    if underflow.any():
+    if np.count_nonzero(underflow):
         kb = float(k.flat[int(np.argmax(underflow))])
         raise NoSolutionBelowIntrinsic(kb, 0.0, max(-kb, 0.0))
     return _solved_sigma(np.abs(k), log_tv, t, out, solve)

@@ -572,6 +572,69 @@ def test_quotes_outside_the_table_keep_their_bits():
         assert got == [pin[2:] for pin in OUTSIDE_TABLE_PINS]
 
 
+# (k, ln tv) of quotes whose time value is so large that tol 1e-12 lies below the
+# attainable floor; each bisects once on its way, at tol 1e-12 and 1e-300
+BISECTING_QUOTES = [
+    (2326.508854077233, 8.498149730010375),
+    (11789035.342517806, 16.488664502697155),
+    (7663.219778643538, 9.202476795824712),
+]
+# quotes whose sigma is subnormal; at the last, h underflows to 0 at an iterate
+UNDERFLOWING_QUOTES = [(1e-310, -1e5), (1e-315, -2000.0), (1e-315, -1e5)]
+
+
+@st.composite
+def mixed_quotes(draw):
+    """(k, ln tv) of one quote of each kind the array loop branches on: d inside the
+    seed table, in the wing past it (16..400), below it (under 0.01), deep (ln tv
+    below -745, past any price in doubles), with a time value so large that a small
+    tol lies below the attainable floor, one that bisects or one whose h underflows."""
+    kind = draw(st.sampled_from(["table", "wing", "below", "deep", "floor", "bisects", "underflows"]))
+    if kind in ("bisects", "underflows"):
+        return draw(st.sampled_from(BISECTING_QUOTES if kind == "bisects" else UNDERFLOWING_QUOTES))
+    if kind == "deep":
+        return 10.0 ** draw(st.floats(-6.0, 8.0)), -draw(st.floats(746.0, 1e5))
+    d_range, sigma_range = {
+        "table": ((0.0101, 15.9), (-6.0, 8.0)), "wing": ((16.0, 400.0), (-6.0, 8.0)),
+        "below": ((1e-9, 0.0099), (-6.0, 8.0)), "floor": ((0.0101, 2.0), (4.0, 8.0)),
+    }[kind]
+    d = 10.0 ** draw(st.floats(*(math.log10(v) for v in d_range)))
+    sigma = 10.0 ** draw(st.floats(*sigma_range))
+    return d * sigma, float(call_price_log(d * sigma, sigma))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotes=st.sampled_from([1, 15, 16, 17, 40]).flatmap(
+    lambda n: st.lists(mixed_quotes(), min_size=n, max_size=n)), tol=st.sampled_from(TOLS))
+def test_array_loop_is_batch_independent_property(quotes, tol):
+    # the array loop skips the wing passes, the bisection midpoint and the slope's
+    # underflow mask for a batch that needs none of them: each quote's fields in a
+    # batch equal, dtype and bytes, the array loop's on that quote alone and the
+    # float twin's, whatever the other quotes of the batch
+    k, log_tv = (np.array(side) for side in zip(*quotes))
+    batch = _solve_otm_log_array(k, log_tv, tol)
+    for i, (k_i, log_tv_i) in enumerate(quotes):
+        alone = _solve_otm_log_array(k[i:i + 1], log_tv[i:i + 1], tol)
+        for name, b, a in zip(_Solved._fields, batch_element(batch, i), alone):
+            assert (b.dtype, b.tobytes()) == (a.dtype, a.tobytes()), (name, k_i, log_tv_i)
+        assert_kernels_agree(_solve_otm_log_scalar(k_i, log_tv_i, tol), alone)
+
+
+def test_batches_of_any_shape_solve_as_flat_ones():
+    # the seed table's coefficients are gathered in the shape of the batch: a 2-d
+    # batch, square or not, solves quote for quote as its flattened copy
+    rng = np.random.default_rng(3)
+    for shape in [(4, 5), (4, 4), (2, 3, 4)]:
+        sigma = np.exp(rng.uniform(math.log(0.2), math.log(2.0), shape))
+        k = np.exp(rng.uniform(math.log(0.01), math.log(40.0), shape)) * sigma
+        log_tv = call_price_log(k, sigma)
+        flat = _solve_otm_log_array(k.ravel(), log_tv.ravel(), 1e-12)
+        for solve in (_solve_otm_log_array, _solve_otm_log_floats):
+            for name, got, want in zip(_Solved._fields, solve(k, log_tv, 1e-12), flat):
+                assert got.shape == shape and got.tobytes() == want.tobytes(), (name, shape)
+        assert implied_vol_call_log_vec(k, log_tv).tobytes() == np.exp(flat.x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # error contract
 # ---------------------------------------------------------------------------
