@@ -6,13 +6,16 @@ out-of-the-money leg): call = int_0^inf y f(kappa + y) dy and put =
 int_0^inf y f(kappa - y) dy, double-exponential sums in log space whose
 step halves until two levels agree, a whole batch at once.  The Fourier
 route, the cross-check, damps the payoff by e^(alpha kappa) and integrates
-the characteristic function along a shifted contour.  Keeping both honest
-and comparing them is the point; neither is defined in terms of the other.
+the characteristic function along a shifted contour, on Ooura and Mori's
+double-exponential rule for Fourier integrals, whose step also halves
+until two levels agree.  Keeping both honest and comparing them is the
+point; neither is defined in terms of the other.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,22 +52,17 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSettings:
-    """Tolerances: both engines read abs_tol and rel_tol; the Fourier
-    engine alone reads max_subdivisions (its panel budget, 64 panels per
-    unit) and truncation_guard (where it cuts the transform off)."""
+    """Tolerances, read by both engines: a quadrature stops refining once
+    its error estimate is within max(abs_tol, rel_tol |integral|)."""
 
     abs_tol: float = 1e-13
     rel_tol: float = 1e-11
-    max_subdivisions: int = 200
-    truncation_guard: float = 1e-14
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "truncation_guard"):
+        for name in ("abs_tol", "rel_tol"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
-        if self.max_subdivisions < 16:
-            raise DomainError("max_subdivisions must be at least 16")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -242,28 +240,36 @@ def log_put_price_from_tail(model: ModelSpec, kappa: float) -> float:
 # damped Fourier engine
 # =============================================================================
 
-# QUADPACK's qk15 rule on [-1, 1] (Piessens et al. 1983): Kronrod nodes and weights
-# and the 7-point Gauss weights (on odd-indexed nodes), halves from -1 to the centre
-_GK_X = np.array([-0.9914553711208126, -0.9491079123427585, -0.8648644233597691, -0.7415311855993945,
-                  -0.5860872354676911, -0.4058451513773972, -0.20778495500789848, 0.0])
-_GK_WK = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-                   0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782])
-_GK_WG = np.array([0.0, 0.1294849661688697, 0.0, 0.27970539148927664,
-                   0.0, 0.3818300505051189, 0.0, 0.4179591836734694])
-_GK_X = np.concatenate([_GK_X, -_GK_X[-2::-1]])
-_GK_WK = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
-_GK_WG = np.concatenate([_GK_WG, _GK_WG[-2::-1]])
+# Ooura & Mori's robust double-exponential rule for Fourier integrals
+# (1999): u = (M / omega) phi(t), M h = pi, phi(t) = t / (1 - exp(-2t - a (1 -
+# e^-t) - b (e^t - 1))), b = 1/4, a = b / sqrt(1 + M ln(1 + M) / (4 pi)).  The
+# nodes at half-integer (integer) t/h close in on the zeros of cos(omega u)
+# (sin) double exponentially; past t = 6 their weights are below e^-100
+_OM_B = 0.25
+# below this omega scale the transform hardly turns: exp-sinh takes it as it is
+_OM_MIN_PHASE = 1e-6
 
-# qk15's roundoff floor on a panel's error is 50 eps int |f|.  Panel
-# evaluations are budgeted per unit of settings.max_subdivisions, and
-# one char_fn call takes at most 256 panels' nodes, bounding its arrays
-_PANELS_PER_SUBDIVISION = 64
-_MAX_NODES_PER_CALL = 256 * _GK_X.size
 
-# a transform above the guard past this cutoff decays algebraically; with more
-# phase than this head it goes to the semi-infinite cycle rule after a plain head
-_QAWF_CUTOFF_MIN = 5000.0
-_QAWF_HEAD_PHASE = 50.0
+@functools.cache
+def _om_level(level: int):
+    """Level `level` of the rule, step _DE_STEP / 2^level, built on first
+    use: nodes v = M phi(t) (u = v / omega) above 1e-26, their weights
+    h M phi'(t), cos v, sin v, and the count of cos nodes, which come first."""
+    h = _DE_STEP / (1 << level)
+    m = math.pi / h
+    a = _OM_B / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    j = np.arange(math.floor(-12.0 / h), math.ceil(6.0 / h) + 1)
+    n = j.size
+    t = np.concatenate([(j - 0.5) * h, j * h])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # far left: v is 0
+        g = 2.0 * t - a * np.expm1(-t) + _OM_B * np.expm1(t)
+        one_e = -np.expm1(-g)
+        v = m * t / one_e
+        dv = h * m * (1.0 - t * np.exp(-g) * (2.0 + a * np.exp(-t) + _OM_B * np.exp(t)) / one_e) / one_e
+    g1 = 2.0 + a + _OM_B  # t = 0: phi = 1 / g'(0), phi' = 1/2 - g''(0) / (2 g'(0)^2)
+    v[t == 0.0], dv[t == 0.0] = m / g1, h * m * (0.5 - (_OM_B - a) / (2.0 * g1 * g1))
+    keep = v > 1e-26
+    return v[keep], dv[keep], np.cos(v[keep]), np.sin(v[keep]), int(keep[:n].sum())
 
 
 def _validate_alpha(model: ModelSpec, alpha: float) -> None:
@@ -283,58 +289,6 @@ def _validate_alpha(model: ModelSpec, alpha: float) -> None:
         raise DampingOutsideStrip("alpha = 0 is outside both damping windows")
 
 
-def _find_cutoff(model: ModelSpec, alpha: float, guard: float) -> float:
-    # the first rung of the doubling ladder below 1e9 where the integrand
-    # envelope |phi(u - i alpha)|/(alpha^2+u^2), times the remaining length
-    # proxy u, drops below the guard; the ladder starts at 1 or above, so
-    # 30 doublings pass 1e9
-    u = max(1.0, 4.0 / model.scale) * 2.0 ** np.arange(30)
-    u = u[u < 1.0e9]
-    env = np.abs(model.char_fn(u - 1j * alpha)) / (alpha * alpha + u * u)
-    below = np.flatnonzero(env * u < guard)
-    if below.size:
-        return float(u[below[0]])
-    raise AccuracyNotReached(
-        "characteristic function decays too slowly to truncate", achieved=math.inf
-    )
-
-
-def _adaptive_gk15(integrand, cutoff: float, k: float, settings: QuadratureSettings):
-    """Globally adaptive G7/K15 on [0, cutoff] for a phase e^(-iu kappa).
-
-    Starts from equal panels at most half a period wide; each round
-    evaluates every open panel's nodes in a few array calls and bisects
-    those whose |K - G| exceeds both their length's share of the
-    tolerance and the roundoff floor.  Returns the integral and the sum
-    of max(|K - G|, floor) over panels.
-    """
-    n = max(8, math.ceil(abs(k) * cutoff / math.pi))
-    edges = np.linspace(0.0, cutoff, n + 1)
-    lo, hi = edges[:-1], edges[1:]
-    budget = _PANELS_PER_SUBDIVISION * settings.max_subdivisions
-    value = err = 0.0
-    while lo.size:
-        budget -= lo.size
-        if budget < 0:
-            raise AccuracyNotReached("transform quadrature ran out of panels",
-                                     achieved=math.inf)
-        half = 0.5 * (hi - lo)
-        u = (lo + half)[:, None] + half[:, None] * _GK_X
-        chunks = np.split(u.ravel(), range(_MAX_NODES_PER_CALL, u.size, _MAX_NODES_PER_CALL))
-        f = np.concatenate([integrand(c) for c in chunks]).reshape(u.shape)
-        kron = half * (f @ _GK_WK)
-        diff = np.abs(kron - half * (f @ _GK_WG))
-        floor = _ROUNDOFF_FLOOR * half * (np.abs(f) @ _GK_WK)
-        tol = max(settings.abs_tol, settings.rel_tol * abs(value + kron.sum()))
-        # NaN compares False: a NaN panel closes and fails the finiteness check
-        open_ = (diff > tol * (hi - lo) / cutoff) & (diff > floor)
-        value += kron[~open_].sum()
-        err += np.maximum(diff, floor)[~open_].sum()
-        mid = (lo + half)[open_]
-        lo, hi = np.concatenate([lo[open_], mid]), np.concatenate([mid, hi[open_]])
-    return float(value), float(err)
-
-
 def price_from_cf(
     model: ModelSpec,
     kappa: float,
@@ -343,76 +297,57 @@ def price_from_cf(
 ) -> PriceQuote:
     """Price through the damped transform of the characteristic function.
 
-    value = e^(-alpha kappa)/pi * int_0^U Re[e^(-iu kappa) phi(u - i alpha)
-    / (alpha + iu)^2] du; positive alpha prices the call directly and the
-    put follows by parity, negative alpha the reverse.  The u > 0 half
-    suffices because the integrand is Hermitian in u.  A vectorized
-    adaptive G7/K15 rule integrates it unless the transform decays so
-    slowly (U > 5000) that it needs scipy's semi-infinite Fourier rule.
+    value = e^(-alpha kappa)/pi int_0^inf Re[H(u) e^(-iu (kappa - c))] du
+    (half of a Hermitian integral), H(u) = phi(u - i alpha) e^(-iuc) /
+    (alpha + iu)^2; alpha > 0 prices the call and parity the put, alpha < 0
+    the reverse.  c is the density's breakpoint (about its kink H decays
+    algebraically, without a phase), else its mean.  With omega = |kappa -
+    c| the Ooura-Mori rule takes int Re H cos(omega u) +- int Im H sin(omega
+    u), or below omega = 1e-6 / scale exp-sinh the integrand as it is.  As
+    in the tail engine the step halves until two levels agree, or differ by
+    less than the roundoff floor 50 eps int |integrand|; difference plus
+    floor is the estimate.
     """
-    k = float(kappa)
-    a = float(alpha)
+    k, a = float(kappa), float(alpha)
     if not math.isfinite(k) or not math.isfinite(a):
         raise DomainError("kappa and alpha must be finite")
     _validate_alpha(model, a)
-    guard = settings.truncation_guard
-    cutoff = _find_cutoff(model, a, guard)
+    c = model.breakpoints[0] if model.breakpoints else model.mean
+    sign, omega = math.copysign(1.0, k - c), abs(k - c)
 
-    def transformed(u):
-        denom = a + 1j * u
-        return model.char_fn(u - 1j * a) / (denom * denom)
+    def transformed(u):  # H(u)
+        return model.char_fn(u - 1j * a) * np.exp(-1j * c * u) / (a + 1j * u) ** 2
 
-    if cutoff <= _QAWF_CUTOFF_MIN or abs(k) * cutoff <= _QAWF_HEAD_PHASE:
-        osc, err = _adaptive_gk15(
-            lambda u: (transformed(u) * np.exp(-1j * k * u)).real, cutoff, k, settings
-        )
-        trunc = guard
-    else:
-        # algebraic decay stretching out for thousands of periods:
-        # plain rule through the near-origin peak, then the
-        # semi-infinite Fourier rule with cycle-wise extrapolation
-        from scipy import integrate  # the only user: importing the package need not load it
+    value, mass, prev = 0.0, 0.0, math.nan
+    for level, (unit, unit_logw) in enumerate(_DE_LEVELS):
+        if omega * model.scale >= _OM_MIN_PHASE:
+            v, dv, cos_v, sin_v, n = _om_level(level)
+            h = transformed(v / omega)
+            re, im = h.real * cos_v, sign * h.imag * sin_v  # their sum is the integrand
+            value = float(dv[:n] @ re[:n] + dv[n:] @ im[n:]) / omega
+            mass = 0.5 * float(dv @ np.abs(re + im)) / omega  # both node sets sample it
+        else:  # the nodes this level adds to the exp-sinh rule, 1 / scale long
+            u = unit[1] / model.scale
+            f = (transformed(u) * np.exp(-1j * (k - c) * u)).real
+            w = np.exp(unit_logw[1]) * (_DE_STEP / (1 << level) / model.scale)
+            value, mass = 0.5 * value + float(w @ f), 0.5 * mass + float(w @ np.abs(f))
+        err = (diff := abs(value - prev)) + (floor := _ROUNDOFF_FLOOR * mass)
+        # NaN compares False: a NaN runs every level and fails the finiteness check
+        if err <= max(settings.abs_tol, settings.rel_tol * abs(value)) or diff <= floor:
+            break
+        prev = value
 
-        split = _QAWF_HEAD_PHASE / abs(k)
-        head, err_head = integrate.quad(
-            lambda u: (transformed(u) * complex(math.cos(u * k), -math.sin(u * k))).real,
-            0.0, split,
-            epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-            limit=settings.max_subdivisions, full_output=1,
-        )[:2]
-        re, err_re = integrate.quad(
-            lambda u: transformed(u).real, split, np.inf,
-            weight="cos", wvar=abs(k),
-            epsabs=settings.abs_tol,
-            limit=settings.max_subdivisions, limlst=settings.max_subdivisions, full_output=1,
-        )[:2]
-        im, err_im = integrate.quad(
-            lambda u: transformed(u).imag, split, np.inf,
-            weight="sin", wvar=abs(k),
-            epsabs=settings.abs_tol,
-            limit=settings.max_subdivisions, limlst=settings.max_subdivisions, full_output=1,
-        )[:2]
-        osc = head + re + math.copysign(1.0, k) * im
-        err = err_head + err_re + err_im
-        trunc = 0.0
-
-    if not math.isfinite(osc):
+    if not math.isfinite(value):
         raise AccuracyNotReached("oscillatory quadrature did not converge",
                                  achieved=math.inf)
     damp = math.exp(-a * k)
-    value = damp * osc / math.pi
-    estimate = damp * (err + trunc) / math.pi
-    if err > 100.0 * max(settings.abs_tol, settings.rel_tol * abs(osc)):
-        raise AccuracyNotReached(
-            f"transform quadrature error {err:.3e} exceeds tolerance",
-            achieved=damp * err / math.pi,
-        )
-    if a > 0.0:
-        call, put = value, value + k
-    else:
-        put, call = value, value - k
-    return PriceQuote(kappa=k, call=call, put=put, method="fourier",
-                      abs_error_estimate=estimate)
+    price, estimate = damp * value / math.pi, damp * err / math.pi
+    if err > 100.0 * max(settings.abs_tol, settings.rel_tol * abs(value)):
+        raise AccuracyNotReached(f"transform quadrature error {err:.3e} exceeds tolerance",
+                                 achieved=estimate)
+    call, put = (price, price + k) if a > 0.0 else (price - k, price)
+    return PriceQuote(kappa=k, call=call, put=put, method="fourier",  # parity rounds within ulp/2
+                      abs_error_estimate=estimate + 0.5 * math.ulp(put if a > 0.0 else call))
 
 
 def _default_alpha(model: ModelSpec, kappa: float) -> float:
