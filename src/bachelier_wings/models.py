@@ -34,9 +34,6 @@ __all__ = [
     "mgf_blowup_boundary",
 ]
 
-MODEL_NAMES = ("gaussian", "asym_laplace", "nig")
-
-
 # =============================================================================
 # types
 # =============================================================================
@@ -56,31 +53,23 @@ class AnalyticityStrip:
         if not (self.lambda_minus > 0.0) or not (self.lambda_plus > 0.0):
             raise DomainError("strip boundaries must be > 0")
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.lambda_minus) and math.isfinite(self.lambda_plus)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
     """A centered return distribution with every handle the analysis needs.
 
-    cdf/complement_cdf satisfy F + complement = 1 exactly (one side is
-    always derived from the other).  log_* variants stay finite far past
-    the double underflow floor.  char_fn accepts complex xi strictly
-    inside the strip; mgf(s) = char_fn(-i s) for s in (-lambda_plus,
-    lambda_minus), both raising DomainError if any argument is outside
-    (an mgf past the double range is inf, without a warning).  scale is the
-    standard deviation, used to size wing grids.  Pricing reads log_pdf;
-    char_fn feeds only the Fourier cross-check.  The strip's boundaries
-    are > 0, so both exponential moments the tail engine needs exist.
+    The log_* forms stay finite far past the double underflow floor.
+    char_fn accepts complex xi strictly inside the strip; mgf(s) =
+    char_fn(-i s) for s in (-lambda_plus, lambda_minus), both raising
+    DomainError if any argument is outside (an mgf past the double range
+    is inf, without a warning).  scale is the standard deviation, used to
+    size wing grids.  Pricing reads log_pdf; char_fn feeds only the
+    Fourier cross-check.  The strip's boundaries are > 0, so both
+    exponential moments the tail engine needs exist.
     """
 
     name: str
     params: Mapping[str, float]
-    pdf: Callable = field(repr=False)
-    cdf: Callable = field(repr=False)
-    complement_cdf: Callable = field(repr=False)
     log_pdf: Callable = field(repr=False)
     log_cdf: Callable = field(repr=False)
     log_complement_cdf: Callable = field(repr=False)
@@ -91,9 +80,6 @@ class ModelSpec:
     scale: float = field()
     # abscissas where the density is non-smooth; quadrature splits there
     breakpoints: tuple[float, ...] = ()
-    # relative accuracy of cdf/complement_cdf evaluations; closed forms sit
-    # at rounding level, numeric tails carry their quadrature rule's bound
-    tail_accuracy: float = 4e-16
 
 
 def _scalarize(fn):
@@ -140,9 +126,6 @@ def gaussian_model(sigma: float) -> ModelSpec:
     return ModelSpec(
         name="gaussian",
         params={"sigma": s},
-        pdf=_scalarize(lambda x: np.exp(log_pdf(x))),
-        cdf=_scalarize(lambda x: sc.ndtr(x * inv)),
-        complement_cdf=_scalarize(lambda x: sc.ndtr(-x * inv)),
         log_pdf=_scalarize(log_pdf),
         log_cdf=_scalarize(lambda x: sc.log_ndtr(x * inv)),
         log_complement_cdf=_scalarize(lambda x: sc.log_ndtr(-x * inv)),
@@ -197,16 +180,6 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
             right = np.log1p(-w_right * np.exp(np.minimum(-lr * z, 0.0)))
         return np.where(z <= 0.0, left, right)
 
-    def sf(x):
-        z = x + m
-        return np.where(z >= 0.0, w_right * np.exp(-lr * np.maximum(z, 0.0)),
-                        1.0 - w_left * np.exp(ll * np.minimum(z, 0.0)))
-
-    def cdf(x):
-        z = x + m
-        return np.where(z <= 0.0, w_left * np.exp(ll * np.minimum(z, 0.0)),
-                        1.0 - w_right * np.exp(-lr * np.maximum(z, 0.0)))
-
     def char_fn(xi):
         scalar = np.ndim(xi) == 0
         xi = np.asarray(xi, dtype=complex)
@@ -226,9 +199,6 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
     return ModelSpec(
         name="asym_laplace",
         params={"lambda_r": lr, "lambda_l": ll},
-        pdf=_scalarize(lambda x: np.exp(log_pdf(x))),
-        cdf=_scalarize(cdf),
-        complement_cdf=_scalarize(sf),
         log_pdf=_scalarize(log_pdf),
         log_cdf=_scalarize(log_cdf),
         log_complement_cdf=_scalarize(log_sf),
@@ -286,10 +256,10 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
     mu = None (default) centers the law at zero mean by setting
     mu = -delta*beta/gamma, gamma = sqrt(alpha^2 - beta^2); an explicit
     mu is honored and reflected in the mean field.  The density is the
-    closed Bessel form; cdf and complement are half-line integrals of it
-    under the fixed double-exponential rule, split at the mode (found
-    once, as the root of the density's slope between mu and the mean)
-    and complemented to the other side, so F + complement = 1 exactly.
+    closed Bessel form; the log tails are half-line integrals of it under
+    the fixed double-exponential rule, split at the mode (found once, as
+    the root of the density's slope between mu and the mean), and on the
+    near side ln(1 - the other tail).
     """
     a = float(alpha)
     b = float(beta)
@@ -370,9 +340,6 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
     return ModelSpec(
         name="nig",
         params=params,
-        pdf=_scalarize(lambda x: np.exp(log_pdf(x))),
-        cdf=_scalarize(lambda x: np.exp(log_tail(x, -1))),
-        complement_cdf=_scalarize(lambda x: np.exp(log_tail(x, +1))),
         log_pdf=_scalarize(log_pdf),
         log_cdf=_scalarize(lambda x: log_tail(x, -1)),
         log_complement_cdf=_scalarize(lambda x: log_tail(x, +1)),
@@ -381,7 +348,6 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         strip=AnalyticityStrip(lambda_minus=lam_minus, lambda_plus=lam_plus),
         mean=mean,
         scale=math.sqrt(d * a * a / gamma**3),
-        tail_accuracy=5e-12,
     )
 
 
@@ -389,23 +355,17 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
 # configuration parsing
 # =============================================================================
 
-_PARAM_SCHEMAS: dict[str, tuple[tuple[str, bool], ...]] = {
-    # (name, required)
-    "gaussian": (("sigma", True),),
-    "asym_laplace": (("lambda_r", True), ("lambda_l", True)),
-    "nig": (("alpha", True), ("beta", True), ("delta", True), ("mu", False)),
-}
-
-_CONSTRUCTORS = {
-    "gaussian": gaussian_model,
-    "asym_laplace": asym_laplace_model,
-    "nig": nig_model,
+# name -> (constructor, its (parameter, required) schema)
+_MODELS = {
+    "gaussian": (gaussian_model, (("sigma", True),)),
+    "asym_laplace": (asym_laplace_model, (("lambda_r", True), ("lambda_l", True))),
+    "nig": (nig_model, (("alpha", True), ("beta", True), ("delta", True), ("mu", False))),
 }
 
 
 def model_schemas() -> dict[str, tuple[tuple[str, bool], ...]]:
     """Known model names mapped to their (parameter, required) schema."""
-    return dict(_PARAM_SCHEMAS)
+    return {name: schema for name, (_, schema) in _MODELS.items()}
 
 
 def parse_model_config(config: object) -> ModelSpec:
@@ -422,15 +382,15 @@ def parse_model_config(config: object) -> ModelSpec:
     if "model" not in config:
         raise ModelConfigError("model", "required")
     name = config["model"]
-    if not isinstance(name, str) or name not in MODEL_NAMES:
-        raise ModelConfigError("model", f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+    if not isinstance(name, str) or name not in _MODELS:
+        raise ModelConfigError("model", f"unknown model {name!r}; expected one of {', '.join(_MODELS)}")
     if "params" not in config:
         raise ModelConfigError("params", "required")
     params = config["params"]
     if not isinstance(params, Mapping):
         raise ModelConfigError("params", "expected an object of named reals")
 
-    schema = _PARAM_SCHEMAS[name]
+    constructor, schema = _MODELS[name]
     allowed = {p for p, _ in schema}
     for key in params:
         if key not in allowed:
@@ -447,7 +407,7 @@ def parse_model_config(config: object) -> ModelSpec:
         if not math.isfinite(float(value)):
             raise ModelConfigError(f"params.{key}", "must be finite")
         kwargs[key] = float(value)
-    return _CONSTRUCTORS[name](**kwargs)
+    return constructor(**kwargs)
 
 
 # =============================================================================

@@ -155,7 +155,8 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
             ends = np.cumsum(counts[todo]) * unit.shape[1]
             lf = np.concatenate([model.log_pdf(chunk) for chunk in np.split(
                 nodes, ends[np.flatnonzero(np.diff(ends // _MAX_TAIL_NODES_PER_CALL))])])
-        terms = unit_logw[row[keep]] + ln_length[:, None] + np.log(y[:, None] + dy) + lf.reshape(dy.shape)
+        with np.errstate(divide="ignore"):  # y + dy is 0 where a first piece's dy underflows: no weight
+            terms = unit_logw[row[keep]] + ln_length[:, None] + np.log(y[:, None] + dy) + lf.reshape(dy.shape)
         peaks, sums, at = [], [], 0
         for count, run in itertools.groupby(counts[todo].tolist()):
             # one pieces x nodes row per integral, summed as alone; an all-zero

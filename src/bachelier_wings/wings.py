@@ -14,7 +14,7 @@ diagnostics quantify how fast the price-to-volatility asymptotics settle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,19 +64,11 @@ class WingEstimate:
 
     slope_samples holds (kappa, I(kappa)^2/|kappa|) ordered outward;
     extrapolated_slope is the 1/|kappa| -> 0 intercept of those samples.
-    tail_reference carries the model-tail counterpart at the same kappas,
-    strip_reference the theoretical limit 1/(2 lambda) (0.0 when the
-    strip is infinite), rv_index_theta the measured tail-growth index.
-    The last three slots are filled by theorem_verdicts; wing_slope
-    produces the slope fields only.
     """
 
     side: str
     slope_samples: tuple[tuple[float, float], ...]
     extrapolated_slope: float
-    tail_reference: tuple[tuple[float, float], ...] = ()
-    strip_reference: float = math.nan
-    rv_index_theta: float = math.nan
 
     def __post_init__(self) -> None:
         _require_side(self.side)
@@ -390,7 +382,6 @@ def _side_report(model: ModelSpec, smile: SmileGrid, side: str):
     log_tails = _log_tails(model, side, np.concatenate([np.abs(ks), grid]))
     refs = [(k, -abs(k) / (2.0 * lt)) for k, lt in zip(ks, log_tails)]
     theta = _rv_fit(lo, hi, grid if grid.size else _rv_grid(lo, hi), log_tails[len(ks):])
-    est = replace(est, tail_reference=tuple(refs), strip_reference=strip_ref, rv_index_theta=theta)
 
     checks = []
     tol = _SLOPE_STRIP_TOL * strip_ref if strip_ref > 0.0 else _FLAT_SLOPE_FLOOR
@@ -416,7 +407,7 @@ def _side_report(model: ModelSpec, smile: SmileGrid, side: str):
     detail = {
         "slope_samples": [[float(k), float(s)] for k, s in est.slope_samples],
         "extrapolated_slope": float(est.extrapolated_slope),
-        "tail_reference": [[float(k), float(v)] for k, v in est.tail_reference],
+        "tail_reference": [[float(k), float(v)] for k, v in refs],
         "strip_reference": float(strip_ref),
         "rv_index_theta": float(theta),
     }

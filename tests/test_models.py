@@ -5,6 +5,7 @@ enforcement, config parsing, and the strip-boundary probe.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -39,6 +40,13 @@ NIG_PDF = {
 NIG_CDF_AT_M1 = 0.067635163820894172
 NIG_SF_AT_2 = 0.012752096361473284
 NIG_VAR = 0.550824298127277
+# relative accuracy of the NIG log tails' double-exponential rule, in linear form
+NIG_TAIL_REL = 5e-12
+
+
+def _pdf(model):
+    """The density exp(log_pdf) as a scalar function, for quad."""
+    return lambda x: math.exp(model.log_pdf(x))
 
 
 # =============================================================================
@@ -48,14 +56,14 @@ NIG_VAR = 0.550824298127277
 def test_gaussian_density_matches_oracle():
     for x in (-5.0, -0.7, 0.0, 1.3, 8.0):
         want = float(mp.npdf(x, 0, 2))
-        assert GAUSS.pdf(x) == pytest.approx(want, rel=1e-14)
+        assert math.exp(GAUSS.log_pdf(x)) == pytest.approx(want, rel=1e-14)
         assert GAUSS.log_pdf(x) == pytest.approx(float(mp.log(mp.npdf(x, 0, 2))), rel=1e-13)
 
 
 def test_gaussian_tails_match_oracle():
     for x in (-6.0, -1.0, 0.0, 2.5, 7.0):
-        assert GAUSS.cdf(x) == pytest.approx(float(mp.ncdf(x / 2.0)), rel=1e-13)
-        assert GAUSS.complement_cdf(x) == pytest.approx(float(mp.ncdf(-x / 2.0)), rel=1e-13)
+        assert math.exp(GAUSS.log_cdf(x)) == pytest.approx(float(mp.ncdf(x / 2.0)), rel=1e-13)
+        assert math.exp(GAUSS.log_complement_cdf(x)) == pytest.approx(float(mp.ncdf(-x / 2.0)), rel=1e-13)
     # far past the underflow floor the log forms must stay finite and correct
     assert GAUSS.log_complement_cdf(200.0) == pytest.approx(
         float(mp.log(mp.ncdf(-100))), rel=1e-12
@@ -66,27 +74,34 @@ def test_laplace_density_closed_form():
     lr, ll = 1.0, 2.0
     m = 1.0 / lr - 1.0 / ll
     c = lr * ll / (lr + ll)
+    w_right, w_left = ll / (lr + ll), lr / (lr + ll)  # P(X > -m), P(X < -m)
     for x in (-4.0, -0.5, -m, 0.0, 1.0, 6.0):
         z = x + m
         want = c * math.exp(-lr * z) if z >= 0 else c * math.exp(ll * z)
-        assert LAPLACE.pdf(x) == pytest.approx(want, rel=1e-14)
+        assert math.exp(LAPLACE.log_pdf(x)) == pytest.approx(want, rel=1e-14)
+        # the closed-form tails, the oracle for both log tails
+        cdf = w_left * math.exp(ll * z) if z <= 0 else 1.0 - w_right * math.exp(-lr * z)
+        sf = w_right * math.exp(-lr * z) if z >= 0 else 1.0 - w_left * math.exp(ll * z)
+        assert LAPLACE.log_cdf(x) == pytest.approx(math.log(cdf), rel=1e-12), x
+        assert LAPLACE.log_complement_cdf(x) == pytest.approx(math.log(sf), rel=1e-12), x
 
 
 def test_laplace_mean_is_zero():
     kink = -0.5  # density is non-smooth where the centered argument crosses 0
-    lo, _ = quad(lambda x: x * LAPLACE.pdf(x), -60.0, kink, limit=200)
-    hi, _ = quad(lambda x: x * LAPLACE.pdf(x), kink, 120.0, limit=200)
+    pdf = _pdf(LAPLACE)
+    lo, _ = quad(lambda x: x * pdf(x), -60.0, kink, limit=200)
+    hi, _ = quad(lambda x: x * pdf(x), kink, 120.0, limit=200)
     assert abs(lo + hi) < 1e-10
 
 
 def test_nig_density_matches_frozen_oracle():
     for x, want in NIG_PDF.items():
-        assert NIG.pdf(x) == pytest.approx(want, rel=5e-14)
+        assert math.exp(NIG.log_pdf(x)) == pytest.approx(want, rel=5e-14)
 
 
 def test_nig_tails_match_frozen_oracle():
-    assert NIG.cdf(-1.0) == pytest.approx(NIG_CDF_AT_M1, rel=5e-12)
-    assert NIG.complement_cdf(2.0) == pytest.approx(NIG_SF_AT_2, rel=5e-12)
+    assert math.exp(NIG.log_cdf(-1.0)) == pytest.approx(NIG_CDF_AT_M1, rel=NIG_TAIL_REL)
+    assert math.exp(NIG.log_complement_cdf(2.0)) == pytest.approx(NIG_SF_AT_2, rel=NIG_TAIL_REL)
 
 
 # Strongly skewed NIG models, whose mode sits 0.5-0.66 scales off the
@@ -112,8 +127,8 @@ def test_nig_tails_near_mean_match_mpmath(params):
     model = nig_model(*params)
     for j, sf in zip((-1.0, -0.5, 0.0, 0.5, 1.0), NIG_SKEWED_SF[params]):
         x = model.mean + j * model.scale
-        assert model.complement_cdf(x) == pytest.approx(sf, rel=model.tail_accuracy), j
-        assert model.cdf(x) == pytest.approx(1.0 - sf, rel=model.tail_accuracy), j
+        assert math.exp(model.log_complement_cdf(x)) == pytest.approx(sf, rel=NIG_TAIL_REL), j
+        assert math.exp(model.log_cdf(x)) == pytest.approx(1.0 - sf, rel=NIG_TAIL_REL), j
 
 
 @pytest.mark.parametrize("params", [(2.0, 0.5, 1.0), (3.5744, -3.3765, 1.3122),
@@ -138,9 +153,10 @@ def test_nig_log_pdf_matches_mpmath_bessel_density(params):
 
 def test_nig_moments():
     lo, hi = -400.0, 400.0
-    mass, _ = quad(NIG.pdf, lo, hi, limit=400)
-    mean, _ = quad(lambda x: x * NIG.pdf(x), lo, hi, limit=400)
-    var, _ = quad(lambda x: x * x * NIG.pdf(x), lo, hi, limit=400)
+    pdf = _pdf(NIG)
+    mass, _ = quad(pdf, lo, hi, limit=400)
+    mean, _ = quad(lambda x: x * pdf(x), lo, hi, limit=400)
+    var, _ = quad(lambda x: x * x * pdf(x), lo, hi, limit=400)
     assert abs(mass - 1.0) < 1e-10
     assert abs(mean) < 1e-10
     assert var == pytest.approx(NIG_VAR, rel=1e-9)
@@ -156,7 +172,7 @@ def test_nig_mu_translation_identity():
     base = nig_model(alpha=2.0, beta=0.5, delta=1.0, mu=0.0)
     shifted = nig_model(alpha=2.0, beta=0.5, delta=1.0, mu=3.0)
     for x in (-1.0, 0.2, 4.0):
-        assert shifted.pdf(x + 3.0) == pytest.approx(base.pdf(x), rel=1e-13)
+        assert math.exp(shifted.log_pdf(x + 3.0)) == pytest.approx(math.exp(base.log_pdf(x)), rel=1e-13)
 
 
 # =============================================================================
@@ -167,7 +183,7 @@ def test_nig_mu_translation_identity():
 def test_unit_mass(model):
     lo = model.mean - 60.0 * model.scale
     hi = model.mean + 60.0 * model.scale
-    val, _ = quad(model.pdf, lo, hi, limit=400)
+    val, _ = quad(_pdf(model), lo, hi, limit=400)
     assert abs(val - 1.0) < 1e-10
 
 
@@ -175,30 +191,25 @@ def test_unit_mass(model):
 def test_cdf_derivative_is_density(model):
     h = 1e-5
     for x in (-2.3, -0.4, 0.9, 3.1):
-        fd = (model.cdf(x + h) - model.cdf(x - h)) / (2.0 * h)
-        assert fd == pytest.approx(model.pdf(x), rel=1e-8, abs=1e-12)
+        fd = (math.exp(model.log_cdf(x + h)) - math.exp(model.log_cdf(x - h))) / (2.0 * h)
+        assert fd == pytest.approx(math.exp(model.log_pdf(x)), rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("model", [GAUSS, LAPLACE, NIG], ids=lambda m: m.name)
 def test_tails_sum_to_one(model):
     x = np.linspace(-8.0, 8.0, 33)
-    total = model.cdf(x) + model.complement_cdf(x)
+    total = np.exp(model.log_cdf(x)) + np.exp(model.log_complement_cdf(x))
     assert np.all(np.abs(total - 1.0) <= 1e-12)
 
 
 @pytest.mark.parametrize("model", [GAUSS, LAPLACE, NIG], ids=lambda m: m.name)
-def test_log_tails_agree_with_linear(model):
-    for x in (-3.0, 0.0, 2.0):
-        assert model.log_cdf(x) == pytest.approx(math.log(model.cdf(x)), rel=1e-12)
-        assert model.log_complement_cdf(x) == pytest.approx(
-            math.log(model.complement_cdf(x)), rel=1e-12
-        )
-
-
-@pytest.mark.parametrize("model", [GAUSS, LAPLACE, NIG], ids=lambda m: m.name)
 def test_vectorized_matches_scalar(model):
+    # every callable field but char_fn and mgf, which have their own tests
+    names = [f.name for f in dataclasses.fields(model)
+             if callable(getattr(model, f.name)) and f.name not in ("char_fn", "mgf")]
+    assert names == ["log_pdf", "log_cdf", "log_complement_cdf"]
     xs = np.array([-2.0, -0.3, 0.0, 1.7, 4.2])
-    for fn_name in ("pdf", "cdf", "complement_cdf", "log_pdf", "log_complement_cdf"):
+    for fn_name in names:
         fn = getattr(model, fn_name)
         batch = fn(xs)
         assert batch.shape == xs.shape
@@ -235,8 +246,9 @@ def test_laplace_log_tails_deep():
 def _cf_by_quadrature(model, u: float) -> complex:
     lo = model.mean - 60.0 * model.scale
     hi = model.mean + 60.0 * model.scale
-    re, _ = quad(lambda x: math.cos(u * x) * model.pdf(x), lo, hi, limit=800)
-    im, _ = quad(lambda x: math.sin(u * x) * model.pdf(x), lo, hi, limit=800)
+    pdf = _pdf(model)
+    re, _ = quad(lambda x: math.cos(u * x) * pdf(x), lo, hi, limit=800)
+    im, _ = quad(lambda x: math.sin(u * x) * pdf(x), lo, hi, limit=800)
     return complex(re, im)
 
 
@@ -347,11 +359,12 @@ def test_mgf_past_double_range_is_a_quiet_inf(model, t):
 
 
 def test_mgf_matches_integral():
-    tilt = lambda x: math.exp(0.7 * x) * LAPLACE.pdf(x)
+    pdf = _pdf(LAPLACE)
+    tilt = lambda x: math.exp(0.7 * x) * pdf(x)
     lo, _ = quad(tilt, -160.0, -0.5, limit=400)   # split at the density kink
     hi, _ = quad(tilt, -0.5, 240.0, limit=400)    # tilted tail decays at rate 0.3
     assert LAPLACE.mgf(0.7) == pytest.approx(lo + hi, rel=1e-10)
-    want, _ = quad(lambda x: math.exp(1.2 * x) * NIG.pdf(x), -300.0, 300.0, limit=400)
+    want, _ = quad(lambda x: math.exp(1.2 * x) * _pdf(NIG)(x), -300.0, 300.0, limit=400)
     assert NIG.mgf(1.2) == pytest.approx(want, rel=1e-9)
 
 
@@ -361,7 +374,7 @@ def test_mgf_matches_integral():
 
 def test_strip_fields():
     assert GAUSS.strip.lambda_minus == math.inf
-    assert not GAUSS.strip.is_finite
+    assert math.isinf(GAUSS.strip.lambda_plus)
     assert LAPLACE.strip.lambda_minus == 1.0
     assert LAPLACE.strip.lambda_plus == 2.0
     assert NIG.strip.lambda_minus == pytest.approx(1.5)

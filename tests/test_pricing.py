@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -183,10 +184,23 @@ def test_fourier_at_the_centre(model, offset):
     elif model is GAUSS2:
         assert abs(q.call - call_price(k, 2.0)) <= q.abs_error_estimate
         assert abs(q.put - call_price(-k, 2.0)) <= q.abs_error_estimate
-    else:  # the tail engine; 1e-300 scales off c it prices c, as its first piece would underflow
-        qt = price_from_tail(model, c if abs(offset) < 1e-100 else k)
+    else:  # the tail engine at the same kappa
+        qt = price_from_tail(model, k)
         diff = max(abs(qt.call - q.call), abs(qt.put - q.put))
         assert diff <= qt.abs_error_estimate + q.abs_error_estimate
+
+
+@pytest.mark.parametrize("model", [GAUSS2, SKEWED, NIG], ids=lambda m: m.name)
+@pytest.mark.parametrize("offset", [1e-300, -1e-300, 1e-30, -1e-30])
+def test_tail_a_hair_off_the_mean(model, offset):
+    # the first piece's tanh-sinh nodes dy underflow to 0 there; such a node
+    # carries no weight, without a warning, and the quote is the mean's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = price_from_tail(model, model.mean + offset * model.scale)
+    q0 = price_from_tail(model, model.mean)
+    assert abs(q.call - q0.call) <= q0.abs_error_estimate
+    assert abs(q.put - q0.put) <= q0.abs_error_estimate
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,23 @@ def test_escalation_chooses_the_probe_condition_i_probe_returns(model, side):
     assert chosen == condition_i_probe(model, side, chosen.n, s_min)
 
 
+@pytest.mark.parametrize("model", [GAUSS1] + PROBE_MODELS, ids=lambda m: str(dict(m.params)))
+def test_report_equals_the_public_readers(model):
+    # the report fuses the slope, tail-reference and rv_index reads of each
+    # side; every number must be the one the public function returns
+    report = theorem_verdicts(model)
+    smile = smile_from_model(model, _report_grid(model), tol_iv=VerdictSettings().tol_iv)
+    for side in ("right", "left"):
+        detail = report["sides"][side]
+        est = wing_slope(smile, side)
+        assert detail["slope_samples"] == [list(p) for p in est.slope_samples]
+        assert detail["extrapolated_slope"] == est.extrapolated_slope
+        ks = [k for k, _ in est.slope_samples]
+        assert detail["tail_reference"] == [list(p) for p in tail_reference_curve(model, ks, side)]
+        assert detail["rv_index_theta"] == rv_index(model, side, 10.0 * model.scale,
+                                                    2000.0 * model.scale)
+
+
 def _report_grid(model) -> np.ndarray:
     vs = VerdictSettings()
     wing = np.geomspace(vs.wing_lo_scales * model.scale, vs.wing_hi_scales * model.scale,
