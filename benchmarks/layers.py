@@ -18,6 +18,9 @@ pricing._log_payoff_integrals on the CLI's 9-point linear grid over +-4
 scales for each report model, in microseconds: "both_legs" integrates
 call and put at every kappa (as price_grid does), "otm_leg" only the
 out-of-the-money one (as smile_from_model does).
+L3_tail_core_report_grid_us is one call of the core on the
+out-of-the-money legs of each report model's 25-point report grid (the
+call that a wing report's smile makes), in microseconds.
 L2_nig_log_pdf_ns_per_node is the median time of one
 nig(2, 0.5, 1).log_pdf call on a fixed array of
 100,000 points spread evenly over +-50 (about +-67 scales) in ns per
@@ -39,14 +42,14 @@ solver evaluations per quote on that deck.
 L1_implied_vol_call_log_vec_us is one implied_vol_call_log_vec call on
 the first 8, 32 and 128 quotes of that deck, the batch sizes of market
 smiles, in microseconds.  L1_crossover_us times the two kernels of the
-inversion core on batches of 4, 8, 12, 16, 24 and 32 quotes of that deck, in
-microseconds: "array_loop" is inversion._solve_otm_log_array,
+inversion core on batches of 4, 8, 12, 16, 18, 20, 22, 24 and 32 quotes of that
+deck, in microseconds: "array_loop" is inversion._solve_otm_log_array,
 "float_twin" inversion._solve_otm_log_floats (the float twin run on
 each quote, with the result packed as the array loop's), the two run in
 turn on repetition i's batch, the deck's i-th run of that many quotes.
-The largest of these sizes at which float_twin beats array_loop sets
 inversion._MIN_ARRAY_BATCH, the batch size from which _solve_otm_log
-runs the array loop.  L6_cli_smile_ms is one
+runs the array loop, is one more than the largest of these sizes at
+which float_twin beats array_loop.  L6_cli_smile_ms is one
 in-process cli.main call of `smile --format csv` on a 9-point linear grid
 over +-4 scales for each report model, reading the model from a JSON
 file in a temporary directory, with stdout sent to a StringIO: parsing,
@@ -109,7 +112,7 @@ MODEL_CALLS = {
 }
 MODELS = {name: factory(*args) for name, (factory, args) in MODEL_CALLS.items()}
 VEC_SIZES = (8, 32, 128)
-CROSSOVER_SIZES = (4, 8, 12, 16, 24, 32)
+CROSSOVER_SIZES = (4, 8, 12, 16, 18, 20, 22, 24, 32)
 REPORTS = ("gaussian(1)", "asym_laplace(2, 0.7)", "nig(2, 0.5, 1)", "nig(3.5744, -3.3765, 1.3122)")
 
 
@@ -269,6 +272,13 @@ def main() -> None:
         out["L3_tail_core_cli_grid_us"][name] = {
             leg: 1e3 * median_ms(lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
             for leg, (ks, signs) in legs.items()}
+    out["L3_tail_core_report_grid_us"] = {}
+    for name in REPORTS:
+        model = MODELS[name]
+        ks = report_grid(model)
+        signs = np.where(ks >= 0.0, 1.0, -1.0)
+        out["L3_tail_core_report_grid_us"][name] = 1e3 * median_ms(
+            lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
     nig = MODELS["nig(2, 0.5, 1)"]
     nodes = np.linspace(-50.0, 50.0, 100_000)
     out["L2_nig_log_pdf_ns_per_node"] = (

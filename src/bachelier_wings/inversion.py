@@ -162,11 +162,11 @@ def _validate_tol(tol: float) -> float:
 _Solved = namedtuple("_Solved", "x iterations bisected deep g converged unattainable x_lo x_hi")
 _SOLVED_DTYPES = (float, np.int64, bool, bool, float, bool, bool, float, float)
 
-# A batch of fewer quotes than this is solved quote by quote in the float twin:
-# the largest size in benchmarks/layers.py's L1_crossover_us rows at which the
-# twin beats the array loop, both at two evaluations a quote (199 against 214 us
-# at 16 quotes, 282 against 219 us at 24; medians of 10 pairs, reference units)
-_MIN_ARRAY_BATCH = 16
+# Batches of fewer quotes run the float twin quote by quote. The bound is one
+# more than the largest L1_crossover_us size (benchmarks/layers.py) at which the
+# twin beats the array loop, both at two evaluations a quote (216 against 217 us
+# at 18 quotes, 237 against 215 us at 20; medians of 10 pairs, reference units)
+_MIN_ARRAY_BATCH = 19
 
 
 def _solve_otm_log(

@@ -279,8 +279,10 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
     log_front = math.log(a * d / math.pi) + d * gamma
 
     def log_pdf(x):
-        s = np.hypot(d, x - m)
-        return log_front + b * (x - m) - np.log(s) + np.log(sc.k1e(a * s)) - a * s
+        z = x - m
+        s = np.hypot(d, z)
+        az = a * s
+        return log_front + b * z - np.log(s) + np.log(sc.k1e(az)) - az
 
     def _log_tail_de(x, sign: int):
         # ln int_0^inf f(x + sign*y) dy; valid from the mode outward in sign.

@@ -4,12 +4,13 @@ Two independent routes to the same number.  The tail route prices every
 quote the package reports (price_grid's two legs, a smile's one
 out-of-the-money leg): call = int_0^inf y f(kappa + y) dy and put =
 int_0^inf y f(kappa - y) dy, double-exponential sums in log space whose
-step halves until two levels agree, a whole batch at once.  The Fourier
-route, the cross-check, damps the payoff by e^(alpha kappa) and integrates
-the characteristic function along a shifted contour, on Ooura and Mori's
-double-exponential rule for Fourier integrals, whose step also halves
-until two levels agree.  Keeping both honest and comparing them is the
-point; neither is defined in terms of the other.
+step halves until two levels agree, a whole batch at once, the first two
+levels in one pass over the density.  The Fourier route, the cross-check,
+damps the payoff by e^(alpha kappa) and integrates the characteristic
+function along a shifted contour, on Ooura and Mori's double-exponential
+rule for Fourier integrals, whose step also halves until two levels
+agree.  Keeping both honest and comparing them is the point; neither is
+defined in terms of the other.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ DEFAULT_SETTINGS = QuadratureSettings()
 # both engines' roundoff floor: 50 eps, relative to the integral of |f|
 _ROUNDOFF_FLOOR = 50.0 * math.ulp(1.0)
 
-# the smallest normal double, below which _price reads 0
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+# the smallest normal double, below which _price reads 0, and the lowest double
+_SMALLEST_NORMAL, _LOWEST = float(np.finfo(float).tiny), -float(np.finfo(float).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,6 +102,13 @@ _BULK_SCALES = 8.0
 _MAX_TAIL_NODES_PER_CALL = 1 << 16
 
 
+# levels 0 and 1 in one log_pdf pass, their nodes end to end (no integral can
+# stop at level 0 but on a zero sum), then one pass per level; each level's columns
+_N0 = _DE_LEVELS[0][0].shape[1]
+_TAIL_PASSES = ((*map(np.hstack, zip(*_DE_LEVELS[:2])), [(0, slice(0, _N0)), (1, slice(_N0, None))]),
+                *((*_DE_LEVELS[level], [(level, slice(None))]) for level in range(2, len(_DE_LEVELS))))
+
+
 def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
                           abs_tol: float, rel_tol: float):
     """ln S = ln int_0^inf y f(k + sign y) dy per (k, sign) pair, its
@@ -111,25 +119,35 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
     to infinity.  The step halves until two levels differ by at most
     max(abs_tol, rel_tol S) over the roundoff floor, their difference
     plus the floor being the estimate; abs_tol = 0 asks for rel_tol
-    alone.  The integrals are sorted by piece count and their pieces laid
-    out end to end once.  One log_pdf call probes all decay rates; each
-    level then takes one call (per chunk) for all open integrals' nodes.
-    Each integral sums its own pieces x nodes row, whatever the batch.
+    alone.  An integral with no cut past kappa is one exp-sinh piece; the
+    others are cut one by one and come after those, sorted by piece
+    count, the pieces laid out end to end once.  One log_pdf call probes
+    all decay rates; one more (per chunk) takes levels 0 and 1 for every
+    integral, and each later level one for all open integrals' nodes.
+    Each integral sums its own pieces x nodes row per level, whatever the
+    batch.
     """
-    ends_all = []
-    for k, sign in zip(ks.tolist(), signs.tolist()):
+    ahead = (signs * (np.array([model.mean, *model.breakpoints])[:, None] - ks) > 0.0).any(axis=0)
+    ends_all = {}
+    for i, k, sign in zip(np.flatnonzero(ahead).tolist(), ks[ahead].tolist(), signs[ahead].tolist()):
         cuts = [model.mean, *model.breakpoints]
         if sign * (model.mean - k) > _BULK_SCALES * model.scale:
             cuts.append(model.mean - sign * _BULK_SCALES * model.scale)
         # (y, x) where each piece starts, one per distinct y
-        ends_all.append([(0.0, k),
-                         *sorted({sign * (x - k): x for x in cuts if sign * (x - k) > 0.0}.items())])
-    # by piece count; sorted is stable, so equal counts keep the callers' order
-    order = np.array(sorted(range(ks.size), key=lambda i: len(ends_all[i])), dtype=int)
-    counts = np.array([len(ends_all[i]) for i in order.tolist()], dtype=int)
+        ends_all[i] = [(0.0, k), *sorted({sign * (x - k): x for x in cuts if sign * (x - k) > 0.0}.items())]
+    multi = sorted(ends_all, key=lambda i: len(ends_all[i]))
+    # the one-piece integrals first, then by piece count; sorted is stable, so
+    # equal counts keep the callers' order
+    if multi:
+        order = np.concatenate([np.flatnonzero(~ahead), multi])
+        counts = np.array([1] * (ks.size - len(multi)) + [len(ends_all[i]) for i in multi])
+        ends = np.array([end for i in multi for end in ends_all[i]]).T
+        ya, xa = np.concatenate([[np.zeros(ks.size - len(multi)), ks[~ahead]], ends], axis=1)
+        signs = signs[order]
+    else:  # one exp-sinh piece (0, k) each, in the callers' order
+        counts, ya, xa = np.ones(ks.size, dtype=int), np.zeros(ks.size), ks
     last = np.cumsum(counts) - 1
-    ya, xa = np.array([end for i in order.tolist() for end in ends_all[i]], dtype=float).reshape(-1, 2).T
-    sign = np.repeat(signs[order], counts)
+    sign = np.repeat(signs, counts)
     # the last piece's length is the density's decay length there, at most its scale
     delta = 1e-3 * model.scale
     lf0, lf1 = model.log_pdf(np.concatenate([xa[last] + 0.0, xa[last] + sign[last] * delta])).reshape(2, -1)
@@ -141,13 +159,14 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
 
     log_sum, ln_s, prev = np.full((3, counts.size), -math.inf)
     err, done = np.zeros(counts.size), np.zeros(counts.size, dtype=bool)
-    for level, (unit, unit_logw) in enumerate(_DE_LEVELS):
+    for unit, unit_logw, levels in _TAIL_PASSES:
         todo = np.flatnonzero(~done)
         if not todo.size:
             break
         keep = np.repeat(~done, counts) if todo.size < counts.size else slice(None)
         y, x, length, ln_length, sign = pieces[:, keep]
-        dy = length[:, None] * unit[row[keep]]
+        rows = row[keep] if multi else 1  # all exp-sinh: row 1 broadcasts
+        dy = length[:, None] * unit[rows]
         nodes = (x[:, None] + sign[:, None] * dy).ravel()
         if nodes.size < _MAX_TAIL_NODES_PER_CALL:
             lf = model.log_pdf(nodes)
@@ -156,27 +175,35 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
             lf = np.concatenate([model.log_pdf(chunk) for chunk in np.split(
                 nodes, ends[np.flatnonzero(np.diff(ends // _MAX_TAIL_NODES_PER_CALL))])])
         with np.errstate(divide="ignore"):  # y + dy is 0 where a first piece's dy underflows: no weight
-            terms = unit_logw[row[keep]] + ln_length[:, None] + np.log(y[:, None] + dy) + lf.reshape(dy.shape)
-        peaks, sums, at = [], [], 0
-        for count, run in itertools.groupby(counts[todo].tolist()):
-            # one pieces x nodes row per integral, summed as alone; an all-zero
-            # row adds nothing, NaN passes, and fails every test below
-            n = len(list(run))
-            block = terms[at:(at := at + n * count)].reshape(n, -1)
-            peaks.append(peak := block.max(axis=1))
-            sums.append(np.exp(block - np.where(peak == -math.inf, 0.0, peak)[:, None]).sum(axis=1))
-        with np.errstate(invalid="ignore"):  # quiet on NaN
-            log_sum[todo] = np.logaddexp(log_sum[todo], np.concatenate(peaks) + np.array(
-                [math.log(s) if s else -math.inf for s in np.concatenate(sums).tolist()]))
-        ln_s[todo] = ln = log_sum[todo] + math.log(_DE_STEP / (1 << level))
-        if level:
-            for i, p, v in zip(todo.tolist(), prev[todo].tolist(), ln.tolist()):
-                if v != -math.inf:
-                    e = err[i] = abs(math.expm1(p - v)) + _ROUNDOFF_FLOOR
-                    done[i] = e <= rel_tol or e * math.exp(v) < abs_tol
-        done[todo] |= ln == -math.inf  # zero at every node, within double range
-        prev[todo] = ln
-    back = np.argsort(order)  # to the callers' order
+            terms = unit_logw[rows] + ln_length[:, None] + np.log(y[:, None] + dy) + lf.reshape(dy.shape)
+        runs = [(count, len(list(run))) for count, run in itertools.groupby(counts[todo].tolist())]
+        for level, columns in levels:
+            peaks, sums, at = [], [], 0
+            for count, n in runs:
+                # one pieces x nodes row per integral, summed as alone; an all-zero
+                # row (shifted by the lowest double) adds nothing, NaN passes, and
+                # fails every test below
+                block = terms[at:(at := at + n * count), columns].reshape(n, -1)
+                peaks.append(peak := block.max(axis=1))
+                sums.append(np.exp(block - np.maximum(peak, _LOWEST)[:, None]).sum(axis=1))
+            # a sum is at least 1 (the peak's term) but on an all-zero row, which reads ln 1
+            sums = np.maximum(np.concatenate(sums), 1.0).tolist()
+            part = np.concatenate(peaks) + np.array([*map(math.log, sums)])
+            if columns.start:  # a pass's later level: the integrals its earlier levels left open
+                part, todo = part[live := ~done[todo]], todo[live]
+            if level:  # at level 0 logaddexp(-inf, part) is part
+                with np.errstate(invalid="ignore"):  # quiet on NaN
+                    part = np.logaddexp(log_sum[todo], part)
+            log_sum[todo] = part
+            ln_s[todo] = ln = part + math.log(_DE_STEP / (1 << level))
+            if level:  # past level 0 no sum falls; in math, as np.expm1 may differ by an ulp
+                lns = ln.tolist()
+                err[todo] = e = [abs(math.expm1(p - v)) + _ROUNDOFF_FLOOR for p, v in zip(prev[todo].tolist(), lns)]
+                done[todo] = [x <= rel_tol or x * math.exp(v) < abs_tol for x, v in zip(e, lns)]
+            else:  # zero at every node, within double range
+                done[todo] = ln == -math.inf
+            prev[todo] = ln
+    back = np.argsort(order) if multi else slice(None)  # to the callers' order
     return ln_s[back], err[back], done[back]
 
 

@@ -516,8 +516,9 @@ def test_evaluation_count_on_out_of_the_money_deck():
 
 @st.composite
 def table_batches(draw):
-    """(k, ln tv) of 1, 15, 16 or 17 quotes whose d lies inside the seed table
-    (0.0101..15.9, clear of its ends) and sigma over 1e-6..1e8."""
+    """(k, ln tv) of 1, 18, 19 or 20 quotes (about _MIN_ARRAY_BATCH) whose d
+    lies inside the seed table (0.0101..15.9, clear of its ends) and sigma
+    over 1e-6..1e8."""
     n = draw(st.sampled_from([1, _MIN_ARRAY_BATCH - 1, _MIN_ARRAY_BATCH, _MIN_ARRAY_BATCH + 1]))
     d = [10.0 ** draw(st.floats(math.log10(0.0101), math.log10(15.9))) for _ in range(n)]
     sigma = [10.0 ** draw(st.floats(-6.0, 8.0)) for _ in range(n)]

@@ -4,7 +4,8 @@ double underflow, the Fourier engine at its transform's centre), the two
 engines against each other (at fixed points and on random NIG models),
 parity, convexity, damping invariance, the Fourier engine's char_fn work
 count (one call per level), the batched tail core (a grid equals its
-points priced alone, in few log_pdf calls of bounded size), NIG grids on
+points priced alone, a random batch the per-point reference, in few
+log_pdf calls of bounded size), NIG grids on
 the tail core (checked against the Fourier engine, and priced where that
 engine cannot), and smile
 assembly with per-point failure handling (checked point by point against
@@ -17,6 +18,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import unittest.mock
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -579,6 +581,91 @@ def test_chunked_price_grid_entries_equal_points_priced_alone():
         assert repr(q) == repr(_priced_alone(base, k)), k
 
 
+_FAMILIES = {"gaussian": gaussian_model, "laplace": asym_laplace_model, "nig": nig_model}
+_ZERO_CASE = ("gaussian", (1.0,), [0.0, -2.0, 3.0], "otm", "cliff", 1e-13, None)
+
+
+@st.composite
+def _core_case(draw):
+    # (family, params, kappas, legs, density, abs_tol, node cap): legs "otm"
+    # puts each kappa on its side of the mean (one piece each but across a
+    # Laplace kink), "both" adds the in-the-money leg (two or three pieces,
+    # four across a kink); density "nan" poisons a window, "cliff" is -inf
+    # right of a point but at the probes
+    family = draw(st.sampled_from(sorted(_FAMILIES)))
+    if family == "gaussian":
+        params = (draw(st.floats(0.2, 5.0)),)
+    elif family == "laplace":
+        params = (draw(st.floats(0.3, 6.0)), draw(st.floats(0.3, 6.0)))
+    else:
+        alpha = draw(st.floats(0.8, 4.0))
+        params = (alpha, alpha * draw(st.floats(-0.8, 0.8)), draw(st.floats(0.3, 2.0)))
+    wings = draw(st.lists(st.floats(0.05, 45.0), max_size=10))
+    kappas = [w * side for w, side in zip(wings, itertools.cycle([1.0, -1.0]))]  # in scales
+    if draw(st.booleans()):
+        kappas += [0.0, 1e-3, -1e-3]
+    return (family, params, kappas, draw(st.sampled_from(["otm", "both"])),
+            draw(st.sampled_from(["plain", "nan", "cliff"])), draw(st.sampled_from([0.0, 1e-13])),
+            draw(st.sampled_from([None, 300, 2000])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_core_case())
+@example(case=_ZERO_CASE)
+@example(case=("nig", (2.0, 0.5, 1.0), [], "both", "plain", 1e-13, None))  # the empty batch
+@example(case=("nig", (2.0, 0.5, 1.0), [-30.0, -9.0, -3.0, 2.0, 8.5, 25.0], "both", "nan", 0.0, 300))
+def test_tail_core_equals_the_reference_on_random_batches(case):
+    # every integral of a batch, one or many pieces, converged, zero or
+    # failed, equals the per-point reference bit for bit, under either
+    # tolerance and with or without a small node cap splitting the passes
+    family, params, scales, legs, density, abs_tol, cap = case
+    base = _FAMILIES[family](*params)
+    s, mean = base.scale, base.mean
+    kappas = [mean + w * s for w in scales]
+    ks, signs = (np.repeat(kappas, 2), np.tile([1.0, -1.0], len(kappas))) if legs == "both" else (
+        np.array(kappas), np.array([1.0 if k >= mean else -1.0 for k in kappas]))
+    if density == "nan":
+        base, _ = _counting_log_pdf(base, lambda x: (x > mean + 0.7 * s) & (x < mean + 0.7 * s + 1e-2 * s))
+    elif density == "cliff":
+        # finite left of the cliff and at every probe point, so no probe reads -inf - -inf
+        ends = [_piece_ends(base, k, sign)[-1][1] for k, sign in zip(ks.tolist(), signs.tolist())]
+        delta = 1e-3 * s
+        probes = np.array([*ends, *(x + sign * delta for x, sign in zip(ends, signs.tolist()))])
+        plain = base.log_pdf
+        base = dataclasses.replace(base, log_pdf=lambda x: np.where(
+            (x < mean - 0.5 * s) | np.isin(x, probes), plain(x), -math.inf))
+    model, sizes = _counting_log_pdf(base)
+    rel_tol = DEFAULT_SETTINGS.rel_tol
+    cap = cap or pricing._MAX_TAIL_NODES_PER_CALL
+    with unittest.mock.patch.object(pricing, "_MAX_TAIL_NODES_PER_CALL", cap):
+        ln_s, err, done = pricing._log_payoff_integrals(model, ks, signs, abs_tol, rel_tol)
+    assert ln_s.shape == err.shape == done.shape == ks.shape
+    fused = pricing._TAIL_PASSES[0][0].shape[1]
+    assert max(sizes[1:2], default=0) < cap + 4 * fused  # the fused pass's first chunk
+    assert max(sizes, default=0) < cap + 4 * _DE_LEVELS[-1][0].shape[1]
+    for k, sign, ln, e, ok in zip(ks.tolist(), signs.tolist(), ln_s.tolist(), err.tolist(), done.tolist()):
+        with np.errstate(invalid="ignore"):  # the reference warns on NaN
+            ref = _reference_log_payoff_integral(base, k, sign, abs_tol, rel_tol)
+        assert ok == (ref is not None), (k, sign)
+        if ok:
+            assert repr((ln, e)) == repr(ref), (k, sign)
+    if case == _ZERO_CASE:  # kappa 0's call is zero at every node: done at level 0
+        assert (ln_s[0], err[0], done[0]) == (-math.inf, 0.0, True)
+
+
+@pytest.mark.parametrize("name, calls, nodes", [
+    ("gaussian(1)", 3, 4755), ("asym_laplace(2, 0.7)", 3, 5296), ("nig(2, 0.5, 1)", 2, 4575)])
+def test_report_smile_log_pdf_calls(name, calls, nodes):
+    # one probe call, one for levels 0 and 1 of every leg, and one per later
+    # level that a leg still needs; the nodes are the per-level passes' nodes
+    base = {"gaussian(1)": GAUSS1, "asym_laplace(2, 0.7)": asym_laplace_model(2.0, 0.7),
+            "nig(2, 0.5, 1)": NIG}[name]
+    model, sizes = _counting_log_pdf(base)
+    smile = smile_from_model(model, _report_grid(base))
+    assert all(p.status == "ok" for p in smile.points)
+    assert (len(sizes), sum(sizes)) == (calls, nodes)
+
+
 # =============================================================================
 # one production route: NIG grids on the tail engine, Fourier as cross-check
 # =============================================================================
@@ -592,7 +679,7 @@ def _report_grid(model):
 
 def test_nig_report_char_fn_calls():
     # a NIG report prices on log_pdf alone: its smile takes one probe call
-    # and one per refinement level (3 calls, ~4.6k nodes), the report 5
+    # and one for levels 0 and 1 (2 calls, ~4.6k nodes), the report 4
     model, calls = _counting_char_fn(NIG)
     model, sizes = _counting_log_pdf(model)
     report = theorem_verdicts(model)
