@@ -20,7 +20,11 @@ call and put at every kappa (as price_grid does), "otm_leg" only the
 out-of-the-money one (as smile_from_model does).
 L3_tail_core_report_grid_us is one call of the core on the
 out-of-the-money legs of each report model's 25-point report grid (the
-call that a wing report's smile makes), in microseconds.
+call that a wing report's smile makes), in microseconds, and
+L3_tail_core_large_grid_ms one call on both legs of 2,000 kappas spread
+evenly over +-30 scales (4,000 integrals, the core's passes split at
+its node cap), in ms: what a large batch pays for the core's
+per-integral bookkeeping beside its nodes.
 L2_nig_log_pdf_ns_per_node is the median time of one
 nig(2, 0.5, 1).log_pdf call on a fixed array of
 100,000 points spread evenly over +-50 (about +-67 scales) in ns per
@@ -113,6 +117,7 @@ MODEL_CALLS = {
 MODELS = {name: factory(*args) for name, (factory, args) in MODEL_CALLS.items()}
 VEC_SIZES = (8, 32, 128)
 CROSSOVER_SIZES = (4, 8, 12, 16, 18, 20, 22, 24, 32)
+LARGE_GRID = 2_000
 REPORTS = ("gaussian(1)", "asym_laplace(2, 0.7)", "nig(2, 0.5, 1)", "nig(3.5744, -3.3765, 1.3122)")
 
 
@@ -137,14 +142,22 @@ CAL_SMALL = np.linspace(0.25, 6.0, 24)
 CAL_LARGE = np.linspace(-8.0, 8.0, 20_000)
 
 
-def calibration_ms() -> float:
-    """Wall time of a fixed piece of work, in ms."""
-    start = time.perf_counter()
+def calibration_work() -> None:
     acc = 0.0
     for i in range(24):
         y = np.exp(-0.5 * CAL_SMALL * CAL_SMALL) + special.erfcx(CAL_SMALL) * np.log1p(CAL_SMALL)
         acc += float(np.log(1.0 + i)) * math.sqrt(float(y[i]) + acc * 1e-9)
     np.log1p(np.exp(-np.abs(CAL_LARGE)))
+
+
+def calibration_ms() -> float:
+    """Wall time of a fixed piece of work, in ms, timed on its second run:
+    on a 2-vCPU VM its first run after a repetition that frees tens of MB (a
+    4,000-integral tail core call) took up to twice as long, by an amount
+    that varied from process to process."""
+    calibration_work()
+    start = time.perf_counter()
+    calibration_work()
     return 1e3 * (time.perf_counter() - start)
 
 
@@ -278,6 +291,13 @@ def main() -> None:
         ks = report_grid(model)
         signs = np.where(ks >= 0.0, 1.0, -1.0)
         out["L3_tail_core_report_grid_us"][name] = 1e3 * median_ms(
+            lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
+    out["L3_tail_core_large_grid_ms"] = {}
+    for name in REPORTS:
+        model = MODELS[name]
+        grid = np.linspace(-30.0 * model.scale, 30.0 * model.scale, LARGE_GRID)
+        ks, signs = np.repeat(grid, 2), np.tile([1.0, -1.0], grid.size)
+        out["L3_tail_core_large_grid_ms"][name] = median_ms(
             lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
     nig = MODELS["nig(2, 0.5, 1)"]
     nodes = np.linspace(-50.0, 50.0, 100_000)

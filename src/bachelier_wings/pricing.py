@@ -5,12 +5,13 @@ quote the package reports (price_grid's two legs, a smile's one
 out-of-the-money leg): call = int_0^inf y f(kappa + y) dy and put =
 int_0^inf y f(kappa - y) dy, double-exponential sums in log space whose
 step halves until two levels agree, a whole batch at once, the first two
-levels in one pass over the density.  The Fourier route, the cross-check,
-damps the payoff by e^(alpha kappa) and integrates the characteristic
-function along a shifted contour, on Ooura and Mori's double-exponential
-rule for Fourier integrals, whose step also halves until two levels
-agree.  Keeping both honest and comparing them is the point; neither is
-defined in terms of the other.
+levels in one pass over the density: the nodes in arrays, each
+integral's running sum and stop test on Python floats.  The Fourier
+route, the cross-check, damps the payoff by e^(alpha kappa) and
+integrates the characteristic function along a shifted contour, on Ooura
+and Mori's double-exponential rule for Fourier integrals, whose step
+also halves until two levels agree.  Keeping both honest and comparing
+them is the point; neither is defined in terms of the other.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ _ROUNDOFF_FLOOR = 50.0 * math.ulp(1.0)
 # the smallest normal double, below which _price reads 0, and the lowest double
 _SMALLEST_NORMAL, _LOWEST = float(np.finfo(float).tiny), -float(np.finfo(float).max)
 
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True, slots=True)
 class PriceQuote:
@@ -109,6 +112,17 @@ _TAIL_PASSES = ((*map(np.hstack, zip(*_DE_LEVELS[:2])), [(0, slice(0, _N0)), (1,
                 *((*_DE_LEVELS[level], [(level, slice(None))]) for level in range(2, len(_DE_LEVELS))))
 
 
+def _logaddexp(x: float, y: float) -> float:
+    # np.logaddexp's double loop on libm, bit for bit: x == y (equal infinities
+    # too) gives x + ln 2, else the larger plus log1p(exp(-|x - y|)); NaN passes
+    if x == y:
+        return x + _LN2
+    d = x - y
+    if d > 0.0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d)) if d <= 0.0 else d
+
+
 def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
                           abs_tol: float, rel_tol: float):
     """ln S = ln int_0^inf y f(k + sign y) dy per (k, sign) pair, its
@@ -125,11 +139,13 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
     all decay rates; one more (per chunk) takes levels 0 and 1 for every
     integral, and each later level one for all open integrals' nodes.
     Each integral sums its own pieces x nodes row per level, whatever the
-    batch.
+    batch.  The nodes live in arrays; each integral's running sum, ln S,
+    estimate and stop flag live in Python lists, updated by one float
+    loop per level, and become arrays once, on return.
     """
     ahead = (signs * (np.array([model.mean, *model.breakpoints])[:, None] - ks) > 0.0).any(axis=0)
     ends_all = {}
-    for i, k, sign in zip(np.flatnonzero(ahead).tolist(), ks[ahead].tolist(), signs[ahead].tolist()):
+    for i, k, sign in zip(ahead.nonzero()[0].tolist(), ks[ahead].tolist(), signs[ahead].tolist()):
         cuts = [model.mean, *model.breakpoints]
         if sign * (model.mean - k) > _BULK_SCALES * model.scale:
             cuts.append(model.mean - sign * _BULK_SCALES * model.scale)
@@ -138,32 +154,34 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
     multi = sorted(ends_all, key=lambda i: len(ends_all[i]))
     # the one-piece integrals first, then by piece count; sorted is stable, so
     # equal counts keep the callers' order
+    n = ks.size
+    counts = [1] * (n - len(multi)) + [len(ends_all[i]) for i in multi]
+    reps = np.array(counts, dtype=int)
     if multi:
-        order = np.concatenate([np.flatnonzero(~ahead), multi])
-        counts = np.array([1] * (ks.size - len(multi)) + [len(ends_all[i]) for i in multi])
-        ends = np.array([end for i in multi for end in ends_all[i]]).T
-        ya, xa = np.concatenate([[np.zeros(ks.size - len(multi)), ks[~ahead]], ends], axis=1)
-        signs = signs[order]
+        order = np.concatenate([(~ahead).nonzero()[0], multi])
+        ends = np.array([v for i in multi for end in ends_all[i] for v in end]).reshape(-1, 2).T
+        ya, xa = np.concatenate([[np.zeros(n - len(multi)), ks[~ahead]], ends], axis=1)
+        signs, last = signs[order], reps.cumsum() - 1
+        sign, length = signs.repeat(reps), np.append(ya[1:], 0.0) - ya
+        row = np.bincount(last, minlength=ya.size)  # 1 on the exp-sinh pieces
     else:  # one exp-sinh piece (0, k) each, in the callers' order
-        counts, ya, xa = np.ones(ks.size, dtype=int), np.zeros(ks.size), ks
-    last = np.cumsum(counts) - 1
-    sign = np.repeat(signs, counts)
+        ya, xa, sign, length, last = np.zeros(n), ks, signs, np.empty(n), slice(None)
     # the last piece's length is the density's decay length there, at most its scale
     delta = 1e-3 * model.scale
-    lf0, lf1 = model.log_pdf(np.concatenate([xa[last] + 0.0, xa[last] + sign[last] * delta])).reshape(2, -1)
-    length = np.append(ya[1:], 0.0) - ya
-    length[last] = 1.0 / np.fmax((lf0 - lf1) / delta, 1.0 / model.scale)  # NaN reads 1 / scale
-    # a column per piece, the integrals' pieces end to end: y and x where it starts, its
-    # length and ln length, and the sign; row is 1 on the exp-sinh pieces
-    pieces, row = np.array([ya, xa, length, np.log(length), sign]), np.bincount(last, minlength=ya.size)
+    lf0, lf1 = model.log_pdf(np.concatenate([xa[last] + 0.0, xa[last] + signs * delta])).reshape(2, -1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf, no density at either probe, is NaN: 1 / scale
+        length[last] = 1.0 / np.fmax((lf0 - lf1) / delta, 1.0 / model.scale)
+    # a column per piece, the integrals' pieces end to end: y and x where it starts,
+    # its length and ln length, and the sign
+    pieces = np.array([ya, xa, length, np.log(length), sign])
 
-    log_sum, ln_s, prev = np.full((3, counts.size), -math.inf)
-    err, done = np.zeros(counts.size), np.zeros(counts.size, dtype=bool)
+    log_sum, ln_s, err, done = [-math.inf] * n, [-math.inf] * n, [0.0] * n, [False] * n
+    todo = range(n)
     for unit, unit_logw, levels in _TAIL_PASSES:
-        todo = np.flatnonzero(~done)
-        if not todo.size:
+        todo = [i for i in todo if not done[i]]
+        if not todo:
             break
-        keep = np.repeat(~done, counts) if todo.size < counts.size else slice(None)
+        keep = (~np.array(done)).repeat(reps) if len(todo) < n else slice(None)
         y, x, length, ln_length, sign = pieces[:, keep]
         rows = row[keep] if multi else 1  # all exp-sinh: row 1 broadcasts
         dy = length[:, None] * unit[rows]
@@ -171,40 +189,40 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
         if nodes.size < _MAX_TAIL_NODES_PER_CALL:
             lf = model.log_pdf(nodes)
         else:  # a chunk ends at the integral whose nodes pass a multiple of the cap
-            ends = np.cumsum(counts[todo]) * unit.shape[1]
+            ends = reps[todo].cumsum() * unit.shape[1]
             lf = np.concatenate([model.log_pdf(chunk) for chunk in np.split(
                 nodes, ends[np.flatnonzero(np.diff(ends // _MAX_TAIL_NODES_PER_CALL))])])
         with np.errstate(divide="ignore"):  # y + dy is 0 where a first piece's dy underflows: no weight
             terms = unit_logw[rows] + ln_length[:, None] + np.log(y[:, None] + dy) + lf.reshape(dy.shape)
-        runs = [(count, len(list(run))) for count, run in itertools.groupby(counts[todo].tolist())]
+        runs = [(count, len(list(run))) for count, run in itertools.groupby(counts[i] for i in todo)]
         for level, columns in levels:
             peaks, sums, at = [], [], 0
-            for count, n in runs:
+            for count, m in runs:
                 # one pieces x nodes row per integral, summed as alone; an all-zero
                 # row (shifted by the lowest double) adds nothing, NaN passes, and
                 # fails every test below
-                block = terms[at:(at := at + n * count), columns].reshape(n, -1)
-                peaks.append(peak := block.max(axis=1))
-                sums.append(np.exp(block - np.maximum(peak, _LOWEST)[:, None]).sum(axis=1))
-            # a sum is at least 1 (the peak's term) but on an all-zero row, which reads ln 1
-            sums = np.maximum(np.concatenate(sums), 1.0).tolist()
-            part = np.concatenate(peaks) + np.array([*map(math.log, sums)])
-            if columns.start:  # a pass's later level: the integrals its earlier levels left open
-                part, todo = part[live := ~done[todo]], todo[live]
-            if level:  # at level 0 logaddexp(-inf, part) is part
-                with np.errstate(invalid="ignore"):  # quiet on NaN
-                    part = np.logaddexp(log_sum[todo], part)
-            log_sum[todo] = part
-            ln_s[todo] = ln = part + math.log(_DE_STEP / (1 << level))
-            if level:  # past level 0 no sum falls; in math, as np.expm1 may differ by an ulp
-                lns = ln.tolist()
-                err[todo] = e = [abs(math.expm1(p - v)) + _ROUNDOFF_FLOOR for p, v in zip(prev[todo].tolist(), lns)]
-                done[todo] = [x <= rel_tol or x * math.exp(v) < abs_tol for x, v in zip(e, lns)]
-            else:  # zero at every node, within double range
-                done[todo] = ln == -math.inf
-            prev[todo] = ln
-    back = np.argsort(order) if multi else slice(None)  # to the callers' order
-    return ln_s[back], err[back], done[back]
+                block = terms[at:(at := at + m * count), columns].reshape(m, -1)
+                peak = block.max(axis=1)
+                sums += np.exp(block - np.maximum(peak, _LOWEST)[:, None]).sum(axis=1).tolist()
+                peaks += peak.tolist()
+            ln_step = math.log(_DE_STEP / (1 << level))
+            for i, peak, s in zip(todo, peaks, sums):
+                if done[i]:  # closed at this pass's earlier level
+                    continue
+                # a sum is at least 1 (the peak's term) but on an all-zero row, which reads ln 1
+                part = peak + math.log(1.0 if s < 1.0 else s)
+                if level:  # at level 0 logaddexp(-inf, part) is part; past it no sum falls
+                    part = _logaddexp(log_sum[i], part)  # and ln_s[i] is the last level's
+                    e = abs(math.expm1(ln_s[i] - (ln := part + ln_step))) + _ROUNDOFF_FLOOR
+                    err[i], done[i] = e, e <= rel_tol or e * math.exp(ln) < abs_tol
+                else:  # zero at every node, within double range
+                    done[i] = (ln := part + ln_step) == -math.inf
+                log_sum[i], ln_s[i] = part, ln
+    out = np.array(ln_s, dtype=float), np.array(err, dtype=float), np.array(done, dtype=bool)
+    if multi:  # to the callers' order
+        back = order.argsort()
+        return tuple(a[back] for a in out)
+    return out
 
 
 def _checked_log_sums(model: ModelSpec, ks, signs, abs_tol: float, rel_tol: float):

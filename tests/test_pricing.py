@@ -5,7 +5,8 @@ engines against each other (at fixed points and on random NIG models),
 parity, convexity, damping invariance, the Fourier engine's char_fn work
 count (one call per level), the batched tail core (a grid equals its
 points priced alone, a random batch the per-point reference, in few
-log_pdf calls of bounded size), NIG grids on
+log_pdf calls of bounded size, its float logaddexp numpy's, its decay
+probe quiet on a zero density), NIG grids on
 the tail core (checked against the Fourier engine, and priced where that
 engine cannot), and smile
 assembly with per-point failure handling (checked point by point against
@@ -614,10 +615,14 @@ def _core_case(draw):
 @example(case=_ZERO_CASE)
 @example(case=("nig", (2.0, 0.5, 1.0), [], "both", "plain", 1e-13, None))  # the empty batch
 @example(case=("nig", (2.0, 0.5, 1.0), [-30.0, -9.0, -3.0, 2.0, 8.5, 25.0], "both", "nan", 0.0, 300))
+# large batches, 500 integrals in each leg layout, their passes split at the cap
+@example(case=("laplace", (2.0, 0.7), np.linspace(-40.0, 40.0, 250).tolist(), "both", "plain", 1e-13, None))
+@example(case=("gaussian", (1.3,), np.linspace(-40.0, 40.0, 500).tolist(), "otm", "nan", 0.0, None))
 def test_tail_core_equals_the_reference_on_random_batches(case):
     # every integral of a batch, one or many pieces, converged, zero or
     # failed, equals the per-point reference bit for bit, under either
-    # tolerance and with or without a small node cap splitting the passes
+    # tolerance and with or without a small node cap splitting the passes;
+    # the core returns float ln S and estimates and a bool mask, empty or not
     family, params, scales, legs, density, abs_tol, cap = case
     base = _FAMILIES[family](*params)
     s, mean = base.scale, base.mean
@@ -640,6 +645,7 @@ def test_tail_core_equals_the_reference_on_random_batches(case):
     with unittest.mock.patch.object(pricing, "_MAX_TAIL_NODES_PER_CALL", cap):
         ln_s, err, done = pricing._log_payoff_integrals(model, ks, signs, abs_tol, rel_tol)
     assert ln_s.shape == err.shape == done.shape == ks.shape
+    assert (ln_s.dtype, err.dtype, done.dtype) == (np.float64, np.float64, np.bool_)
     fused = pricing._TAIL_PASSES[0][0].shape[1]
     assert max(sizes[1:2], default=0) < cap + 4 * fused  # the fused pass's first chunk
     assert max(sizes, default=0) < cap + 4 * _DE_LEVELS[-1][0].shape[1]
@@ -651,6 +657,32 @@ def test_tail_core_equals_the_reference_on_random_batches(case):
             assert repr((ln, e)) == repr(ref), (k, sign)
     if case == _ZERO_CASE:  # kappa 0's call is zero at every node: done at level 0
         assert (ln_s[0], err[0], done[0]) == (-math.inf, 0.0, True)
+
+
+def test_tail_core_reads_a_zero_density_at_the_probe_quietly():
+    # log_pdf is -inf at both decay probes past the cut, so their difference
+    # is NaN, which reads 1 / scale; no warning (an error under the suite's
+    # filter), and a leg with no density at any node is zero and done
+    model = dataclasses.replace(GAUSS1, log_pdf=lambda x: np.where(x > 3.0, -math.inf, GAUSS1.log_pdf(x)))
+    ln_s, err, done = pricing._log_payoff_integrals(model, np.array([5.0]), np.array([1.0]), 1e-13, 1e-11)
+    assert (ln_s.tolist(), err.tolist(), done.tolist()) == ([-math.inf], [0.0], [True])
+
+
+def test_logaddexp_mirror_equals_numpy_bit_for_bit():
+    # the core's float logaddexp against np.logaddexp on a seeded deck of
+    # near, far and unrelated pairs, and on every pair of special values:
+    # equal arguments, +-inf, -inf with -inf, NaN, zeros, subnormals, extremes
+    rng = np.random.default_rng(24)
+    n = 20_000
+    x = rng.normal(0.0, 30.0, n) * 10.0 ** rng.integers(-3, 3, n)
+    near = x + rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-17, 3, n)
+    specials = [0.0, -0.0, 1.0, -1.0, 5e-324, -745.2, 709.8, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    pairs = np.concatenate([np.stack([x, near], axis=1), np.stack([x, rng.permutation(x)], axis=1),
+                            np.stack([x, x], axis=1), list(itertools.product(specials, repeat=2))])
+    mirror = np.array([pricing._logaddexp(a, b) for a, b in pairs.tolist()])
+    with np.errstate(all="ignore"):  # NaN in, and 1e308 - -1e308 overflows
+        want = np.logaddexp(pairs[:, 0], pairs[:, 1])
+    assert np.array_equal(mirror.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("name, calls, nodes", [
