@@ -13,6 +13,10 @@ and of the NIG tail_reference_curve + rv_index pair on both sides, plus
 the number of log_pdf calls each L3/L4/L5 call makes and the nodes
 (log_pdf points) each L4 call evaluates, and the mgf calls and points of
 each L5 report (mgf_work_theorem_verdicts: the condition-(i) strip probes).
+L5_side_reports_us is the report's own per-side work in microseconds: both
+wings._side_report calls (wing slope, tail reference, tail-growth index,
+strip probes and their checks) on the report smile of each report model,
+priced once beforehand.
 L3_tail_core_cli_grid_us is one call of the batched tail core
 pricing._log_payoff_integrals on the CLI's 9-point linear grid over +-4
 scales for each report model, in microseconds: "both_legs" integrates
@@ -105,7 +109,13 @@ from bachelier_wings.pricing import (
     price_grid,
     smile_from_model,
 )
-from bachelier_wings.wings import VerdictSettings, rv_index, tail_reference_curve, theorem_verdicts
+from bachelier_wings.wings import (
+    VerdictSettings,
+    _side_report,
+    rv_index,
+    tail_reference_curve,
+    theorem_verdicts,
+)
 
 MODEL_CALLS = {
     "gaussian(1)": (gaussian_model, (1.0,)),
@@ -257,6 +267,7 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=30)
     reps = parser.parse_args().reps
     out = {"L3_price_grid_ms": {}, "L4_smile_from_model_ms": {}, "L5_theorem_verdicts_ms": {},
+           "L5_side_reports_us": {},
            "log_pdf_calls_price_grid": {}, "log_pdf_calls_smile_from_model": {},
            "log_pdf_nodes_smile_from_model": {}, "log_pdf_calls_theorem_verdicts": {},
            "mgf_work_theorem_verdicts": {}}
@@ -272,6 +283,9 @@ def main() -> None:
         out["log_pdf_calls_smile_from_model"][name] = calls
         out["log_pdf_nodes_smile_from_model"][name] = nodes
         out["L5_theorem_verdicts_ms"][name] = median_ms(lambda: theorem_verdicts(model), reps)
+        smile = smile_from_model(model, grid, tol_iv=VerdictSettings().tol_iv)
+        out["L5_side_reports_us"][name] = 1e3 * median_ms(
+            lambda: [_side_report(model, smile, side) for side in ("right", "left")], reps)
         out["log_pdf_calls_theorem_verdicts"][name] = work(model, theorem_verdicts)[0]
         calls, points = work(model, theorem_verdicts, "mgf")
         out["mgf_work_theorem_verdicts"][name] = {"calls": calls, "points": points}

@@ -43,7 +43,7 @@ from .inversion import (
     implied_vol_put,
     implied_vol_put_log_vec,
 )
-from .models import ModelSpec, model_schemas, parse_model_config
+from .models import ModelSpec, _geomspace, model_schemas, parse_model_config
 from .pricing import QuadratureSettings, price_grid, smile_from_model
 from .pricing import price_from_cf  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .pricing import price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
@@ -79,7 +79,7 @@ class GridSpec:
 
     def values(self) -> np.ndarray:
         if self.geometric:
-            return np.geomspace(self.lo, self.hi, self.count)
+            return _geomspace(self.lo, self.hi, self.count)
         return np.linspace(self.lo, self.hi, self.count)
 
     def canonical(self) -> str:
@@ -382,7 +382,7 @@ def _suite_rows(samples: int, seed: int, round_trip_tol: float) -> list[dict]:
 
     # deterministic scaled-coordinate sandwich over log-spaced arguments
     worst = -math.inf
-    y = np.geomspace(1e-3, 1e3, 200)
+    y = _geomspace(1e-3, 1e3, 200)
     for beta in (0.25, 1.0, 4.0):
         lo, hi = bachelier_bounds(y, beta)
         price = call_price(y, np.sqrt(beta * y))

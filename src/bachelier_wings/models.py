@@ -445,23 +445,42 @@ def mgf_blowup_boundary(
     return -slope
 
 
+# golden pins fix _geometric_grid's bits (rv, probe, blow-up grids): it cannot become _geomspace
 def _geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """np.geomspace(lo, hi, n) to rounding, without its overhead."""
     return lo * (hi / lo) ** (np.arange(n) / (n - 1))
 
 
+def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.geomspace(lo, hi, n) bit for bit, for lo and hi of one sign, without
+    its overhead: numpy's logspace of the two log10s, ends set to lo and hi."""
+    if n < 2:
+        return np.full(n, float(lo))
+    sign = -1.0 if lo < 0.0 else 1.0
+    start, stop = lo * sign, hi * sign
+    log_start = np.log10(start)
+    y = np.arange(n, dtype=float)
+    y *= (np.log10(stop) - log_start) / (n - 1)
+    y += log_start
+    out = np.power(10.0, y)
+    out[0], out[-1] = start, stop
+    out *= sign
+    return out
+
+
 def _line_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line through (x, y) on centred sums: slope, intercept
+    """Least-squares line through 1-d (x, y) on centred sums: slope, intercept
     and r^2 = 1 - residual/total sum of squares (0 for a constant y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_mean, y_mean = x.sum() / x.size, y.sum() / y.size
+    # .sum() and @ without their wrappers, and the scalar steps on Python floats: the same bits
+    x_mean, y_mean = float(np.add.reduce(x)) / x.size, float(np.add.reduce(y)) / y.size
     dx, dy = x - x_mean, y - y_mean
-    slope = (dx @ dy) / (dx @ dx)
+    slope = float(dx.dot(dy) / dx.dot(dx))
     res = dy - slope * dx
-    ss_tot = dy @ dy
-    r2 = 1.0 - (res @ res) / ss_tot if ss_tot > 0.0 else 0.0
-    return float(slope), float(y_mean - slope * x_mean), float(r2)
+    ss_tot = float(dy.dot(dy))
+    r2 = 1.0 - float(res.dot(res)) / ss_tot if ss_tot > 0.0 else 0.0
+    return slope, y_mean - slope * x_mean, r2
 
 
 def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:

@@ -435,8 +435,12 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
 # =============================================================================
 
 def _checked_grid(grid) -> np.ndarray:
-    kappas = np.unique(np.asarray(list(grid), dtype=float))  # sorted, deduplicated
-    if not np.all(np.isfinite(kappas)):
+    if (type(grid) is np.ndarray and grid.dtype == np.float64 and grid.ndim == 1
+            and np.count_nonzero(grid[1:] > grid[:-1]) == grid.size - 1):
+        kappas = grid.copy()  # sorted and distinct already: np.unique's bits
+    else:
+        kappas = np.unique(np.asarray(list(grid), dtype=float))  # sorted, deduplicated
+    if not np.isfinite(kappas).all():
         raise DomainError("grid must contain finite moneyness values")
     return kappas
 

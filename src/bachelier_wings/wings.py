@@ -14,6 +14,7 @@ diagnostics quantify how fast the price-to-volatility asymptotics settle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     TailUnderflow,
 )
 from .inversion import implied_vol_call_log  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
-from .models import ModelSpec, _geometric_grid, _line_fit, mgf_blowup_boundary
+from .models import ModelSpec, _geometric_grid, _geomspace, _line_fit, mgf_blowup_boundary
 from .pricing import smile_from_model
 from .pricing import log_call_price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK, SmileGrid
@@ -119,13 +120,12 @@ def _side_points(smile: SmileGrid, side: str):
     ok = smile.ok_points()
     if not ok:
         raise InsufficientWingData("smile has no usable points")
-    central = min(ok, key=lambda p: abs(p.kappa)).ivol
+    mags = [abs(p.kappa) for p in ok]
+    bound = 2.0 * ok[mags.index(min(mags))].ivol
+    # kappas increase strictly, so the right wing runs outward and the left inward
     if side == "right":
-        chosen = [p for p in ok if p.kappa >= 2.0 * central]
-    else:
-        chosen = [p for p in ok if p.kappa <= -2.0 * central]
-    chosen.sort(key=lambda p: abs(p.kappa))
-    return chosen
+        return [p for p in ok if p.kappa >= bound]
+    return [p for p in ok if p.kappa <= -bound][::-1]
 
 
 def wing_slope(smile: SmileGrid, side: str) -> WingEstimate:
@@ -143,7 +143,7 @@ def wing_slope(smile: SmileGrid, side: str) -> WingEstimate:
         raise InsufficientWingData(
             f"{side} wing has {len(pts)} usable points; need at least 4"
         )
-    samples = tuple((p.kappa, p.ivol**2 / abs(p.kappa)) for p in pts)
+    samples = tuple([(p.kappa, p.ivol**2 / abs(p.kappa)) for p in pts])
     return WingEstimate(
         side=side,
         slope_samples=samples,
@@ -166,8 +166,8 @@ def _log_tails(model: ModelSpec, side: str, mags: np.ndarray) -> list[float]:
     A tail that underflows even in log form raises TailUnderflow, any
     other log tail not below 0 (NaN included) DomainError.
     """
-    raw = model.log_complement_cdf(mags) if side == "right" else model.log_cdf(-mags)
-    log_tails = np.broadcast_to(raw, mags.shape).tolist()
+    raw = np.asarray(model.log_complement_cdf(mags) if side == "right" else model.log_cdf(-mags))
+    log_tails = (raw if raw.shape == mags.shape else np.broadcast_to(raw, mags.shape)).tolist()
     for mag, lt in zip(mags.tolist(), log_tails):
         if lt == -math.inf:
             raise TailUnderflow(f"tail at |kappa|={mag:g} underflows even in log form")
@@ -207,14 +207,13 @@ def _rv_grid(lo: float, hi: float) -> np.ndarray:
     if not (1.0 < lo < hi):
         raise DomainError("need 1 < kappa_lo < kappa_hi")
     # the fit's grid ends at hi; the doubling ratio needs hi / 2 too
-    return np.append(_geometric_grid(lo, hi, 16), hi / 2.0)
+    return np.concatenate((_geometric_grid(lo, hi, 16), (hi / 2.0,)))
 
 
 def _rv_fit(lo: float, hi: float, grid: np.ndarray, log_tails: list[float]) -> float:
-    g = -np.array(log_tails)
-    theta, _, _ = _line_fit(np.log(grid[:-1]), np.log(g[:-1]))
+    theta, _, _ = _line_fit(np.log(grid[:-1]), np.log(np.negative(log_tails[:-1])))
     # defining ratio at the top: g(2k)/g(k) should be ~ 2^theta
-    ratio_theta = math.log2(g[-2] / g[-1])
+    ratio_theta = math.log2(log_tails[-2] / log_tails[-1])
     if abs(ratio_theta - theta) > 0.25:
         raise AccuracyNotReached(
             f"tail growth is not power-like on [{lo:g}, {hi:g}]: "
@@ -236,21 +235,15 @@ def asymptotic_residuals(smile: SmileGrid):
     model is needed.  Failed points are skipped.
     """
     out = []
-    for p in smile.ok_points():
-        if p.kappa <= 0.0:
+    for p in smile.points:
+        if p.status != STATUS_OK or p.kappa <= 0.0:
             continue
-        target = p.kappa**2 / (2.0 * p.ivol**2)
+        kappa2, var2 = p.kappa**2, 2.0 * p.ivol**2
+        target = kappa2 / var2
         eps1 = p.log_price + target
-        root = math.sqrt(p.kappa**2 + 2.0 * p.ivol**2)
-        out.append(
-            AsymptoticResidual(
-                kappa=p.kappa,
-                eps1=eps1,
-                eps2=eps1 + LN_SQRT_2PI,
-                target=target,
-                d_ratio=root / (p.kappa + root),
-            )
-        )
+        root = math.sqrt(kappa2 + var2)
+        out.append(AsymptoticResidual(p.kappa, eps1, eps1 + LN_SQRT_2PI, target,
+                                      root / (p.kappa + root)))
     return out
 
 
@@ -259,9 +252,10 @@ def asymptotic_residuals(smile: SmileGrid):
 # =============================================================================
 
 def _probe_derivatives(model: ModelSpec, side: str, orders, s_min: float):
-    """The probe's s grid and |M^(n)| on it for each order n, from one mgf call:
-    central binomial differences of step s/10, whose O(h^2) error is a
-    constant relative bias across the grid, so log-log slopes stay clean."""
+    """The probe's s grid and |M^(n)| on it for each order n, from one mgf call,
+    each summed only when the caller reaches it: central binomial differences
+    of step s/10, whose O(h^2) error is a constant relative bias across the
+    grid, so log-log slopes stay clean."""
     _require_side(side)
     boundary = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
     if math.isinf(boundary):
@@ -275,18 +269,21 @@ def _probe_derivatives(model: ModelSpec, side: str, orders, s_min: float):
     h = s / 10.0
     offsets = np.array([n / 2.0 - j for n in orders for j in range(n + 1)])
     rows = iter(model.mgf(sign * (boundary - s) + offsets[:, None] * h))  # one per offset
-    return s, [np.abs(sum((-1.0) ** j * math.comb(n, j) * next(rows) for j in range(n + 1))) / h**n
-               for n in orders]
+    return s, (np.abs(sum((-1.0) ** j * math.comb(n, j) * next(rows) for j in range(n + 1))) / h**n
+               for n in orders)
 
 
 def _probe_fit(side: str, n: int, s: np.ndarray, deriv: np.ndarray) -> ConditionIProbe:
     kept = np.isfinite(deriv) & (deriv > 0.0)
-    if np.count_nonzero(kept) < 4:
+    count = np.count_nonzero(kept)
+    if count < 4:
         raise AccuracyNotReached("too few finite MGF derivative values for a probe fit",
-                                 achieved=float(np.count_nonzero(kept)))
-    slope, _, r2 = _line_fit(np.log(s[kept]), np.log(deriv[kept]))
+                                 achieved=float(count))
+    if count < kept.size:
+        s, deriv = s[kept], deriv[kept]
+    slope, _, r2 = _line_fit(np.log(s), np.log(deriv))
     return ConditionIProbe(side=side, n=n, rho_estimate=-slope, regression_r2=r2,
-                           s_grid=tuple(s[kept].tolist()))
+                           s_grid=tuple(s.tolist()))
 
 
 def condition_i_probe(model: ModelSpec, side: str, n: int, s_min: float) -> ConditionIProbe:
@@ -297,8 +294,8 @@ def condition_i_probe(model: ModelSpec, side: str, n: int, s_min: float) -> Cond
     slope.  Derivatives use central differences with step s/10, which
     keeps the relative finite-difference bias constant across the grid.
     """
-    if not (0 <= n <= 4):
-        raise DomainError("derivative order n must be between 0 and 4")
+    if not (isinstance(n, numbers.Integral) and 0 <= n <= 4):
+        raise DomainError("derivative order n must be an integer between 0 and 4")
     s, (deriv,) = _probe_derivatives(model, side, (n,), s_min)
     return _probe_fit(side, n, s, deriv)
 
@@ -347,7 +344,8 @@ def _escalating_probe(model: ModelSpec, side: str, s_min: float) -> ConditionIPr
     # a bounded MGF at the boundary shows rho ~ 0 at order 0, and a weak
     # branch point pollutes the order-0 fit; step up the derivative order
     # until the blow-up is both visible and cleanly power-like.  All three
-    # orders come from one mgf call; each fit equals condition_i_probe's
+    # orders come from one mgf call, each stencil summed only when reached;
+    # each fit equals condition_i_probe's
     s, derivs = _probe_derivatives(model, side, (0, 1, 2), s_min)
     for n, deriv in enumerate(derivs):
         probe = _probe_fit(side, n, s, deriv)
@@ -379,7 +377,7 @@ def _side_report(model: ModelSpec, smile: SmileGrid, side: str):
     ks = [k for k, _ in est.slope_samples]
     lo, hi = _RV_LO_SCALES * model.scale, _RV_HI_SCALES * model.scale
     grid = _rv_grid(lo, hi) if 1.0 < lo < hi else np.empty(0)
-    log_tails = _log_tails(model, side, np.concatenate([np.abs(ks), grid]))
+    log_tails = _log_tails(model, side, np.abs(np.concatenate((ks, grid))))  # grid > 0
     refs = [(k, -abs(k) / (2.0 * lt)) for k, lt in zip(ks, log_tails)]
     theta = _rv_fit(lo, hi, grid if grid.size else _rv_grid(lo, hi), log_tails[len(ks):])
 
@@ -445,7 +443,7 @@ def theorem_verdicts(model: ModelSpec, settings: VerdictSettings | None = None) 
     vs = settings or VerdictSettings()
     lo = vs.wing_lo_scales * model.scale
     hi = vs.wing_hi_scales * model.scale
-    wing = np.geomspace(lo, hi, vs.points_per_side)
+    wing = _geomspace(lo, hi, vs.points_per_side)
     grid = np.concatenate([-wing[::-1], [0.0], wing])
     smile = smile_from_model(model, grid, tol_iv=vs.tol_iv)
     n_failed = sum(1 for p in smile.points if p.status != STATUS_OK)

@@ -12,11 +12,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bachelier_wings.errors import DomainError, ModelConfigError
 from bachelier_wings.models import (
     AnalyticityStrip,
+    _geomspace,
     asym_laplace_model,
     gaussian_model,
     mgf_blowup_boundary,
@@ -403,6 +406,24 @@ def test_blowup_probe_gaussian_infinite():
 def test_blowup_probe_rejects_bad_side():
     with pytest.raises(DomainError):
         mgf_blowup_boundary(LAPLACE, "up")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(1e-300, 1e300), ratio=st.floats(1.0, 1e8, exclude_min=True),
+       n=st.integers(1, 60), negative=st.booleans())
+@example(lo=5.0, ratio=8.0, n=12, negative=False)  # the report's wing at unit scale
+@example(lo=5.0, ratio=8.0, n=12, negative=True)
+@example(lo=1e-3, ratio=1e6, n=200, negative=False)  # the CLI suite's sandwich grid
+@example(lo=1.0, ratio=1.0 + 2.0**-52, n=60, negative=False)
+def test_geomspace_mirror_equals_numpy_bit_for_bit(lo, ratio, n, negative):
+    # 0 < lo < hi, or both endpoints negative (-hi < -lo < 0, either order)
+    hi = lo * ratio
+    if negative:
+        lo, hi = -hi, -lo
+    for a, b in ((lo, hi), (hi, lo)):
+        got, want = _geomspace(a, b, n), np.geomspace(a, b, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 # =============================================================================

@@ -1084,6 +1084,58 @@ def test_grid_with_a_non_finite_value_is_rejected():
             smile_from_model(GAUSS1, grid)
 
 
+_GRID_FORMS = ("unique", "sorted", "as_given", "list", "generator", "two_d", "float32", "big_endian")
+
+
+def _grid_in_form(values, form):
+    """A fresh grid of `values` in one of the forms a caller may pass."""
+    arr = np.array(values, dtype=float)
+    if form == "unique":  # strictly increasing float64, save a -0.0 beside 0.0
+        return np.unique(arr)
+    if form == "sorted":  # duplicates kept
+        return np.sort(arr)
+    if form == "list":
+        return list(values)
+    if form == "generator":
+        return (v for v in values)
+    if form == "two_d":
+        return np.sort(arr)[: arr.size // 2 * 2].reshape(2, -1)
+    if form == "float32":
+        with np.errstate(over="ignore"):
+            return np.unique(arr).astype(np.float32)
+    if form == "big_endian":
+        return np.unique(arr).astype(">f8")
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                       max_size=30),
+       form=st.sampled_from(_GRID_FORMS))
+@example(values=[-0.0, 0.0, 1.0], form="as_given")
+@example(values=[0.0, -0.0], form="unique")
+@example(values=[-2.0, -0.0, 3.0], form="unique")
+@example(values=[1.0, math.inf], form="unique")
+@example(values=[-math.inf, 1.0], form="unique")
+@example(values=[3.0, 1.0, 2.0], form="as_given")
+@example(values=[], form="unique")
+def test_checked_grid_equals_the_unique_path(values, form):
+    # every grid reads as np.unique of its values, and the result never
+    # aliases the caller's array; a non-finite value raises
+    grid = _grid_in_form(values, form)
+    with np.errstate(over="ignore"):
+        want = np.unique(np.asarray(list(_grid_in_form(values, form)), dtype=float))
+    if not np.isfinite(want).all():
+        with pytest.raises(DomainError):
+            pricing._checked_grid(grid)
+        return
+    got = pricing._checked_grid(grid)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    if isinstance(grid, np.ndarray):
+        assert not np.shares_memory(got, grid)
+
+
 def test_smile_rejects_bad_tolerance():
     with pytest.raises(DomainError):
         smile_from_model(GAUSS1, [0.0], tol_iv=0.0)

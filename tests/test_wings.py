@@ -12,6 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bachelier_wings.bachelier import LN_SQRT_2PI
 from bachelier_wings.errors import (
@@ -426,6 +429,52 @@ def test_line_fit_matches_polyfit_on_the_report_designs(design, reads):
     assert abs(Fraction(intercept) - exact_intercept) <= Fraction(2, 10**14) * abs(exact_intercept)
 
 
+def _reference_line_fit(x, y):
+    """The least-squares closed form on numpy sums, dot products and scalars:
+    the reference _line_fit must equal bit for bit."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_mean, y_mean = x.sum() / x.size, y.sum() / y.size
+    dx, dy = x - x_mean, y - y_mean
+    slope = (dx @ dy) / (dx @ dx)
+    res = dy - slope * dx
+    ss_tot = dy @ dy
+    r2 = 1.0 - (res @ res) / ss_tot if ss_tot > 0.0 else 0.0
+    return float(slope), float(y_mean - slope * x_mean), float(r2)
+
+
+@st.composite
+def _designs(draw):
+    n = draw(st.integers(4, 40))
+    x = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e4, 1e4, allow_subnormal=False)))
+    y = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    assume(np.ptp(x) > 1e-3)
+    return x, y
+
+
+def _report_sized_designs():
+    """Designs of the report's fit sizes: 6 (extrapolation), 9 (probe),
+    16 (tail growth) and 33 (blow-up), on fixed geometric grids."""
+    out = []
+    for n, lo, hi in ((6, 0.025, 0.2), (9, 2.0**-12, 0.125), (16, 10.0, 2000.0), (33, 2000.0, 8000.0)):
+        x = np.log(np.geomspace(lo, hi, n))
+        out.append((x, 1.5 * x + 0.01 * np.sin(7.0 * x) - 3.0))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(design=_designs())
+@example(design=_report_sized_designs()[0])
+@example(design=_report_sized_designs()[1])
+@example(design=_report_sized_designs()[2])
+@example(design=_report_sized_designs()[3])
+def test_line_fit_equals_the_reference_formula_bit_for_bit(design):
+    x, y = design
+    got, want = _line_fit(x, y), _reference_line_fit(x, y)
+    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    assert all(type(v) is float for v in got)
+
+
 def test_line_fit_is_exact_on_a_line():
     x = np.arange(8.0)
     assert _line_fit(x, 3.0 * x - 2.0) == (3.0, -2.0, 1.0)
@@ -438,6 +487,9 @@ def test_probe_input_validation():
         condition_i_probe(LAPLACE, "right", 5, 1e-3)
     with pytest.raises(DomainError):
         condition_i_probe(LAPLACE, "right", -1, 1e-3)
+    for n in (1.5, 2.0):  # an order that is not an integer
+        with pytest.raises(DomainError):
+            condition_i_probe(LAPLACE, "right", n, 1e-3)
     with pytest.raises(DomainError):
         condition_i_probe(LAPLACE, "right", 0, 0.5)  # not well inside the strip
     with pytest.raises(DomainError):
