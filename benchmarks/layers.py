@@ -26,9 +26,11 @@ L3_tail_core_report_grid_us is one call of the core on the
 out-of-the-money legs of each report model's 25-point report grid (the
 call that a wing report's smile makes), in microseconds, and
 L3_tail_core_large_grid_ms one call on both legs of 2,000 kappas spread
-evenly over +-30 scales (4,000 integrals, the core's passes split at
-its node cap), in ms: what a large batch pays for the core's
-per-integral bookkeeping beside its nodes.
+evenly over +-30 scales (4,000 integrals, the core's passes run in
+blocks under its node cap), in ms: what a large batch pays for the core's
+per-integral bookkeeping beside its nodes.  L3_tail_core_large_grid_peak_mb
+is the peak memory tracemalloc traces over one such call, in MB (1e6
+bytes): the core's working set, which its node cap bounds per pass.
 L2_nig_log_pdf_ns_per_node is the median time of one
 nig(2, 0.5, 1).log_pdf call on a fixed array of
 100,000 points spread evenly over +-50 (about +-67 scales) in ns per
@@ -85,6 +87,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 from scipy import special
@@ -187,6 +190,15 @@ def calibrated_ms(fns, reps: int) -> list[float]:
         cals.append(calibration_ms())
     scale = [2.0 * CAL_REF_MS / (a + b) for a, b in zip(cals, cals[1:])]
     return [1e3 * statistics.median(t * s for t, s in zip(ts, scale)) for ts in times]
+
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def median_ms(fn, reps: int) -> float:
@@ -306,13 +318,15 @@ def main() -> None:
         signs = np.where(ks >= 0.0, 1.0, -1.0)
         out["L3_tail_core_report_grid_us"][name] = 1e3 * median_ms(
             lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
-    out["L3_tail_core_large_grid_ms"] = {}
+    out["L3_tail_core_large_grid_ms"], out["L3_tail_core_large_grid_peak_mb"] = {}, {}
     for name in REPORTS:
         model = MODELS[name]
         grid = np.linspace(-30.0 * model.scale, 30.0 * model.scale, LARGE_GRID)
         ks, signs = np.repeat(grid, 2), np.tile([1.0, -1.0], grid.size)
         out["L3_tail_core_large_grid_ms"][name] = median_ms(
             lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
+        out["L3_tail_core_large_grid_peak_mb"][name] = traced_peak_mb(
+            lambda: _log_payoff_integrals(model, ks, signs, *tol))
     nig = MODELS["nig(2, 0.5, 1)"]
     nodes = np.linspace(-50.0, 50.0, 100_000)
     out["L2_nig_log_pdf_ns_per_node"] = (

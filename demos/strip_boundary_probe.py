@@ -4,7 +4,7 @@
 # Two questions about a model's analyticity strip, answered numerically,
 # the way the wing report (theorem_verdicts) answers them:
 #   1. where does the strip end?      (minus the least-squares slope of
-#      ln f(x) on a geometric grid over [x_far/4, x_far]: e^(s|x|) f(x)
+#      ln f(x) on a geometric grid over [2000, 8000]: e^(s|x|) f(x)
 #      stops decaying once s passes the tail's decay rate)
 #   2. how does the mgf blow up there? (log-log regression of derivatives
 #      against distance to the edge, down to 2^-12 of it, escalating the

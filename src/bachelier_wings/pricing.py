@@ -16,6 +16,7 @@ them is the point; neither is defined in terms of the other.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -101,7 +102,7 @@ class PriceQuote:
 # is cut this far short of it, so that one piece holds the bulk
 _BULK_SCALES = 8.0
 
-# nodes per log_pdf call, passed by at most one integral (4 x 5760 nodes)
+# nodes per block of a tail-core pass, passed only by a lone integral (4 x 5760)
 _MAX_TAIL_NODES_PER_CALL = 1 << 16
 
 
@@ -135,13 +136,13 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
     plus the floor being the estimate; abs_tol = 0 asks for rel_tol
     alone.  An integral with no cut past kappa is one exp-sinh piece; the
     others are cut one by one and come after those, sorted by piece
-    count, the pieces laid out end to end once.  One log_pdf call probes
-    all decay rates; one more (per chunk) takes levels 0 and 1 for every
-    integral, and each later level one for all open integrals' nodes.
-    Each integral sums its own pieces x nodes row per level, whatever the
-    batch.  The nodes live in arrays; each integral's running sum, ln S,
-    estimate and stop flag live in Python lists, updated by one float
-    loop per level, and become arrays once, on return.
+    count, the pieces laid out end to end once.  One log_pdf call (not
+    capped) probes all decay rates.  Each pass, levels 0 and 1 together and
+    then each later level, runs over blocks of whole open integrals whose
+    nodes fit _MAX_TAIL_NODES_PER_CALL, one log_pdf call each, so the cap
+    bounds a pass's working set; each integral sums its own pieces x nodes
+    row per level, whatever the block.  Running sums, ln S, estimates and
+    stop flags live in Python lists, updated by one float loop per level.
     """
     ahead = (signs * (np.array([model.mean, *model.breakpoints])[:, None] - ks) > 0.0).any(axis=0)
     ends_all = {}
@@ -182,42 +183,43 @@ def _log_payoff_integrals(model: ModelSpec, ks: np.ndarray, signs: np.ndarray,
         if not todo:
             break
         keep = (~np.array(done)).repeat(reps) if len(todo) < n else slice(None)
-        y, x, length, ln_length, sign = pieces[:, keep]
-        rows = row[keep] if multi else 1  # all exp-sinh: row 1 broadcasts
-        dy = length[:, None] * unit[rows]
-        nodes = (x[:, None] + sign[:, None] * dy).ravel()
-        if nodes.size < _MAX_TAIL_NODES_PER_CALL:
-            lf = model.log_pdf(nodes)
-        else:  # a chunk ends at the integral whose nodes pass a multiple of the cap
-            ends = reps[todo].cumsum() * unit.shape[1]
-            lf = np.concatenate([model.log_pdf(chunk) for chunk in np.split(
-                nodes, ends[np.flatnonzero(np.diff(ends // _MAX_TAIL_NODES_PER_CALL))])])
-        with np.errstate(divide="ignore"):  # y + dy is 0 where a first piece's dy underflows: no weight
-            terms = unit_logw[rows] + ln_length[:, None] + np.log(y[:, None] + dy) + lf.reshape(dy.shape)
-        runs = [(count, len(list(run))) for count, run in itertools.groupby(counts[i] for i in todo)]
-        for level, columns in levels:
-            peaks, sums, at = [], [], 0
-            for count, m in runs:
-                # one pieces x nodes row per integral, summed as alone; an all-zero
-                # row (shifted by the lowest double) adds nothing, NaN passes, and
-                # fails every test below
-                block = terms[at:(at := at + m * count), columns].reshape(m, -1)
-                peak = block.max(axis=1)
-                sums += np.exp(block - np.maximum(peak, _LOWEST)[:, None]).sum(axis=1).tolist()
-                peaks += peak.tolist()
-            ln_step = math.log(_DE_STEP / (1 << level))
-            for i, peak, s in zip(todo, peaks, sums):
-                if done[i]:  # closed at this pass's earlier level
-                    continue
-                # a sum is at least 1 (the peak's term) but on an all-zero row, which reads ln 1
-                part = peak + math.log(1.0 if s < 1.0 else s)
-                if level:  # at level 0 logaddexp(-inf, part) is part; past it no sum falls
-                    part = _logaddexp(log_sum[i], part)  # and ln_s[i] is the last level's
-                    e = abs(math.expm1(ln_s[i] - (ln := part + ln_step))) + _ROUNDOFF_FLOOR
-                    err[i], done[i] = e, e <= rel_tol or e * math.exp(ln) < abs_tol
-                else:  # zero at every node, within double range
-                    done[i] = (ln := part + ln_step) == -math.inf
-                log_sum[i], ln_s[i] = part, ln
+        open_pieces, open_rows = pieces[:, keep], row[keep] if multi else None
+        # blocks of whole integrals whose nodes fit the cap (an integral past it alone
+        # is a block); the jth open integral's pieces start at ends[j]
+        sizes, at, fit = [counts[i] for i in todo], 0, _MAX_TAIL_NODES_PER_CALL // unit.shape[1]
+        ends = [0, *itertools.accumulate(sizes)]
+        while at < len(todo):
+            to = max(bisect.bisect(ends, ends[at] + fit) - 1, at + 1)
+            runs = [(count, len(list(run))) for count, run in itertools.groupby(sizes[at:to])]
+            ids, span, at = todo[at:to], slice(ends[at], ends[to]), to
+            y, x, length, ln_length, sign = open_pieces[:, span]
+            rows = open_rows[span] if multi else 1  # all exp-sinh: row 1 broadcasts
+            dy = length[:, None] * unit[rows]
+            lf = model.log_pdf((x[:, None] + sign[:, None] * dy).ravel()).reshape(dy.shape)
+            with np.errstate(divide="ignore"):  # y + dy is 0 where a first piece's dy underflows: no weight
+                terms = unit_logw[rows] + ln_length[:, None] + np.log(y[:, None] + dy) + lf
+            for level, columns in levels:
+                peaks, sums, r = [], [], 0
+                for count, m in runs:
+                    # one pieces x nodes row per integral, summed as alone; an all-zero row
+                    # (shifted by the lowest double) adds nothing, NaN fails every test below
+                    run = terms[r:(r := r + m * count), columns].reshape(m, -1)
+                    peak = run.max(axis=1)
+                    sums += np.exp(run - np.maximum(peak, _LOWEST)[:, None]).sum(axis=1).tolist()
+                    peaks += peak.tolist()
+                ln_step = math.log(_DE_STEP / (1 << level))
+                for i, peak, s in zip(ids, peaks, sums):
+                    if done[i]:  # closed at this pass's earlier level
+                        continue
+                    # a sum is at least 1 (the peak's term) but on an all-zero row, which reads ln 1
+                    part = peak + math.log(1.0 if s < 1.0 else s)
+                    if level:  # at level 0 logaddexp(-inf, part) is part; past it no sum falls
+                        part = _logaddexp(log_sum[i], part)  # and ln_s[i] is the last level's
+                        e = abs(math.expm1(ln_s[i] - (ln := part + ln_step))) + _ROUNDOFF_FLOOR
+                        err[i], done[i] = e, e <= rel_tol or e * math.exp(ln) < abs_tol
+                    else:  # zero at every node, within double range
+                        done[i] = (ln := part + ln_step) == -math.inf
+                    log_sum[i], ln_s[i] = part, ln
     out = np.array(ln_s, dtype=float), np.array(err, dtype=float), np.array(done, dtype=bool)
     if multi:  # to the callers' order
         back = order.argsort()

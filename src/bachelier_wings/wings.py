@@ -315,10 +315,12 @@ class VerdictSettings:
     points_per_side: int = 12
 
     def __post_init__(self) -> None:
-        if self.points_per_side < 4:
-            raise DomainError("points_per_side must be at least 4")
-        if not (0.0 < self.wing_lo_scales < self.wing_hi_scales):
-            raise DomainError("need 0 < wing_lo_scales < wing_hi_scales")
+        if not (isinstance(self.points_per_side, numbers.Integral) and self.points_per_side >= 4):
+            raise DomainError("points_per_side must be an integer, at least 4")
+        if not (0.0 < self.wing_lo_scales < self.wing_hi_scales < math.inf):
+            raise DomainError("need 0 < wing_lo_scales < wing_hi_scales < inf")
+        if not (0.0 < self.tol_iv < math.inf):
+            raise DomainError("tol_iv must be positive and finite")
 
 
 def _check(name: str, measured: float, reference: float, tolerance: float, ok=None) -> dict:

@@ -19,6 +19,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import tracemalloc
 import unittest.mock
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -535,12 +536,13 @@ def test_report_grid_takes_few_log_pdf_calls():
 
 
 def test_nan_density_grid_fails_every_point_in_bounded_calls():
-    # every integral runs to the last level; chunking keeps each call within
-    # the cap plus one integral (at most four pieces at the finest level)
+    # every integral runs to the last level; the passes' blocks of whole
+    # integrals keep each call within the cap, or one integral (at most four
+    # pieces at the finest level) where that alone passes it
     model, sizes = _counting_log_pdf(LAPLACE, lambda x: np.ones(x.shape, dtype=bool))
     kappas, quotes = price_grid(model, np.linspace(-30.0, 30.0, 61))
     assert quotes == [None] * 61
-    assert max(sizes) <= pricing._MAX_TAIL_NODES_PER_CALL + 4 * _DE_LEVELS[-1][0].shape[1]
+    assert max(sizes) <= max(pricing._MAX_TAIL_NODES_PER_CALL, 4 * _DE_LEVELS[-1][0].shape[1])
     with pytest.raises(AccuracyNotReached, match="tail quadrature error nan"):
         price_from_tail(model, 1.0)
 
@@ -568,15 +570,15 @@ def test_price_grid_entries_equal_points_priced_alone_nig(model):
 
 
 def test_chunked_price_grid_entries_equal_points_priced_alone():
-    # 400 kappas, both legs: level 0 alone passes the node cap, so each
-    # level's log_pdf call splits at integral boundaries
+    # 400 kappas, both legs: level 0 alone passes the node cap, so each pass
+    # runs over blocks of whole integrals, one log_pdf call each
     base = asym_laplace_model(2.0, 0.7)
     model, sizes = _counting_log_pdf(base)
     grid = np.linspace(-30.0, 30.0, 400) * base.scale
     pieces = sum(len(_piece_ends(base, k, sign)) for k in grid.tolist() for sign in (1.0, -1.0))
     assert pieces * _DE_LEVELS[0][0].shape[1] > pricing._MAX_TAIL_NODES_PER_CALL
     kappas, quotes = price_grid(model, grid)
-    assert max(sizes) <= pricing._MAX_TAIL_NODES_PER_CALL + 4 * _DE_LEVELS[-1][0].shape[1]
+    assert max(sizes) <= pricing._MAX_TAIL_NODES_PER_CALL
     assert sizes[1] < pieces * _DE_LEVELS[0][0].shape[1]  # level 0 took more than one call
     for k, q in zip(kappas.tolist(), quotes):
         assert repr(q) == repr(_priced_alone(base, k)), k
@@ -615,13 +617,13 @@ def _core_case(draw):
 @example(case=_ZERO_CASE)
 @example(case=("nig", (2.0, 0.5, 1.0), [], "both", "plain", 1e-13, None))  # the empty batch
 @example(case=("nig", (2.0, 0.5, 1.0), [-30.0, -9.0, -3.0, 2.0, 8.5, 25.0], "both", "nan", 0.0, 300))
-# large batches, 500 integrals in each leg layout, their passes split at the cap
+# large batches, 500 integrals in each leg layout, their passes in blocks under the cap
 @example(case=("laplace", (2.0, 0.7), np.linspace(-40.0, 40.0, 250).tolist(), "both", "plain", 1e-13, None))
 @example(case=("gaussian", (1.3,), np.linspace(-40.0, 40.0, 500).tolist(), "otm", "nan", 0.0, None))
 def test_tail_core_equals_the_reference_on_random_batches(case):
     # every integral of a batch, one or many pieces, converged, zero or
     # failed, equals the per-point reference bit for bit, under either
-    # tolerance and with or without a small node cap splitting the passes;
+    # tolerance and with or without a small node cap blocking the passes;
     # the core returns float ln S and estimates and a bool mask, empty or not
     family, params, scales, legs, density, abs_tol, cap = case
     base = _FAMILIES[family](*params)
@@ -646,9 +648,10 @@ def test_tail_core_equals_the_reference_on_random_batches(case):
         ln_s, err, done = pricing._log_payoff_integrals(model, ks, signs, abs_tol, rel_tol)
     assert ln_s.shape == err.shape == done.shape == ks.shape
     assert (ln_s.dtype, err.dtype, done.dtype) == (np.float64, np.float64, np.bool_)
+    # a call holds at most the cap, or one integral (at most four pieces) past it
     fused = pricing._TAIL_PASSES[0][0].shape[1]
-    assert max(sizes[1:2], default=0) < cap + 4 * fused  # the fused pass's first chunk
-    assert max(sizes, default=0) < cap + 4 * _DE_LEVELS[-1][0].shape[1]
+    assert max(sizes[1:2], default=0) <= max(cap, 4 * fused)  # the fused pass's first block
+    assert max(sizes, default=0) <= max(cap, 4 * _DE_LEVELS[-1][0].shape[1])
     for k, sign, ln, e, ok in zip(ks.tolist(), signs.tolist(), ln_s.tolist(), err.tolist(), done.tolist()):
         with np.errstate(invalid="ignore"):  # the reference warns on NaN
             ref = _reference_log_payoff_integral(base, k, sign, abs_tol, rel_tol)
@@ -657,6 +660,27 @@ def test_tail_core_equals_the_reference_on_random_batches(case):
             assert repr((ln, e)) == repr(ref), (k, sign)
     if case == _ZERO_CASE:  # kappa 0's call is zero at every node: done at level 0
         assert (ln_s[0], err[0], done[0]) == (-math.inf, 0.0, True)
+
+
+def test_tail_core_memory_does_not_grow_with_the_batch():
+    # each pass builds its nodes and terms per block of whole integrals under
+    # the node cap, so past the cap one call's traced peak grows only by the
+    # per-integral bookkeeping: at most 1 KB an integral from 500 to 2,500
+    # out-of-the-money legs run to rel_tol alone
+    peaks = []
+    with unittest.mock.patch.object(pricing, "_MAX_TAIL_NODES_PER_CALL", 4096):
+        for n in (500, 2500):
+            ks = np.linspace(-30.0, 30.0, n)
+            signs = np.where(ks >= 0.0, 1.0, -1.0)
+            pricing._log_payoff_integrals(GAUSS1, ks, signs, 0.0, DEFAULT_SETTINGS.rel_tol)
+            tracemalloc.start()
+            try:
+                _, _, done = pricing._log_payoff_integrals(GAUSS1, ks, signs, 0.0, DEFAULT_SETTINGS.rel_tol)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert done.all()
+    assert peaks[1] - peaks[0] <= 1024 * 2000, peaks
 
 
 def test_tail_core_reads_a_zero_density_at_the_probe_quietly():

@@ -561,6 +561,14 @@ def test_verdict_settings_validation():
         VerdictSettings(wing_lo_scales=40.0, wing_hi_scales=5.0)
     with pytest.raises(DomainError):
         VerdictSettings(wing_lo_scales=0.0)
+    # a fractional count, a non-finite wing and a bad tolerance fail here, not
+    # later in the grid (with a RuntimeWarning) or in smile_from_model
+    for bad in ({"points_per_side": 4.5}, {"points_per_side": "12"}, {"wing_hi_scales": math.inf},
+                {"wing_lo_scales": math.nan}, {"tol_iv": -1.0}, {"tol_iv": 0.0}, {"tol_iv": math.inf},
+                {"tol_iv": math.nan}):
+        with pytest.raises(DomainError):
+            VerdictSettings(**bad)
+    assert VerdictSettings(points_per_side=np.int64(4)).points_per_side == 4
 
 
 @pytest.mark.parametrize(
