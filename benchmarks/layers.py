@@ -5,9 +5,12 @@
 Prints one JSON object of times in reference units (see "Host speed"
 below: each repetition's wall time, from perf_counter after one warm-up
 call, scaled by the calibration kernel timed around it) and work counts.
+Before the first row is timed, every timed callable but the L1
+crossover's and the cold starts' runs once untimed (layer_rows(untimed)),
+so that the first rows run in the heap state the later ones do.
 The rows are the median time (ms) of L3 price_grid on each model's
 25-point report grid, of the Fourier cross-check (price_from_cf at
-_default_alpha) over the nig(2, 0.5, 1) report grid, of L4
+its default damping) over the nig(2, 0.5, 1) report grid, of L4
 smile_from_model on each report model's grid, of L5 theorem_verdicts,
 and of the NIG tail_reference_curve + rv_index pair on both sides, plus
 the number of log_pdf calls each L3/L4/L5 call makes and the nodes
@@ -106,7 +109,6 @@ from bachelier_wings.inversion import (
 from bachelier_wings.models import asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import (
     DEFAULT_SETTINGS,
-    _default_alpha,
     _log_payoff_integrals,
     price_from_cf,
     price_grid,
@@ -222,7 +224,7 @@ def work(model, fn, attr: str = "log_pdf") -> tuple[int, int]:
 
 def fourier_cross_check(model, grid) -> None:
     for k in grid.tolist():
-        price_from_cf(model, k, _default_alpha(model, k))
+        price_from_cf(model, k)
 
 
 def nig_wing_tails(model) -> None:
@@ -274,10 +276,14 @@ def cold_start_ms(reps: int) -> dict:
     return dict(zip(COLD_START, calibrated_ms(launches, min(reps, COLD_START_MAX_LAUNCHES))))
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=30)
-    reps = parser.parse_args().reps
+def untimed(fn) -> float:
+    fn()
+    return 0.0
+
+
+def layer_rows(time_ms) -> dict:
+    """Every row but the L1 crossover and the cold starts, in the order they
+    run, with time_ms(fn) as each row's time of fn in reference ms."""
     out = {"L3_price_grid_ms": {}, "L4_smile_from_model_ms": {}, "L5_theorem_verdicts_ms": {},
            "L5_side_reports_us": {},
            "log_pdf_calls_price_grid": {}, "log_pdf_calls_smile_from_model": {},
@@ -285,19 +291,19 @@ def main() -> None:
            "mgf_work_theorem_verdicts": {}}
     for name, model in MODELS.items():
         grid = report_grid(model)
-        out["L3_price_grid_ms"][name] = median_ms(lambda: price_grid(model, grid), reps)
+        out["L3_price_grid_ms"][name] = time_ms(lambda: price_grid(model, grid))
         out["log_pdf_calls_price_grid"][name] = work(model, lambda m: price_grid(m, grid))[0]
     for name in REPORTS:
         model = MODELS[name]
         grid = report_grid(model)
-        out["L4_smile_from_model_ms"][name] = median_ms(lambda: smile_from_model(model, grid), reps)
+        out["L4_smile_from_model_ms"][name] = time_ms(lambda: smile_from_model(model, grid))
         calls, nodes = work(model, lambda m: smile_from_model(m, grid))
         out["log_pdf_calls_smile_from_model"][name] = calls
         out["log_pdf_nodes_smile_from_model"][name] = nodes
-        out["L5_theorem_verdicts_ms"][name] = median_ms(lambda: theorem_verdicts(model), reps)
+        out["L5_theorem_verdicts_ms"][name] = time_ms(lambda: theorem_verdicts(model))
         smile = smile_from_model(model, grid, tol_iv=VerdictSettings().tol_iv)
-        out["L5_side_reports_us"][name] = 1e3 * median_ms(
-            lambda: [_side_report(model, smile, side) for side in ("right", "left")], reps)
+        out["L5_side_reports_us"][name] = 1e3 * time_ms(
+            lambda: [_side_report(model, smile, side) for side in ("right", "left")])
         out["log_pdf_calls_theorem_verdicts"][name] = work(model, theorem_verdicts)[0]
         calls, points = work(model, theorem_verdicts, "mgf")
         out["mgf_work_theorem_verdicts"][name] = {"calls": calls, "points": points}
@@ -309,48 +315,65 @@ def main() -> None:
         legs = {"both_legs": (np.repeat(grid, 2), np.tile([1.0, -1.0], grid.size)),
                 "otm_leg": (grid, np.where(grid >= 0.0, 1.0, -1.0))}
         out["L3_tail_core_cli_grid_us"][name] = {
-            leg: 1e3 * median_ms(lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
+            leg: 1e3 * time_ms(lambda: _log_payoff_integrals(model, ks, signs, *tol))
             for leg, (ks, signs) in legs.items()}
     out["L3_tail_core_report_grid_us"] = {}
     for name in REPORTS:
         model = MODELS[name]
         ks = report_grid(model)
         signs = np.where(ks >= 0.0, 1.0, -1.0)
-        out["L3_tail_core_report_grid_us"][name] = 1e3 * median_ms(
-            lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
+        out["L3_tail_core_report_grid_us"][name] = 1e3 * time_ms(
+            lambda: _log_payoff_integrals(model, ks, signs, *tol))
     out["L3_tail_core_large_grid_ms"], out["L3_tail_core_large_grid_peak_mb"] = {}, {}
     for name in REPORTS:
         model = MODELS[name]
         grid = np.linspace(-30.0 * model.scale, 30.0 * model.scale, LARGE_GRID)
         ks, signs = np.repeat(grid, 2), np.tile([1.0, -1.0], grid.size)
-        out["L3_tail_core_large_grid_ms"][name] = median_ms(
-            lambda: _log_payoff_integrals(model, ks, signs, *tol), reps)
+        out["L3_tail_core_large_grid_ms"][name] = time_ms(
+            lambda: _log_payoff_integrals(model, ks, signs, *tol))
         out["L3_tail_core_large_grid_peak_mb"][name] = traced_peak_mb(
             lambda: _log_payoff_integrals(model, ks, signs, *tol))
     nig = MODELS["nig(2, 0.5, 1)"]
     nodes = np.linspace(-50.0, 50.0, 100_000)
-    out["L2_nig_log_pdf_ns_per_node"] = (
-        1e6 * median_ms(lambda: nig.log_pdf(nodes), reps) / nodes.size)
-    out["L3_price_from_cf_nig_report_grid_ms"] = median_ms(
-        lambda: fourier_cross_check(nig, report_grid(nig)), reps)
-    out["nig_tail_reference_and_rv_index_ms"] = median_ms(
-        lambda: nig_wing_tails(MODELS["nig(2, 0.5, 1)"]), reps)
-    out["L0_call_price_log_us"] = 1e3 * median_ms(lambda: call_price_log(2.0, 1.0), reps)
-    out["L0_put_price_log_us"] = 1e3 * median_ms(lambda: put_price_log(-2.0, 1.0), reps)
+    out["L2_nig_log_pdf_ns_per_node"] = 1e6 * time_ms(lambda: nig.log_pdf(nodes)) / nodes.size
+    out["L3_price_from_cf_nig_report_grid_ms"] = time_ms(
+        lambda: fourier_cross_check(nig, report_grid(nig)))
+    out["nig_tail_reference_and_rv_index_ms"] = time_ms(
+        lambda: nig_wing_tails(MODELS["nig(2, 0.5, 1)"]))
+    out["L0_call_price_log_us"] = 1e3 * time_ms(lambda: call_price_log(2.0, 1.0))
+    out["L0_put_price_log_us"] = 1e3 * time_ms(lambda: put_price_log(-2.0, 1.0))
     price = call_price(2.0, 1.0)
-    out["L1_implied_vol_call_us"] = 1e3 * median_ms(lambda: implied_vol_call(2.0, price), reps)
-    out["L1_implied_vol_call_log_deep_us"] = 1e3 * median_ms(
-        lambda: implied_vol_call_log(45.0, -1000.0), reps)
+    out["L1_implied_vol_call_us"] = 1e3 * time_ms(lambda: implied_vol_call(2.0, price))
+    out["L1_implied_vol_call_log_deep_us"] = 1e3 * time_ms(
+        lambda: implied_vol_call_log(45.0, -1000.0))
     kappa, sigma, log_price = otm_deck()
     out["L0_call_price_log_vec_us"] = {
-        n: 1e3 * median_ms(lambda: call_price_log(kappa[:n], sigma[:n]), reps) for n in VEC_SIZES}
-    out["L1_solve_otm_log_1e5_ms"] = median_ms(lambda: _solve_otm_log(kappa, log_price, 1e-12), reps)
+        n: 1e3 * time_ms(lambda: call_price_log(kappa[:n], sigma[:n])) for n in VEC_SIZES}
+    out["L1_solve_otm_log_1e5_ms"] = time_ms(lambda: _solve_otm_log(kappa, log_price, 1e-12))
     evaluations = _solve_otm_log(kappa, log_price, 1e-12).iterations
     out["L1_evaluations_mean"] = float(evaluations.mean())
     out["L1_evaluations_max"] = int(evaluations.max())
     out["L1_implied_vol_call_log_vec_us"] = {
-        n: 1e3 * median_ms(lambda: implied_vol_call_log_vec(kappa[:n], log_price[:n]), reps)
+        n: 1e3 * time_ms(lambda: implied_vol_call_log_vec(kappa[:n], log_price[:n]))
         for n in VEC_SIZES}
+    out["L6_cli_smile_ms"] = {}
+    with tempfile.TemporaryDirectory() as model_dir:
+        for i, name in enumerate(REPORTS):
+            argv = cli_smile_argv(MODELS[name], os.path.join(model_dir, f"model{i}.json"))
+            out["L6_cli_smile_ms"][name] = time_ms(lambda: run_cli(argv))
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--reps", type=int, default=30)
+    reps = parser.parse_args().reps
+    # one untimed pass over the timed callables first: a row timed before any
+    # large block is freed (the large-grid rows free tens of MB) runs in another
+    # heap state, and the first rows of a process read bimodal across processes
+    layer_rows(untimed)
+    out = layer_rows(lambda fn: median_ms(fn, reps))
+    kappa, _, log_price = otm_deck()
     out["L1_crossover_us"] = {}
     for n in CROSSOVER_SIZES:
         batches = [(kappa[i * n:(i + 1) * n], log_price[i * n:(i + 1) * n], 1e-12)
@@ -358,11 +381,6 @@ def main() -> None:
         loops = (_solve_otm_log_array, _solve_otm_log_floats)
         out["L1_crossover_us"][n] = dict(zip(("array_loop", "float_twin"), (
             1e3 * t for t in calibrated_ms([lambda i, f=f: f(*batches[i]) for f in loops], reps))))
-    out["L6_cli_smile_ms"] = {}
-    with tempfile.TemporaryDirectory() as model_dir:
-        for i, name in enumerate(REPORTS):
-            argv = cli_smile_argv(MODELS[name], os.path.join(model_dir, f"model{i}.json"))
-            out["L6_cli_smile_ms"][name] = median_ms(lambda: run_cli(argv), reps)
     out.update(cold_start_ms(reps))
     print(json.dumps(out))
 

@@ -22,7 +22,6 @@ from bachelier_wings import (
     price_from_cf,
     price_from_tail,
 )
-from bachelier_wings.pricing import _default_alpha
 
 model = gaussian_model(2.0)
 
@@ -35,7 +34,7 @@ worst_bulk = 0.0  # transform engine at |kappa| <= 12.5, where it must stay exac
 for k in np.linspace(-20.0, 20.0, 17):
     k = float(k)
     qt = price_from_tail(model, k)
-    qc = price_from_cf(model, k, _default_alpha(model, k))
+    qc = price_from_cf(model, k)
     invert = implied_vol_call if k >= 0 else implied_vol_put
     price_of = (lambda q: q.call) if k >= 0 else (lambda q: q.put)
     dev_t = invert(k, price_of(qt)).sigma - 2.0

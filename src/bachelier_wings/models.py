@@ -53,6 +53,17 @@ class AnalyticityStrip:
         if not (self.lambda_minus > 0.0) or not (self.lambda_plus > 0.0):
             raise DomainError("strip boundaries must be > 0")
 
+    def rate(self, sign: float) -> float:
+        """The tail decay rate on sign's side: lambda_minus for sign > 0 (right), else lambda_plus."""
+        return self.lambda_minus if sign > 0.0 else self.lambda_plus
+
+
+def _side_sign(side: str) -> float:
+    """+1.0 for the 'right' wing, -1.0 for the 'left': every side name is read here."""
+    if side not in ("right", "left"):
+        raise DomainError(f"side must be 'right' or 'left', got {side!r}")
+    return 1.0 if side == "right" else -1.0
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -418,18 +429,15 @@ def mgf_blowup_boundary(model: ModelSpec, side: str) -> float:
     M(s) = int e^{s x} f(x) dx diverges exactly when s exceeds the decay
     rate of the requested tail, so the boundary is the threshold value of
     s at which the integrand ln f(x) + s|x| changes sign of slope far
-    out.  The slope is measured by least squares on a 33-point geometric
-    grid in [2000, 8000]; algebraic prefactors of the density bias the
-    estimate by O(ln(x)/8000), well under 1e-3.
-    Returns math.inf for an infinite strip (every s converges).
+    out: the slope of ln f(sign x), sign = _side_sign(side), by least squares
+    on a 33-point geometric grid in [2000, 8000], which algebraic prefactors
+    of the density bias by O(ln(x)/8000), well under 1e-3.  Returns math.inf
+    where the strip's rate on that side, strip.rate(sign), is infinite.
     """
-    if side not in ("right", "left"):
-        raise DomainError(f"side must be 'right' or 'left', got {side!r}")
-    boundary = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
-    if math.isinf(boundary):
+    sign = _side_sign(side)
+    if math.isinf(model.strip.rate(sign)):
         return math.inf
     x = _geometric_grid(2000.0, 8000.0, 33)
-    sign = 1.0 if side == "right" else -1.0
     slope, _, _ = _line_fit(x, model.log_pdf(sign * x))
     return -slope
 

@@ -321,26 +321,18 @@ def _om_level(level: int):
 
 
 def _validate_alpha(model: ModelSpec, alpha: float) -> None:
-    lam_minus = model.strip.lambda_minus
-    lam_plus = model.strip.lambda_plus
-    if alpha > 0.0:
-        if math.isfinite(lam_minus) and not (alpha < lam_minus):
-            raise DampingOutsideStrip(
-                f"call damping needs 0 < alpha < {lam_minus:g}, got {alpha:g}"
-            )
-    elif alpha < 0.0:
-        if math.isfinite(lam_plus) and not (-alpha < lam_plus):
-            raise DampingOutsideStrip(
-                f"put damping needs -{lam_plus:g} < alpha < 0, got {alpha:g}"
-            )
-    else:
+    lam = model.strip.rate(alpha)
+    if alpha == 0.0:
         raise DampingOutsideStrip("alpha = 0 is outside both damping windows")
+    if not (abs(alpha) < lam):
+        raise DampingOutsideStrip(f"call damping needs 0 < alpha < {lam:g}, got {alpha:g}" if alpha > 0.0
+                                  else f"put damping needs -{lam:g} < alpha < 0, got {alpha:g}")
 
 
 def price_from_cf(
     model: ModelSpec,
     kappa: float,
-    alpha: float,
+    alpha: float | None = None,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> PriceQuote:
     """Price through the damped transform of the characteristic function.
@@ -348,15 +340,18 @@ def price_from_cf(
     value = e^(-alpha kappa)/pi int_0^inf Re[H(u) e^(-iu (kappa - c))] du
     (half of a Hermitian integral), H(u) = phi(u - i alpha) e^(-iuc) /
     (alpha + iu)^2; alpha > 0 prices the call and parity the put, alpha < 0
-    the reverse.  c is the density's breakpoint (about its kink H decays
-    algebraically, without a phase), else its mean.  With omega = |kappa -
-    c| the Ooura-Mori rule takes int Re H cos(omega u) +- int Im H sin(omega
-    u), or below omega = 1e-6 / scale exp-sinh the integrand as it is.  As
-    in the tail engine the step halves until two levels agree, or differ by
-    less than the roundoff floor 50 eps int |integrand|; difference plus
-    floor is the estimate.
+    the reverse.  alpha = None (the default) damps at _default_alpha's
+    saddle point; any alpha must lie below strip.rate(alpha) in magnitude,
+    else DampingOutsideStrip.  c is the density's breakpoint (about its
+    kink H decays algebraically, without a phase), else its mean.  With
+    omega = |kappa - c| the Ooura-Mori rule takes int Re H cos(omega u) +-
+    int Im H sin(omega u), or below omega = 1e-6 / scale exp-sinh the
+    integrand as it is.  As in the tail engine the step halves until two
+    levels agree, or differ by less than the roundoff floor 50 eps int
+    |integrand|; difference plus floor is the estimate.
     """
-    k, a = float(kappa), float(alpha)
+    k = float(kappa)
+    a = float(alpha) if alpha is not None else _default_alpha(model, k) if math.isfinite(k) else math.nan
     if not math.isfinite(k) or not math.isfinite(a):
         raise DomainError("kappa and alpha must be finite")
     _validate_alpha(model, a)
@@ -409,7 +404,7 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
     infinite boundary counts as 10 / scale.
     """
     sign = 1.0 if kappa >= 0.0 else -1.0
-    lam = model.strip.lambda_minus if kappa >= 0.0 else model.strip.lambda_plus
+    lam = model.strip.rate(sign)
     if not math.isfinite(lam):
         lam = 10.0 / model.scale
     h = 1e-5 * lam
@@ -441,7 +436,12 @@ def _checked_grid(grid) -> np.ndarray:
             and np.count_nonzero(grid[1:] > grid[:-1]) == grid.size - 1):
         kappas = grid.copy()  # sorted and distinct already: np.unique's bits
     else:
-        kappas = np.unique(np.asarray(list(grid), dtype=float))  # sorted, deduplicated
+        try:
+            if isinstance(grid, (str, bytes)):
+                raise TypeError(f"got {type(grid).__name__}")
+            kappas = np.unique(np.asarray(list(grid), dtype=float))  # sorted, deduplicated
+        except (TypeError, ValueError) as err:  # not iterable, or an entry that is no number
+            raise DomainError(f"grid must be an iterable of real moneyness values: {err}") from err
     if not np.isfinite(kappas).all():
         raise DomainError("grid must contain finite moneyness values")
     return kappas
@@ -454,9 +454,9 @@ def price_grid(
 ) -> tuple[np.ndarray, list[PriceQuote | None]]:
     """Price a moneyness grid on the tail engine, both legs in one batch.
 
-    The grid is sorted and deduplicated (DomainError if any value is not
-    finite).  Returns the kappas and each one's PriceQuote, None where it
-    alone would raise, so one bad point does not stop the grid.
+    The grid, an iterable of finite reals (else DomainError), is sorted and
+    deduplicated.  Returns the kappas and each one's PriceQuote, None where
+    it alone would raise, so one bad point does not stop the grid.
     """
     kappas = _checked_grid(grid)
     legs = _log_payoff_integrals(model, np.repeat(kappas, 2), np.tile([1.0, -1.0], kappas.size),

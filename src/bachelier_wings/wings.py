@@ -29,7 +29,7 @@ from .errors import (
     TailUnderflow,
 )
 from .inversion import implied_vol_call_log  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
-from .models import ModelSpec, _geometric_grid, _geomspace, _line_fit, mgf_blowup_boundary
+from .models import ModelSpec, _geometric_grid, _geomspace, _line_fit, _side_sign, mgf_blowup_boundary
 from .pricing import smile_from_model
 from .pricing import log_call_price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK, SmileGrid
@@ -46,14 +46,6 @@ __all__ = [
     "condition_i_probe",
     "theorem_verdicts",
 ]
-
-_SIDES = ("right", "left")
-
-
-def _require_side(side: str) -> None:
-    if side not in _SIDES:
-        raise DomainError(f"side must be 'right' or 'left', got {side!r}")
-
 
 # =============================================================================
 # types
@@ -72,7 +64,7 @@ class WingEstimate:
     extrapolated_slope: float
 
     def __post_init__(self) -> None:
-        _require_side(self.side)
+        _side_sign(self.side)
         if any(not (s > 0.0) for _, s in self.slope_samples):
             raise DomainError("slope samples must be positive")
         if not (self.extrapolated_slope >= 0.0):
@@ -116,16 +108,14 @@ class ConditionIProbe:
 # wing slope estimation
 # =============================================================================
 
-def _side_points(smile: SmileGrid, side: str):
+def _side_points(smile: SmileGrid, sign: float):
     ok = smile.ok_points()
     if not ok:
         raise InsufficientWingData("smile has no usable points")
     mags = [abs(p.kappa) for p in ok]
     bound = 2.0 * ok[mags.index(min(mags))].ivol
-    # kappas increase strictly, so the right wing runs outward and the left inward
-    if side == "right":
-        return [p for p in ok if p.kappa >= bound]
-    return [p for p in ok if p.kappa <= -bound][::-1]
+    # kappas increase strictly: reversed on the left, each wing runs outward
+    return [p for p in ok if sign * p.kappa >= bound][::int(sign)]
 
 
 def wing_slope(smile: SmileGrid, side: str) -> WingEstimate:
@@ -137,8 +127,7 @@ def wing_slope(smile: SmileGrid, side: str) -> WingEstimate:
     pure-exponential tail where the finite-depth correction really is
     O(1/kappa).
     """
-    _require_side(side)
-    pts = _side_points(smile, side)
+    pts = _side_points(smile, _side_sign(side))
     if len(pts) < 4:
         raise InsufficientWingData(
             f"{side} wing has {len(pts)} usable points; need at least 4"
@@ -158,15 +147,15 @@ def _extrapolate(samples) -> float:
     return intercept
 
 
-def _log_tails(model: ModelSpec, side: str, mags: np.ndarray) -> list[float]:
-    """ln tail at each magnitude |kappa|, from one array call.
+def _log_tails(model: ModelSpec, sign: float, mags: np.ndarray) -> list[float]:
+    """ln tail at each magnitude |kappa| on sign's wing, from one array call.
 
-    The tail is the survival function on the right wing and the cdf at
-    -|kappa| on the left; a constant tail broadcasts to every magnitude.
-    A tail that underflows even in log form raises TailUnderflow, any
-    other log tail not below 0 (NaN included) DomainError.
+    The tail is the survival function at |kappa| for sign > 0 (right) and
+    the cdf at -|kappa| otherwise; a constant tail broadcasts to every
+    magnitude.  A tail that underflows even in log form raises
+    TailUnderflow, any other log tail not below 0 (NaN included) DomainError.
     """
-    raw = np.asarray(model.log_complement_cdf(mags) if side == "right" else model.log_cdf(-mags))
+    raw = np.asarray((model.log_complement_cdf if sign > 0.0 else model.log_cdf)(sign * mags))
     log_tails = (raw if raw.shape == mags.shape else np.broadcast_to(raw, mags.shape)).tolist()
     for mag, lt in zip(mags.tolist(), log_tails):
         if lt == -math.inf:
@@ -183,11 +172,11 @@ def tail_reference_curve(model: ModelSpec, kappas, side: str):
     -|kappa| on the left; its log form is used directly so depth never
     underflows.  A tail at or above 1 violates the precondition.
     """
-    _require_side(side)
+    sign = _side_sign(side)
     ks = [float(k) for k in kappas]
     mags = np.abs(ks)
     return [(k, -mag / (2.0 * lt))
-            for k, mag, lt in zip(ks, mags.tolist(), _log_tails(model, side, mags))]
+            for k, mag, lt in zip(ks, mags.tolist(), _log_tails(model, sign, mags))]
 
 
 def rv_index(model: ModelSpec, side: str, kappa_lo: float, kappa_hi: float) -> float:
@@ -197,10 +186,10 @@ def rv_index(model: ModelSpec, side: str, kappa_lo: float, kappa_hi: float) -> f
     yields 1, a squared-exponential 2.  A doubling-ratio check at the
     top of the range guards the fit against a non-power-law g.
     """
-    _require_side(side)
+    sign = _side_sign(side)
     lo, hi = float(kappa_lo), float(kappa_hi)
     grid = _rv_grid(lo, hi)
-    return _rv_fit(lo, hi, grid, _log_tails(model, side, grid))
+    return _rv_fit(lo, hi, grid, _log_tails(model, sign, grid))
 
 
 def _rv_grid(lo: float, hi: float) -> np.ndarray:
@@ -256,15 +245,13 @@ def _probe_derivatives(model: ModelSpec, side: str, orders, s_min: float):
     each summed only when the caller reaches it: central binomial differences
     of step s/10, whose O(h^2) error is a constant relative bias across the
     grid, so log-log slopes stay clean."""
-    _require_side(side)
-    boundary = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
+    boundary = model.strip.rate(sign := _side_sign(side))
     if math.isinf(boundary):
         raise NotApplicableInfiniteStrip(f"{model.name} has an infinite strip on the {side} side")
     s_min = float(s_min)
     if not (0.0 < s_min < boundary / 16.0):
         raise DomainError("s_min must be well inside the strip (below boundary/16)")
 
-    sign = 1.0 if side == "right" else -1.0
     s = _geometric_grid(s_min, boundary / 8.0, 9)
     h = s / 10.0
     offsets = np.array([n / 2.0 - j for n in orders for j in range(n + 1)])
@@ -372,14 +359,14 @@ _PROBE_S_MIN_FRAC = 2.0**-12
 
 def _side_report(model: ModelSpec, smile: SmileGrid, side: str):
     est = wing_slope(smile, side)
-    lam = model.strip.lambda_minus if side == "right" else model.strip.lambda_plus
+    lam = model.strip.rate(sign := _side_sign(side))
     strip_ref = 0.0 if math.isinf(lam) else 1.0 / (2.0 * lam)
     # tail_reference_curve and rv_index from one log-tail read, raising as they
     # would in turn: a bad tail-reference point, then a bad range, then its points
     ks = [k for k, _ in est.slope_samples]
     lo, hi = _RV_LO_SCALES * model.scale, _RV_HI_SCALES * model.scale
     grid = _rv_grid(lo, hi) if 1.0 < lo < hi else np.empty(0)
-    log_tails = _log_tails(model, side, np.abs(np.concatenate((ks, grid))))  # grid > 0
+    log_tails = _log_tails(model, sign, np.abs(np.concatenate((ks, grid))))  # grid > 0
     refs = [(k, -abs(k) / (2.0 * lt)) for k, lt in zip(ks, log_tails)]
     theta = _rv_fit(lo, hi, grid if grid.size else _rv_grid(lo, hi), log_tails[len(ks):])
 
@@ -459,7 +446,7 @@ def theorem_verdicts(model: ModelSpec, settings: VerdictSettings | None = None) 
         "checks": [],
     }
     errored = False
-    for side in _SIDES:
+    for side in ("right", "left"):
         try:
             detail, checks = _side_report(model, smile, side)
             report["sides"][side] = detail

@@ -46,7 +46,6 @@ from bachelier_wings.models import (
     nig_model,
 )
 from bachelier_wings.pricing import (
-    _default_alpha,
     price_from_cf,
     price_from_tail,
     smile_from_model,
@@ -261,7 +260,7 @@ def test_07_engine_agreement_and_damping():
     for name, (model, alphas) in models.items():
         for k in np.linspace(-12.0, 12.0, 50):
             a = price_from_tail(model, float(k))
-            b = price_from_cf(model, float(k), _default_alpha(model, float(k)))
+            b = price_from_cf(model, float(k))
             if abs(a.call - b.call) > a.abs_error_estimate + b.abs_error_estimate:
                 violations += 1
         for k in (0.0, 1.0, 5.0, -7.0):

@@ -514,7 +514,6 @@ FOOTPRINT_SCRIPT = """
 import contextlib, io, json, sys
 import bachelier_wings as bw
 from bachelier_wings import cli
-from bachelier_wings.pricing import _default_alpha
 
 def loaded():
     return sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules)
@@ -527,10 +526,10 @@ for argv in (["smile", "--model", sys.argv[1], "--grid", "-4:4:9"],
              ["price", "--model", sys.argv[2], "--grid", "-4:4:9"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-bw.price_from_cf(nig, 3.0, _default_alpha(nig, 3.0))
+bw.price_from_cf(nig, 3.0)
 out["reports, cli, nig fourier"] = loaded()
 laplace = bw.asym_laplace_model(1.0, 1.0)
-bw.price_from_cf(laplace, 3.0, _default_alpha(laplace, 3.0))
+bw.price_from_cf(laplace, 3.0)
 out["laplace fourier"] = loaded()
 print(json.dumps(out))
 """

@@ -152,7 +152,7 @@ def test_fourier_matches_random_laplace_closed_forms(lam_r, lam_l):
     model = asym_laplace_model(lam_r, lam_l)
     kink = 1.0 / lam_l - 1.0 / lam_r
     for k in (kink, kink - 1e-3, kink + 1e-3, 0.0, -3.0 * model.scale, 3.0 * model.scale):
-        q = price_from_cf(model, k, _default_alpha(model, k))
+        q = price_from_cf(model, k)
         call, put = _laplace_closed_form(lam_r, lam_l, k)
         assert type(q.abs_error_estimate) is float
         assert abs(q.call - call) <= q.abs_error_estimate, k
@@ -165,7 +165,7 @@ def test_fourier_laplace_near_the_kink_matches_closed_form():
     # this call by 3.1e-11 with an estimate of 1.1e-14
     lam_r, lam_l, k = 2.918214532446801, 0.655392601154291, 1.182127718382383
     model = asym_laplace_model(lam_r, lam_l)
-    q = price_from_cf(model, k, _default_alpha(model, k))
+    q = price_from_cf(model, k)
     call, put = _laplace_closed_form(lam_r, lam_l, k)
     assert float(call) == pytest.approx(0.0630296469116999, rel=1e-15)
     assert abs(q.call - call) <= q.abs_error_estimate < 1e-13
@@ -180,7 +180,7 @@ def test_fourier_at_the_centre(model, offset):
     # double range: the exp-sinh rule takes over, without a warning
     c = model.breakpoints[0] if model.breakpoints else model.mean
     k = c + offset * model.scale
-    q = price_from_cf(model, k, _default_alpha(model, k))
+    q = price_from_cf(model, k)
     if model is SKEWED:
         call, put = _laplace_closed_form(1.0, 2.0, k)
         assert abs(q.call - call) <= q.abs_error_estimate
@@ -248,14 +248,15 @@ def test_cf_laplace_matches_closed_form():
 
 
 def test_cf_damping_window_enforced():
-    with pytest.raises(DampingOutsideStrip):
-        price_from_cf(LAPLACE, 1.0, 0.0)
-    with pytest.raises(DampingOutsideStrip):
-        price_from_cf(LAPLACE, 1.0, 1.0)  # right boundary is a pole
-    with pytest.raises(DampingOutsideStrip):
-        price_from_cf(LAPLACE, -1.0, -1.0)
-    with pytest.raises(DampingOutsideStrip):
-        price_from_cf(NIG, 1.0, 1.5)
+    for model, k, alpha, message in (
+            (LAPLACE, 1.0, 0.0, "alpha = 0 is outside both damping windows"),
+            (LAPLACE, 1.0, 1.0, "call damping needs 0 < alpha < 1, got 1"),  # right boundary is a pole
+            (LAPLACE, -1.0, -1.0, "put damping needs -1 < alpha < 0, got -1"),
+            (SKEWED, 1.0, -2.5, "put damping needs -2 < alpha < 0, got -2.5"),
+            (NIG, 1.0, 1.5, "call damping needs 0 < alpha < 1.5, got 1.5")):
+        with pytest.raises(DampingOutsideStrip) as err:
+            price_from_cf(model, k, alpha)
+        assert str(err.value) == message
     # infinite strip takes any positive damping
     q = price_from_cf(GAUSS1, 1.0, 5.0)
     assert q.call == pytest.approx(call_price(1.0, 1.0), abs=1e-8)
@@ -305,7 +306,7 @@ NIG_NEAR_MONEY_ORACLES = [
 @pytest.mark.parametrize("params, kappa, call", NIG_NEAR_MONEY_ORACLES)
 def test_cf_nig_near_money_matches_mpmath(params, kappa, call):
     model = nig_model(*params)
-    qc = price_from_cf(model, kappa, _default_alpha(model, kappa))
+    qc = price_from_cf(model, kappa)
     qt = price_from_tail(model, kappa)
     assert qc.call == pytest.approx(call, rel=1e-9)
     assert abs(qt.call - call) <= qt.abs_error_estimate
@@ -323,7 +324,7 @@ def test_engines_agree_on_random_nig_near_money(alpha, skew, delta):
     for j in range(-4, 5):
         k = j * model.scale
         qt = price_from_tail(model, k)
-        qc = price_from_cf(model, k, _default_alpha(model, k))
+        qc = price_from_cf(model, k)
         diff = max(abs(qt.call - qc.call), abs(qt.put - qc.put))
         assert diff <= qt.abs_error_estimate + qc.abs_error_estimate, k
 
@@ -335,9 +336,23 @@ def test_engines_agree_on_steep_nig_skew_four_scales_out():
     model = nig_model(4.0, 3.5, 2.0)
     k = -4.0 * model.scale
     qt = price_from_tail(model, k)
-    qc = price_from_cf(model, k, _default_alpha(model, k))
+    qc = price_from_cf(model, k)
     diff = max(abs(qt.call - qc.call), abs(qt.put - qc.put))
     assert diff <= qt.abs_error_estimate + qc.abs_error_estimate
+
+
+@pytest.mark.parametrize("model", [GAUSS2, SKEWED, NIG], ids=lambda m: m.name)
+def test_cf_damps_at_the_default_alpha_unless_given_one(model):
+    # alpha=None is _default_alpha's saddle, bit for bit; a non-finite kappa still
+    # raises DomainError, and an explicit alpha is still checked against the strip
+    for k in (-8.0, -1.0, 0.0, 0.5, 3.0):
+        k *= model.scale
+        assert price_from_cf(model, k) == price_from_cf(model, k, _default_alpha(model, k))
+    for k in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            price_from_cf(model, k)
+    with pytest.raises(DampingOutsideStrip):
+        price_from_cf(model, 1.0, 0.0)
 
 
 def test_default_alpha_is_the_clamped_saddle_point():
@@ -373,7 +388,7 @@ def test_cf_char_fn_calls_per_price(params):
     for j in (-45, -12, -4, -1, 0, 1, 4, 12, 45):
         k = j * model.scale
         calls[0] = 0
-        price_from_cf(model, k, _default_alpha(model, k))
+        price_from_cf(model, k)
         assert 0 < calls[0] <= len(_DE_LEVELS), k
         assert calls[1] == 0  # each level evaluates all its nodes at once
 
@@ -814,13 +829,13 @@ def test_steep_nig_prices_where_fourier_cannot(beta):
     kappas, quotes = price_grid(model, [k])
     assert quotes[0] is not None and quotes[0].method == "tail_integral"
     with pytest.raises(AccuracyNotReached):
-        price_from_cf(model, k, _default_alpha(model, k))
+        price_from_cf(model, k)
 
 
 def test_price_grid_agrees_with_fourier_on_nig_report_grid():
     kappas, quotes = price_grid(NIG, _report_grid(NIG))
     for k, q in zip(kappas.tolist(), quotes):
-        qc = price_from_cf(NIG, k, _default_alpha(NIG, k))
+        qc = price_from_cf(NIG, k)
         assert (q.method, qc.method) == ("tail_integral", "fourier")
         diff = max(abs(q.call - qc.call), abs(q.put - qc.put))
         assert diff <= q.abs_error_estimate + qc.abs_error_estimate, k
@@ -1101,7 +1116,9 @@ def test_smile_point_fails_only_on_its_own_leg():
 
 
 def test_grid_with_a_non_finite_value_is_rejected():
-    for grid in ([1.0, math.nan], [math.inf, 0.0]):
+    # so are text, a grid that is not iterable (a 0-d array too) and an entry that is no number
+    for grid in ([1.0, math.nan], [math.inf, 0.0], "12", "1.5", b"12", np.array(2.0), 2.0, None,
+                 [1.0, "x"], [0.0, object()], [[1.0, 2.0], [3.0]]):
         with pytest.raises(DomainError):
             price_grid(GAUSS1, grid)
         with pytest.raises(DomainError):
