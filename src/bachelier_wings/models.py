@@ -1,5 +1,5 @@
-"""Return-distribution models: density, both tails, characteristic function,
-moment generating function, and the analyticity strip of each.
+"""Return-distribution models: density, signed log tail, characteristic
+function, moment generating function, and the analyticity strip of each.
 
 Three families are provided.  The Gaussian has an infinite strip and is
 the flat-smile oracle.  The asymmetric Laplace has fully closed-form
@@ -10,6 +10,8 @@ here numerically (a fixed double-exponential rule on each half-line,
 ~1e-12 relative, usable in log space down to ln F ~ -1e4).
 
 Every model is centered to zero mean by default so that call - put = -kappa.
+Each family writes one signed tail, log_tail(x, sign) = ln P(sign X > sign x):
+the survival function for sign +1, the cdf for -1, decaying at strip.rate(sign).
 All evaluation functions accept scalars or ndarrays; scalars in, float out.
 """
 
@@ -69,7 +71,8 @@ def _side_sign(side: str) -> float:
 class ModelSpec:
     """A centered return distribution with every handle the analysis needs.
 
-    The log_* forms stay finite far past the double underflow floor.
+    log_tail(x, sign) = ln P(sign X > sign x), ln sf for sign +1 and ln cdf for
+    -1; the log forms stay finite far past the double underflow floor.
     char_fn accepts complex xi strictly inside the strip; mgf(s) =
     char_fn(-i s) for s in (-lambda_plus, lambda_minus), both raising
     DomainError if any argument is outside (an mgf past the double range
@@ -82,8 +85,7 @@ class ModelSpec:
     name: str
     params: Mapping[str, float]
     log_pdf: Callable = field(repr=False)
-    log_cdf: Callable = field(repr=False)
-    log_complement_cdf: Callable = field(repr=False)
+    log_tail: Callable = field(repr=False)
     char_fn: Callable = field(repr=False)
     mgf: Callable = field(repr=False)
     strip: AnalyticityStrip = field()
@@ -94,19 +96,20 @@ class ModelSpec:
 
 
 def _scalarize(fn):
-    """Wrap an array-native function so scalars come back as floats."""
+    """Wrap an array-native fn(x, *args) so a scalar x comes back as a float."""
 
-    def wrapped(x):
-        out = fn(np.asarray(x, dtype=float))
+    def wrapped(x, *args):
+        out = fn(np.asarray(x, dtype=float), *args)
         return float(out) if np.ndim(x) == 0 else out
 
     return wrapped
 
 
-def _on_strip(char_fn, mgf, lam_minus: float, lam_plus: float) -> dict:
+def _on_strip(char_fn, mgf, strip: AnalyticityStrip) -> dict:
     """ModelSpec's strip, char_fn and mgf (the last two array-native): on a finite
     strip DomainError unless Im(xi) lies in (-lam_minus, lam_plus) and t in
     (-lam_plus, lam_minus); a scalar comes back complex from char_fn, float from mgf."""
+    lam_minus, lam_plus = strip.lambda_minus, strip.lambda_plus
     finite = math.isfinite(min(lam_minus, lam_plus))
     outside = f"char_fn argument outside the strip Im(xi) in (-{lam_minus:g}, {lam_plus:g})"
     beyond = f"mgf argument must lie in (-{lam_plus:g}, {lam_minus:g})"
@@ -122,8 +125,7 @@ def _on_strip(char_fn, mgf, lam_minus: float, lam_plus: float) -> dict:
         _require(not finite or ((-lam_plus < t) & (t < lam_minus)).all(), beyond)
         return mgf(t)
 
-    return {"char_fn": checked_char_fn, "mgf": _scalarize(checked_mgf),
-            "strip": AnalyticityStrip(lam_minus, lam_plus)}
+    return {"char_fn": checked_char_fn, "mgf": _scalarize(checked_mgf), "strip": strip}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -159,9 +161,8 @@ def gaussian_model(sigma: float) -> ModelSpec:
         name="gaussian",
         params={"sigma": s},
         log_pdf=_scalarize(log_pdf),
-        log_cdf=_scalarize(lambda x: sc.log_ndtr(x * inv)),
-        log_complement_cdf=_scalarize(lambda x: sc.log_ndtr(-x * inv)),
-        **_on_strip(char_fn, mgf, math.inf, math.inf),
+        log_tail=_scalarize(lambda x, sign: sc.log_ndtr(-sign * x * inv)),
+        **_on_strip(char_fn, mgf, AnalyticityStrip(math.inf, math.inf)),
         mean=0.0,
         scale=s,
     )
@@ -188,27 +189,20 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
 
     m = 1.0 / lr - 1.0 / ll
     total = lr + ll
-    w_right = ll / total  # P(X > 0) before centering
-    w_left = lr / total
+    strip = AnalyticityStrip(lr, ll)
     log_c = math.log(lr) + math.log(ll) - math.log(total)
 
     def log_pdf(x):
         z = x + m
         return log_c + np.where(z >= 0.0, -lr * z, ll * z)
 
-    def log_sf(x):
-        z = x + m
-        right = math.log(w_right) - lr * z
+    def log_tail(x, sign):
+        # past the kink (z >= 0) the far rate's exponential, short of it 1 - the other tail
+        z = sign * (x + m)
+        far, near = strip.rate(sign), strip.rate(-sign)
         with np.errstate(over="ignore"):
-            left = np.log1p(-w_left * np.exp(np.minimum(ll * z, 0.0)))
-        return np.where(z >= 0.0, right, left)
-
-    def log_cdf(x):
-        z = x + m
-        left = math.log(w_left) + ll * z
-        with np.errstate(over="ignore"):
-            right = np.log1p(-w_right * np.exp(np.minimum(-lr * z, 0.0)))
-        return np.where(z <= 0.0, left, right)
+            short = np.log1p(-(far / total) * np.exp(np.minimum(near * z, 0.0)))
+        return np.where(z >= 0.0, math.log(near / total) - far * z, short)
 
     def char_fn(xi):
         return np.exp(-1j * xi * m) * (lr * ll) / ((lr - 1j * xi) * (ll + 1j * xi))
@@ -221,9 +215,8 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
         name="asym_laplace",
         params={"lambda_r": lr, "lambda_l": ll},
         log_pdf=_scalarize(log_pdf),
-        log_cdf=_scalarize(log_cdf),
-        log_complement_cdf=_scalarize(log_sf),
-        **_on_strip(char_fn, mgf, lr, ll),
+        log_tail=_scalarize(log_tail),
+        **_on_strip(char_fn, mgf, strip),
         mean=0.0,
         scale=math.sqrt(1.0 / (lr * lr) + 1.0 / (ll * ll)),
         breakpoints=(-m,),
@@ -249,14 +242,13 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
 _DE_STEP = 0.10
 _DE_C = math.pi / 2.0
 _DE_T = np.arange(-45, 46) * _DE_STEP
-_DE_Y = np.exp(_DE_C * np.sinh(_DE_T))
 _DE_LOGW = math.log(_DE_STEP * _DE_C) + np.log(np.cosh(_DE_T)) + _DE_C * np.sinh(_DE_T)
 
 
 def _de_level(level: int):
     """The nodes that halving _DE_STEP `level` times adds, and their log
     weights less ln h: row 0 for tanh-sinh onto [0, 1], row 1 for
-    exp-sinh onto [0, inf), whose level-0 nodes are _DE_Y."""
+    exp-sinh onto [0, inf), whose level-0 nodes NIG's tails take."""
     n = 45 << level
     t = _DE_T if level == 0 else np.arange(1 - n, n, 2) * (_DE_STEP / (1 << level))
     u = _DE_C * np.sinh(t)
@@ -293,8 +285,7 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         m = float(mu)
         _require(math.isfinite(m), "mu must be finite")
     mean = m + d * b / gamma
-    lam_minus = a - b  # right-tail rate
-    lam_plus = a + b
+    strip = AnalyticityStrip(a - b, a + b)
     log_front = math.log(a * d / math.pi) + d * gamma
 
     def log_pdf(x):
@@ -306,8 +297,8 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
     def _log_tail_de(x, sign: int):
         # ln int_0^inf f(x + sign*y) dy; valid from the mode outward in sign.
         # A scale below delta, the branch points' height, costs accuracy
-        scale = max(1.0 / (lam_minus if sign > 0 else lam_plus), d)
-        y = x[:, None] + sign * scale * _DE_Y[None, :]
+        scale = max(1.0 / strip.rate(sign), d)
+        y = x[:, None] + sign * scale * _DE_LEVELS[0][0][1][None, :]
         terms = log_pdf(y) + _DE_LOGW[None, :] + math.log(scale)
         peak = terms.max(axis=1)
         return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
@@ -352,9 +343,8 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         name="nig",
         params=params,
         log_pdf=_scalarize(log_pdf),
-        log_cdf=_scalarize(lambda x: log_tail(x, -1)),
-        log_complement_cdf=_scalarize(lambda x: log_tail(x, +1)),
-        **_on_strip(char_fn, mgf, lam_minus, lam_plus),
+        log_tail=_scalarize(log_tail),
+        **_on_strip(char_fn, mgf, strip),
         mean=mean,
         scale=math.sqrt(d * a * a / gamma**3),
     )

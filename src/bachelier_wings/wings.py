@@ -148,14 +148,12 @@ def _extrapolate(samples) -> float:
 
 
 def _log_tails(model: ModelSpec, sign: float, mags: np.ndarray) -> list[float]:
-    """ln tail at each magnitude |kappa| on sign's wing, from one array call.
-
-    The tail is the survival function at |kappa| for sign > 0 (right) and
-    the cdf at -|kappa| otherwise; a constant tail broadcasts to every
-    magnitude.  A tail that underflows even in log form raises
-    TailUnderflow, any other log tail not below 0 (NaN included) DomainError.
-    """
-    raw = np.asarray((model.log_complement_cdf if sign > 0.0 else model.log_cdf)(sign * mags))
+    """ln tail at each magnitude |kappa| on sign's wing from one call of
+    model.log_tail(sign |kappa|, sign): the survival function at |kappa| on the
+    right (+1), the cdf at -|kappa| on the left (-1); a constant tail broadcasts.
+    A tail that underflows even in log form raises TailUnderflow, any other log
+    tail not below 0 (NaN included) DomainError."""
+    raw = np.asarray(model.log_tail(sign * mags, sign))
     log_tails = (raw if raw.shape == mags.shape else np.broadcast_to(raw, mags.shape)).tolist()
     for mag, lt in zip(mags.tolist(), log_tails):
         if lt == -math.inf:
@@ -170,10 +168,18 @@ def tail_reference_curve(model: ModelSpec, kappas, side: str):
 
     The tail is the survival function on the right wing and the cdf at
     -|kappa| on the left; its log form is used directly so depth never
-    underflows.  A tail at or above 1 violates the precondition.
+    underflows.  A tail at or above 1 violates the precondition, and kappas
+    that are no iterable of finite reals raise DomainError after the side's check.
     """
     sign = _side_sign(side)
-    ks = [float(k) for k in kappas]
+    try:
+        if isinstance(kappas, (str, bytes)):
+            raise TypeError(f"got {type(kappas).__name__}")
+        ks = [float(k) for k in kappas]  # the caller's order, duplicates kept
+    except (TypeError, ValueError) as err:  # not iterable, or an entry that is no number
+        raise DomainError(f"kappas must be an iterable of real moneyness values: {err}") from err
+    if not all(map(math.isfinite, ks)):
+        raise DomainError(f"kappas must be finite, got {[k for k in ks if not math.isfinite(k)]}")
     mags = np.abs(ks)
     return [(k, -mag / (2.0 * lt))
             for k, mag, lt in zip(ks, mags.tolist(), _log_tails(model, sign, mags))]

@@ -65,10 +65,10 @@ def test_gaussian_density_matches_oracle():
 
 def test_gaussian_tails_match_oracle():
     for x in (-6.0, -1.0, 0.0, 2.5, 7.0):
-        assert math.exp(GAUSS.log_cdf(x)) == pytest.approx(float(mp.ncdf(x / 2.0)), rel=1e-13)
-        assert math.exp(GAUSS.log_complement_cdf(x)) == pytest.approx(float(mp.ncdf(-x / 2.0)), rel=1e-13)
+        assert math.exp(GAUSS.log_tail(x, -1.0)) == pytest.approx(float(mp.ncdf(x / 2.0)), rel=1e-13)
+        assert math.exp(GAUSS.log_tail(x, 1.0)) == pytest.approx(float(mp.ncdf(-x / 2.0)), rel=1e-13)
     # far past the underflow floor the log forms must stay finite and correct
-    assert GAUSS.log_complement_cdf(200.0) == pytest.approx(
+    assert GAUSS.log_tail(200.0, 1.0) == pytest.approx(
         float(mp.log(mp.ncdf(-100))), rel=1e-12
     )
 
@@ -85,8 +85,8 @@ def test_laplace_density_closed_form():
         # the closed-form tails, the oracle for both log tails
         cdf = w_left * math.exp(ll * z) if z <= 0 else 1.0 - w_right * math.exp(-lr * z)
         sf = w_right * math.exp(-lr * z) if z >= 0 else 1.0 - w_left * math.exp(ll * z)
-        assert LAPLACE.log_cdf(x) == pytest.approx(math.log(cdf), rel=1e-12), x
-        assert LAPLACE.log_complement_cdf(x) == pytest.approx(math.log(sf), rel=1e-12), x
+        assert LAPLACE.log_tail(x, -1.0) == pytest.approx(math.log(cdf), rel=1e-12), x
+        assert LAPLACE.log_tail(x, 1.0) == pytest.approx(math.log(sf), rel=1e-12), x
 
 
 def test_laplace_mean_is_zero():
@@ -103,8 +103,8 @@ def test_nig_density_matches_frozen_oracle():
 
 
 def test_nig_tails_match_frozen_oracle():
-    assert math.exp(NIG.log_cdf(-1.0)) == pytest.approx(NIG_CDF_AT_M1, rel=NIG_TAIL_REL)
-    assert math.exp(NIG.log_complement_cdf(2.0)) == pytest.approx(NIG_SF_AT_2, rel=NIG_TAIL_REL)
+    assert math.exp(NIG.log_tail(-1.0, -1.0)) == pytest.approx(NIG_CDF_AT_M1, rel=NIG_TAIL_REL)
+    assert math.exp(NIG.log_tail(2.0, 1.0)) == pytest.approx(NIG_SF_AT_2, rel=NIG_TAIL_REL)
 
 
 # Strongly skewed NIG models, whose mode sits 0.5-0.66 scales off the
@@ -130,8 +130,8 @@ def test_nig_tails_near_mean_match_mpmath(params):
     model = nig_model(*params)
     for j, sf in zip((-1.0, -0.5, 0.0, 0.5, 1.0), NIG_SKEWED_SF[params]):
         x = model.mean + j * model.scale
-        assert math.exp(model.log_complement_cdf(x)) == pytest.approx(sf, rel=NIG_TAIL_REL), j
-        assert math.exp(model.log_cdf(x)) == pytest.approx(1.0 - sf, rel=NIG_TAIL_REL), j
+        assert math.exp(model.log_tail(x, 1.0)) == pytest.approx(sf, rel=NIG_TAIL_REL), j
+        assert math.exp(model.log_tail(x, -1.0)) == pytest.approx(1.0 - sf, rel=NIG_TAIL_REL), j
 
 
 @pytest.mark.parametrize("params", [(2.0, 0.5, 1.0), (3.5744, -3.3765, 1.3122),
@@ -194,14 +194,14 @@ def test_unit_mass(model):
 def test_cdf_derivative_is_density(model):
     h = 1e-5
     for x in (-2.3, -0.4, 0.9, 3.1):
-        fd = (math.exp(model.log_cdf(x + h)) - math.exp(model.log_cdf(x - h))) / (2.0 * h)
+        fd = (math.exp(model.log_tail(x + h, -1.0)) - math.exp(model.log_tail(x - h, -1.0))) / (2.0 * h)
         assert fd == pytest.approx(math.exp(model.log_pdf(x)), rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("model", [GAUSS, LAPLACE, NIG], ids=lambda m: m.name)
 def test_tails_sum_to_one(model):
     x = np.linspace(-8.0, 8.0, 33)
-    total = np.exp(model.log_cdf(x)) + np.exp(model.log_complement_cdf(x))
+    total = np.exp(model.log_tail(x, -1.0)) + np.exp(model.log_tail(x, 1.0))
     assert np.all(np.abs(total - 1.0) <= 1e-12)
 
 
@@ -210,26 +210,56 @@ def test_vectorized_matches_scalar(model):
     # every callable field but char_fn and mgf, which have their own tests
     names = [f.name for f in dataclasses.fields(model)
              if callable(getattr(model, f.name)) and f.name not in ("char_fn", "mgf")]
-    assert names == ["log_pdf", "log_cdf", "log_complement_cdf"]
+    assert names == ["log_pdf", "log_tail"]
     xs = np.array([-2.0, -0.3, 0.0, 1.7, 4.2])
-    for fn_name in names:
-        fn = getattr(model, fn_name)
+    # the log tail on both signs, the survival function (+1) and the cdf (-1)
+    for fn in (model.log_pdf, lambda x: model.log_tail(x, 1.0), lambda x: model.log_tail(x, -1.0)):
         batch = fn(xs)
         assert batch.shape == xs.shape
         for i, x in enumerate(xs):
-            assert batch[i] == fn(float(x))
+            value = fn(float(x))
+            assert type(value) is float and batch[i] == value
+
+
+# each family beside the member that its parameters mirror, the law of -X
+_MIRRORED_FAMILIES = st.one_of(
+    st.floats(0.2, 5.0).map(lambda s: (gaussian_model(s), gaussian_model(s))),
+    st.tuples(st.floats(0.2, 8.0), st.floats(0.2, 8.0)).map(
+        lambda p: (asym_laplace_model(*p), asym_laplace_model(p[1], p[0]))),
+    st.tuples(st.floats(0.5, 5.0), st.floats(-0.95, 0.95), st.floats(0.3, 3.0)).map(
+        lambda p: (nig_model(p[0], p[1] * p[0], p[2]), nig_model(p[0], -p[1] * p[0], p[2]))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_MIRRORED_FAMILIES,
+       x=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=8),
+       sign=st.sampled_from([1.0, -1.0]))
+@example(pair=(asym_laplace_model(2.0, 0.7), asym_laplace_model(0.7, 2.0)),
+         x=[0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300], sign=1.0)
+@example(pair=(NIG, nig_model(2.0, -0.5, 1.0)),
+         x=[0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300], sign=-1.0)
+def test_mirrored_parameters_mirror_the_log_tail_bit_for_bit(pair, x, sign):
+    # the signed tail is written once, so a family mirrored by its parameters
+    # (Laplace rates swapped, NIG's beta negated, a Gaussian as it is) reads
+    # log_tail(x, s) == mirror.log_tail(-x, -s) bit for bit, x in model scales
+    # and at the density's kinks
+    model, mirror = pair
+    xs = np.concatenate((np.array(x) * model.scale, model.breakpoints))
+    want, got = model.log_tail(xs, sign), mirror.log_tail(-xs, -sign)
+    assert np.array_equal(want.view(np.uint64), got.view(np.uint64)), (want, got)
 
 
 def test_nig_deep_log_tail_slope():
     # the right tail decays like x^{-3/2} e^{-(alpha-beta) x}; over a deep
     # doubling the log-slope must sit on alpha - beta = 1.5 to high accuracy
-    l1 = NIG.log_complement_cdf(4000.0)
-    l2 = NIG.log_complement_cdf(8000.0)
+    l1 = NIG.log_tail(4000.0, 1.0)
+    l2 = NIG.log_tail(8000.0, 1.0)
     slope = (l2 - l1) / 4000.0
     assert math.isfinite(l1) and math.isfinite(l2)
     assert slope == pytest.approx(-1.5, abs=1e-2)
-    left1 = NIG.log_cdf(-4000.0)
-    left2 = NIG.log_cdf(-8000.0)
+    left1 = NIG.log_tail(-4000.0, -1.0)
+    left2 = NIG.log_tail(-8000.0, -1.0)
     assert (left2 - left1) / 4000.0 == pytest.approx(-2.5, abs=1e-2)
 
 
@@ -237,7 +267,7 @@ def test_laplace_log_tails_deep():
     # closed form: survival decays at exactly lambda_r past the kink
     lr, ll = 1.0, 2.0
     m = 1.0 / lr - 1.0 / ll
-    got = LAPLACE.log_complement_cdf(5000.0)
+    got = LAPLACE.log_tail(5000.0, 1.0)
     want = math.log(ll / (lr + ll)) - lr * (5000.0 + m)
     assert got == pytest.approx(want, rel=1e-14)
 

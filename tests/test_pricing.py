@@ -39,7 +39,7 @@ from bachelier_wings.errors import (
     DomainError,
 )
 from bachelier_wings.inversion import implied_vol_call, implied_vol_call_log, implied_vol_put_log
-from bachelier_wings.models import _DE_LEVELS, _DE_STEP, _DE_Y, asym_laplace_model, gaussian_model, nig_model
+from bachelier_wings.models import _DE_LEVELS, _DE_STEP, asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import (
     DEFAULT_SETTINGS,
     PriceQuote,
@@ -110,11 +110,6 @@ def test_tail_convexity(model):
     calls = np.array([price_from_tail(model, float(k)).call for k in ks])
     second = np.diff(calls, 2)
     assert np.all(second >= -1e-10)
-
-
-def test_tail_rule_starts_from_the_fixed_de_rule():
-    # level 0 of the exp-sinh map is the rule NIG's tails use, bit for bit
-    assert np.array_equal(_DE_LEVELS[0][0][1], _DE_Y)
 
 
 def _laplace_closed_form(lam_r, lam_l, kappa):

@@ -210,6 +210,23 @@ def test_tail_readers_reject_bad_side():
             read()
 
 
+def test_tail_reference_rejects_malformed_kappas():
+    # kappas that are text, no iterable, or hold an entry that is no finite number
+    for kappas in ("12", b"12", 3.0, None, np.array(2.0), ["x"], [5.0, object()], [[5.0]],
+                   [math.inf], [5.0, math.nan], (k for k in (5.0, -math.inf))):
+        with pytest.raises(DomainError, match="kappas must be"):
+            tail_reference_curve(LAPLACE, kappas, "right")
+    # the side is checked first
+    for kappas in ("12", 3.0, [math.nan]):
+        with pytest.raises(DomainError, match="side must be"):
+            tail_reference_curve(LAPLACE, kappas, "upper")
+    # good kappas in the caller's order, duplicates kept, each one's bits as given
+    ks = [7.5, -3.0, 7.5, 0.1 + 0.2, np.float32(2.5), 4, np.float64(-1e-300)]
+    refs = tail_reference_curve(LAPLACE, ks, "left")
+    assert _bits([k for k, _ in refs]) == _bits([float(k) for k in ks])
+    assert refs == tail_reference_curve(LAPLACE, np.array(ks, dtype=float), "left")
+
+
 def test_tail_reference_never_underflows_at_depth():
     refs = tail_reference_curve(GAUSS1, [500.0], "right")
     # -ln tail ~ k^2/2, so the value decays like 2/(2k) -> tiny but finite
@@ -226,14 +243,14 @@ _TAIL_READERS = (
 def test_tail_reference_rejects_tail_at_one():
     # only -inf is underflow; a log tail of 0, NaN or +inf is out of domain
     for bad in (0.0, math.nan, math.inf):
-        fake = dataclasses.replace(LAPLACE, log_complement_cdf=lambda x, bad=bad: bad)
+        fake = dataclasses.replace(LAPLACE, log_tail=lambda x, sign, bad=bad: bad)
         for read in _TAIL_READERS:
             with pytest.raises(DomainError):
                 read(fake)
 
 
 def test_tail_reference_underflow_signalled():
-    fake = dataclasses.replace(LAPLACE, log_complement_cdf=lambda x: -math.inf)
+    fake = dataclasses.replace(LAPLACE, log_tail=lambda x, sign: -math.inf)
     for read in _TAIL_READERS:
         with pytest.raises(TailUnderflow):
             read(fake)
@@ -242,14 +259,11 @@ def test_tail_reference_underflow_signalled():
 def _counting_log_tails(model):
     sizes = []
 
-    def counted(read):
-        def log_tail(x):
-            sizes.append(np.size(x))
-            return read(x)
-        return log_tail
+    def log_tail(x, sign):
+        sizes.append(np.size(x))
+        return model.log_tail(x, sign)
 
-    return dataclasses.replace(model, log_cdf=counted(model.log_cdf),
-                               log_complement_cdf=counted(model.log_complement_cdf)), sizes
+    return dataclasses.replace(model, log_tail=log_tail), sizes
 
 
 @pytest.mark.parametrize("model", [LAPLACE, NIG], ids=["laplace", "nig"])
@@ -263,8 +277,9 @@ def test_report_reads_the_log_tail_once_per_side(model):
 
 def _right_side_error(model, bad):
     # the right side's error when its log tail reads NaN where bad(|kappa|)
-    read = model.log_complement_cdf
-    fake = dataclasses.replace(model, log_complement_cdf=lambda x: np.where(bad(x), math.nan, read(x)))
+    read = model.log_tail
+    fake = dataclasses.replace(
+        model, log_tail=lambda x, sign: np.where((sign > 0.0) & bad(x), math.nan, read(x, sign)))
     return theorem_verdicts(fake)["sides"]["right"]["error"]
 
 
@@ -318,7 +333,7 @@ def test_rv_index_rejects_tail_regime_change():
     # like every ModelSpec tail, the fake takes arrays
     fake = dataclasses.replace(
         LAPLACE,
-        log_complement_cdf=lambda x: -np.where(x < 30.0, x, x * x / 30.0),
+        log_tail=lambda x, sign: -np.where(x < 30.0, x, x * x / 30.0),
     )
     with pytest.raises(AccuracyNotReached):
         rv_index(fake, "right", 10.0, 100.0)
@@ -412,12 +427,11 @@ def _report_grid(model) -> np.ndarray:
 
 def _mirrored_model(model):
     """The law of -X: density, characteristic function and mgf read at the
-    negated argument, the two tails swapped at -x, the strip turned round."""
+    negated argument, the tail at -x on the other sign, the strip turned round."""
     return dataclasses.replace(
         model,
         log_pdf=lambda x: model.log_pdf(-x),
-        log_cdf=lambda x: model.log_complement_cdf(-x),
-        log_complement_cdf=lambda x: model.log_cdf(-x),
+        log_tail=lambda x, sign: model.log_tail(-x, -sign),
         char_fn=lambda xi: model.char_fn(-xi),
         mgf=lambda t: model.mgf(-t),
         strip=AnalyticityStrip(model.strip.lambda_plus, model.strip.lambda_minus),
@@ -517,7 +531,7 @@ def _report_designs():
     samples = wing_slope(smile_from_model(NIG, _report_grid(NIG)), "right").slope_samples[-6:]
     extrapolation = ([1.0 / abs(k) for k, _ in samples], [v for _, v in samples])
     grid = np.geomspace(10.0 * NIG.scale, 2000.0 * NIG.scale, 16)
-    growth = (np.log(grid), np.log(-NIG.log_complement_cdf(grid)))
+    growth = (np.log(grid), np.log(-NIG.log_tail(grid, 1.0)))
     s = np.geomspace(1.5 * 2.0**-12, 1.5 / 8.0, 9)
     probe = (np.log(s), np.log(NIG.mgf(1.5 - s)))
     x = np.geomspace(2000.0, 8000.0, 33)
@@ -741,7 +755,7 @@ def test_verdict_nig_escalates_probe_order():
 
 def test_verdict_errored_side_is_reported_not_faked():
     fake = dataclasses.replace(
-        LAPLACE, log_complement_cdf=lambda x: -math.inf
+        LAPLACE, log_tail=lambda x, sign: -math.inf if sign > 0.0 else LAPLACE.log_tail(x, sign)
     )
     rep = theorem_verdicts(fake)
     assert "error" in rep["sides"]["right"]
