@@ -67,7 +67,9 @@ in-process cli.main call of `smile --format csv` on a 9-point linear grid
 over +-4 scales for each report model, reading the model from a JSON
 file in a temporary directory, with stdout sent to a StringIO: parsing,
 the L4 smile and the CSV encoding, as a caller that runs the CLI many
-times in one process pays them.  cold_start_import_and_models_ms is the
+times in one process pays them; L6_cli_price_json_ms is the same for
+`price --format json` on that grid: both legs of the L3 tail core and
+the JSON encoding.  cold_start_import_and_models_ms is the
 time of a fresh interpreter that imports bachelier_wings and builds
 the five MODELS, the set-up each CLI process pays, and
 cold_start_floor_ms that of one that only imports numpy and scipy.special,
@@ -243,12 +245,12 @@ def otm_deck(n: int = 100_000):
     return kappa, sigma, call_price_log(kappa, sigma)
 
 
-def cli_smile_argv(model, path: str) -> list[str]:
-    """argv of a csv smile on 9 points over +-4 scales; writes model to path."""
+def cli_grid_argv(model, path: str, command: str, fmt: str) -> list[str]:
+    """argv of command in format fmt on 9 points over +-4 scales; writes model to path."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"model": model.name, "params": model.params}, fh)
     half = 4.0 * model.scale
-    return ["smile", "--model", path, "--grid", f"{-half!r}:{half!r}:9", "--format", "csv"]
+    return [command, "--model", path, "--grid", f"{-half!r}:{half!r}:9", "--format", fmt]
 
 
 def run_cli(argv: list[str]) -> None:
@@ -356,11 +358,14 @@ def layer_rows(time_ms) -> dict:
     out["L1_implied_vol_call_log_vec_us"] = {
         n: 1e3 * time_ms(lambda: implied_vol_call_log_vec(kappa[:n], log_price[:n]))
         for n in VEC_SIZES}
-    out["L6_cli_smile_ms"] = {}
     with tempfile.TemporaryDirectory() as model_dir:
-        for i, name in enumerate(REPORTS):
-            argv = cli_smile_argv(MODELS[name], os.path.join(model_dir, f"model{i}.json"))
-            out["L6_cli_smile_ms"][name] = time_ms(lambda: run_cli(argv))
+        for row, command, fmt in (("L6_cli_smile_ms", "smile", "csv"),
+                                  ("L6_cli_price_json_ms", "price", "json")):
+            out[row] = {}
+            for i, name in enumerate(REPORTS):
+                argv = cli_grid_argv(MODELS[name], os.path.join(model_dir, f"model{i}.json"),
+                                     command, fmt)
+                out[row][name] = time_ms(lambda: run_cli(argv))
     return out
 
 

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from gettext import gettext as _
 
 import numpy as np
 
@@ -149,11 +150,12 @@ def _parse_float(text: str) -> float:
 
 
 # built on first use and shared by every later main() call in the
-# process: parsing leaves the parser untouched (each call gets a fresh
+# process: parsing leaves the parsers untouched (each call gets a fresh
 # Namespace), and usage and help output look up sys.stdout/sys.stderr
-# when printed, so redirected callers see their own streams
+# when printed, so redirected callers see their own streams.  Returns the
+# top-level parser and its map of command name -> subcommand parser.
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="bachelier-wings", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -201,7 +203,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("models", help="list model types and parameters")
     common(p)
-    return parser
+    return parser, sub.choices
 
 
 # =============================================================================
@@ -210,26 +212,25 @@ def _build_parser() -> _Parser:
 
 def _round15(value):
     # both formats quote values at 15 significant digits so CSV and JSON
-    # runs of the same config are diffable against each other
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    v = float(value)
-    if not math.isfinite(v):
-        return None
-    return float(f"{v:.15g}")
+    # runs of the same config are diffable against each other; most cells
+    # are floats (np.float64 among them), so they skip the other tests
+    if not isinstance(value, float):
+        if value is None or isinstance(value, (bool, int, str)):
+            return value
+        value = float(value)
+    return float(f"{value:.15g}") if math.isfinite(value) else None
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, str)):
-        return str(value)
-    v = float(value)
-    if not math.isfinite(v):
-        return ""
-    return f"{v:.15g}"
+    if not isinstance(value, float):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, str)):
+            return str(value)
+        value = float(value)
+    return f"{value:.15g}" if math.isfinite(value) else ""
 
 
 # a flat row on the C encoder, one key per line as indent=2 lays it out two levels deep
@@ -481,12 +482,27 @@ def _absorb_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # a leading command name goes straight to its own parser, as the
+    # top-level parser would hand it on, and whatever that parser leaves
+    # over is refused by the top-level parser, as its parse_args would;
+    # help, a missing or an unknown command take the top-level parser
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(_("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_absorb_dash_values(list(argv)))
+        args = _parse_args(_absorb_dash_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -17,6 +17,7 @@ All evaluation functions accept scalars or ndarrays; scalars in, float out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -268,9 +269,9 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
     mu = -delta*beta/gamma, gamma = sqrt(alpha^2 - beta^2); an explicit
     mu is honored and reflected in the mean field.  The density is the
     closed Bessel form; the log tails are half-line integrals of it under
-    the fixed double-exponential rule, split at the mode (found once, as
-    the root of the density's slope between mu and the mean), and on the
-    near side ln(1 - the other tail).
+    the fixed double-exponential rule, split at the mode (found once, on
+    the first log_tail call, as the root of the density's slope between mu
+    and the mean), and on the near side ln(1 - the other tail).
     """
     a = float(alpha)
     b = float(beta)
@@ -308,19 +309,24 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
         s = math.hypot(d, z)
         return b - z * (2.0 / (s * s) + a * sc.k0e(a * s) / (s * sc.k1e(a * s)))
 
-    # the density rises from mu toward the mean (slope b at mu) and falls
-    # before reaching it, so the mode is the root of the slope between
-    # them; without a sign change (b = 0, or b so small that mu and the
-    # mean round together) the mean is the mode to rounding
-    mode = mean
-    if b * dlog_pdf(mean) < 0.0:
-        mode = _brentq(dlog_pdf, min(m, mean), max(m, mean), xtol=1e-14 * d)
+    # searched on the first log_tail call, the mode's one reader, so that
+    # models that are only priced never pay for it
+    @functools.cache
+    def mode() -> float:
+        # the density rises from mu toward the mean (slope b at mu) and falls
+        # before reaching it, so the mode is the root of the slope between
+        # them; without a sign change (b = 0, or b so small that mu and the
+        # mean round together) the mean is the mode to rounding
+        if b * dlog_pdf(mean) < 0.0:
+            return _brentq(dlog_pdf, min(m, mean), max(m, mean), xtol=1e-14 * d)
+        return mean
 
     def log_tail(x, sign: int):
         # ln P(sign X > sign x): the rule from the mode outward, and on the
         # near side 1 minus the other tail, computed directly below ~1/2
         out = np.empty_like(x)
-        outward = x >= mode if sign > 0 else x <= mode
+        split = mode()
+        outward = x >= split if sign > 0 else x <= split
         if outward.any():
             out[outward] = _log_tail_de(x[outward], sign)
         inward = ~outward

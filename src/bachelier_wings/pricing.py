@@ -431,15 +431,25 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
 # smile construction
 # =============================================================================
 
+def _text_free(values) -> list:
+    """The entries of iterable values as a list; TypeError if values or an
+    entry is text (str or bytes), which float() and numpy would parse."""
+    if isinstance(values, (str, bytes)):
+        raise TypeError(f"got {type(values).__name__}")
+    entries = list(values)
+    for entry in entries:
+        if isinstance(entry, (str, bytes)):
+            raise TypeError(f"got the {type(entry).__name__} entry {entry!r}")
+    return entries
+
+
 def _checked_grid(grid) -> np.ndarray:
     if (type(grid) is np.ndarray and grid.dtype == np.float64 and grid.ndim == 1
             and np.count_nonzero(grid[1:] > grid[:-1]) == grid.size - 1):
         kappas = grid.copy()  # sorted and distinct already: np.unique's bits
     else:
         try:
-            if isinstance(grid, (str, bytes)):
-                raise TypeError(f"got {type(grid).__name__}")
-            kappas = np.unique(np.asarray(list(grid), dtype=float))  # sorted, deduplicated
+            kappas = np.unique(np.asarray(_text_free(grid), dtype=float))  # sorted, deduplicated
         except (TypeError, ValueError) as err:  # not iterable, or an entry that is no number
             raise DomainError(f"grid must be an iterable of real moneyness values: {err}") from err
     if not np.isfinite(kappas).all():

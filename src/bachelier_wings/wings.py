@@ -30,7 +30,7 @@ from .errors import (
 )
 from .inversion import implied_vol_call_log  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .models import ModelSpec, _geometric_grid, _geomspace, _line_fit, _side_sign, mgf_blowup_boundary
-from .pricing import smile_from_model
+from .pricing import _text_free, smile_from_model
 from .pricing import log_call_price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK, SmileGrid
 
@@ -173,9 +173,7 @@ def tail_reference_curve(model: ModelSpec, kappas, side: str):
     """
     sign = _side_sign(side)
     try:
-        if isinstance(kappas, (str, bytes)):
-            raise TypeError(f"got {type(kappas).__name__}")
-        ks = [float(k) for k in kappas]  # the caller's order, duplicates kept
+        ks = [float(k) for k in _text_free(kappas)]  # the caller's order, duplicates kept
     except (TypeError, ValueError) as err:  # not iterable, or an entry that is no number
         raise DomainError(f"kappas must be an iterable of real moneyness values: {err}") from err
     if not all(map(math.isfinite, ks)):

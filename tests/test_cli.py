@@ -19,7 +19,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bachelier_wings
 from bachelier_wings import cli
@@ -451,6 +454,45 @@ def test_parser_built_once_per_process(model_files, monkeypatch):
     assert built == []
 
 
+# (argv with {model} for a model file path): a valid run of each command,
+# then help, usage errors and what the top-level parser refuses
+PARSE_CASES = [
+    ["price", "--model", "{model}", "--grid", "0:2:3"],
+    ["ivol", "--forward", "100", "--strike", "101", "--maturity", "0.5", "--price", "0.3"],
+    ["smile", "--model", "{model}", "--grid", "-4:4:9", "--format", "json"],
+    ["wings", "--model", "{model}"],
+    ["check", "--samples", "200", "--seed", "3"],
+    ["models", "--format", "json"],
+    ["price", "-h"],
+    ["price"],
+    ["price", "--grid", "0:1:2"],
+    ["price", "--model", "{model}", "--grid", "2:1:5"],
+    ["price", "--model", "{model}", "--grid", "-4:4:9"],
+    ["price", "--model", "{model}", "--grid", "0:1:2", "--bogus"],
+    ["smile", "stray", "--model", "{model}", "--grid", "0:1:2", "--bogus", "-x"],
+    ["frobnicate"],
+    [],
+    ["--help"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_command_parser_matches_the_top_level_path(model_files, monkeypatch, argv):
+    # exit code, stdout and stderr as when the top-level parser parses every
+    # argv; a leading command never reaches the top-level parse_known_args
+    argv = [a.replace("{model}", model_files["nig"]) for a in argv]
+    parser, commands = cli._build_parser()
+    if argv and argv[0] in commands:
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a leading command")
+
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+    direct = run_cli(*argv)
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert direct == run_cli(*argv)
+
+
 CONCURRENT_CALLERS = 4
 
 
@@ -562,3 +604,47 @@ def test_fresh_interpreter_loads_neither_scipy_optimize_nor_integrate(model_file
 ])
 def test_json_text_matches_indented_dumps(meta, rows):
     assert cli._json_text(meta, rows) == json.dumps({"meta": meta, "rows": rows}, indent=2)
+
+
+# the encoders' chains before floats were tested first, kept as the references
+def _round15_reference(value):
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    v = float(value)
+    if not math.isfinite(v):
+        return None
+    return float(f"{v:.15g}")
+
+
+def _csv_cell_reference(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    v = float(value)
+    if not math.isfinite(v):
+        return ""
+    return f"{v:.15g}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.floats() | st.floats().map(np.float64) | st.integers() | st.booleans()
+       | st.none() | st.text())
+@example(value=-0.0)
+@example(value=5e-324)
+@example(value=2.2250738585072014e-308 / 3.0)
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=100.0)
+@example(value=1e-5)
+@example(value=1e16)
+@example(value=np.float64(-0.0))
+@example(value=np.float64(math.nan))
+def test_cell_formatting_equals_the_reference_chains_bit_for_bit(value):
+    assert cli._csv_cell(value) == _csv_cell_reference(value)
+    got, want = cli._round15(value), _round15_reference(value)
+    assert type(got) is type(want)
+    assert got.hex() == want.hex() if type(want) is float else got == want

@@ -1111,9 +1111,11 @@ def test_smile_point_fails_only_on_its_own_leg():
 
 
 def test_grid_with_a_non_finite_value_is_rejected():
-    # so are text, a grid that is not iterable (a 0-d array too) and an entry that is no number
+    # so are text, a grid that is not iterable (a 0-d array too), an entry that is no
+    # number and a text entry, even one that reads as a number
     for grid in ([1.0, math.nan], [math.inf, 0.0], "12", "1.5", b"12", np.array(2.0), 2.0, None,
-                 [1.0, "x"], [0.0, object()], [[1.0, 2.0], [3.0]]):
+                 [1.0, "x"], [0.0, object()], [[1.0, 2.0], [3.0]], ["1.5"], ["1.5", "2"],
+                 [0.5, b"2"], (0.5, "2"), np.array(["1.5", "2"])):
         with pytest.raises(DomainError):
             price_grid(GAUSS1, grid)
         with pytest.raises(DomainError):

@@ -52,10 +52,33 @@ log_uniform = st.floats(-3.0, 3.0).map(math.exp)
 @given(alpha=log_uniform, beta_frac=st.floats(-0.999, 0.999), delta=log_uniform,
        mu=st.none() | st.floats(-5.0, 5.0))
 def test_brentq_port_matches_scipy_on_nig_mode_searches(alpha, beta_frac, delta, mu):
+    # the mode is searched on the first tail read
     with both_roots(models) as roots:
-        nig_model(alpha, alpha * beta_frac, delta, mu)
+        nig_model(alpha, alpha * beta_frac, delta, mu).log_tail(0.0, 1)
     assume(roots)
     assert all(same_double(got, want) for got, want in roots), roots
+
+
+def test_nig_mode_is_searched_on_the_first_tail_read(monkeypatch):
+    # building, pricing and a smile never read the mode; the first log_tail
+    # call searches it, and later calls on either side reuse it
+    calls = []
+    port = models._brentq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return port(*args, **kwargs)
+
+    monkeypatch.setattr(models, "_brentq", counting)
+    model = nig_model(2.0, 0.5, 1.0)
+    pricing.price_grid(model, [-1.0, 0.0, 2.0])
+    pricing.smile_from_model(model, [-1.0, 0.0, 2.0])
+    assert calls == []
+    first = model.log_tail(np.array([-1.0, 0.0, 2.0]), 1)
+    assert len(calls) == 1
+    model.log_tail(np.array([-1.0, 0.0, 2.0]), -1)
+    assert model.log_tail(np.array([-1.0, 0.0, 2.0]), 1).tolist() == first.tolist()
+    assert len(calls) == 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -212,12 +212,14 @@ def test_tail_readers_reject_bad_side():
 
 def test_tail_reference_rejects_malformed_kappas():
     # kappas that are text, no iterable, or hold an entry that is no finite number
+    # or is text, even text that reads as a number
     for kappas in ("12", b"12", 3.0, None, np.array(2.0), ["x"], [5.0, object()], [[5.0]],
-                   [math.inf], [5.0, math.nan], (k for k in (5.0, -math.inf))):
+                   [math.inf], [5.0, math.nan], (k for k in (5.0, -math.inf)),
+                   ["1.5", "2"], [5.0, b"2"], np.array(["1.5", "2"])):
         with pytest.raises(DomainError, match="kappas must be"):
             tail_reference_curve(LAPLACE, kappas, "right")
     # the side is checked first
-    for kappas in ("12", 3.0, [math.nan]):
+    for kappas in ("12", 3.0, [math.nan], ["1.5", "2"]):
         with pytest.raises(DomainError, match="side must be"):
             tail_reference_curve(LAPLACE, kappas, "upper")
     # good kappas in the caller's order, duplicates kept, each one's bits as given
