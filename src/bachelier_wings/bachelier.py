@@ -6,6 +6,7 @@ by sqrt(t), so the normal volatility enters as a single parameter
 ``sigma`` with no rate or expiry anywhere.
 
 Scalar or ndarray inputs are accepted everywhere; scalars in, float out.
+Each is read by errors._reals: text, non-reals, inf and NaN raise DomainError.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.special as sc
 from numpy.typing import NDArray
 
-from .errors import DomainError
+from .errors import DomainError, _reals
 
 __all__ = [
     "SQRT_2PI",
@@ -50,35 +51,23 @@ _SQRT2 = math.sqrt(2.0)
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
-def _as_array(x, name: str) -> NDArray[np.float64]:
-    arr = np.asarray(x, dtype=float)
-    if np.count_nonzero(np.isfinite(arr)) < arr.size:
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return arr
-
-
-def _real_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]) -> tuple[float, float]:
-    """Two real scalars as floats, with _validated_pair's checks and messages."""
-    x, y = float(a), float(b)
-    if not math.isfinite(x):
-        raise DomainError(f"{names[0]} must be finite, got {a!r}")
-    if not math.isfinite(y):
-        raise DomainError(f"{names[1]} must be finite, got {b!r}")
-    if x <= 0.0 and names[0] in positive:
-        raise DomainError(f"{names[0]} must be > 0")
-    if y <= 0.0 and names[1] in positive:
-        raise DomainError(f"{names[1]} must be > 0")
-    return x, y
+def _real_pair(kappa, sigma) -> tuple[float, float]:
+    """call_price_log's two real scalars as floats, with _validated_pair's checks
+    and messages (no text reaches here: _REAL_SCALARS holds no str)."""
+    k, s = float(kappa), float(sigma)
+    if not math.isfinite(k):
+        raise DomainError(f"kappa must be finite, got {kappa!r}")
+    if not math.isfinite(s):
+        raise DomainError(f"sigma must be finite, got {sigma!r}")
+    if s <= 0.0:
+        raise DomainError("sigma must be > 0")
+    return k, s
 
 
 def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
-    """Both inputs as finite arrays broadcast together, plus whether both
-    came in as scalars; inputs named in `positive` must also be > 0."""
-    if isinstance(a, _REAL_SCALARS) and isinstance(b, _REAL_SCALARS):
-        # two scalars: the same checks and 0-d arrays without numpy's array machinery
-        x, y = _real_pair(a, b, names, positive)
-        return np.array(x), np.array(y), True
-    x, y = _as_array(a, names[0]), _as_array(b, names[1])
+    """Both inputs as finite arrays (errors._reals) broadcast together, plus whether
+    both came in as scalars; inputs named in `positive` must also be > 0."""
+    x, y = _reals(a, names[0]), _reals(b, names[1])
     scalar = x.ndim == 0 and y.ndim == 0
     for arr, name in zip((x, y), names):
         if name in positive and np.count_nonzero(arr <= 0.0):
@@ -89,8 +78,8 @@ def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
 
 
 def _negated(kappa):
-    """-kappa: a real scalar stays a scalar, anything else becomes a float array."""
-    return -kappa if isinstance(kappa, _REAL_SCALARS) else -np.asarray(kappa, dtype=float)
+    """-kappa: a real scalar stays a scalar, anything else is read as a float array."""
+    return -kappa if isinstance(kappa, _REAL_SCALARS) else -_reals(kappa, "kappa")
 
 
 def _scalar_or_array(out: NDArray[np.float64], scalar: bool):
@@ -99,8 +88,8 @@ def _scalar_or_array(out: NDArray[np.float64], scalar: bool):
 
 def norm_pdf(x: FloatLike) -> FloatLike:
     """Standard normal density."""
-    arr = _as_array(x, "x")
-    return _scalar_or_array(np.exp(-0.5 * arr * arr) * INV_SQRT_2PI, np.ndim(x) == 0)
+    arr = _reals(x, "x")
+    return _scalar_or_array(np.exp(-0.5 * arr * arr) * INV_SQRT_2PI, arr.ndim == 0)
 
 
 def norm_cdf(x: FloatLike) -> FloatLike:
@@ -109,14 +98,14 @@ def norm_cdf(x: FloatLike) -> FloatLike:
     Absolute accuracy ~1e-16 on the whole axis and correct exponential
     decay in the left tail (no premature underflow before ~ -38).
     """
-    arr = _as_array(x, "x")
-    return _scalar_or_array(sc.ndtr(arr), np.ndim(x) == 0)
+    arr = _reals(x, "x")
+    return _scalar_or_array(sc.ndtr(arr), arr.ndim == 0)
 
 
 def log_norm_cdf(x: FloatLike) -> FloatLike:
     """log(Phi(x)), finite and accurate arbitrarily deep into the left tail."""
-    arr = _as_array(x, "x")
-    return _scalar_or_array(sc.log_ndtr(arr), np.ndim(x) == 0)
+    arr = _reals(x, "x")
+    return _scalar_or_array(sc.log_ndtr(arr), arr.ndim == 0)
 
 
 def _scaled_time_value(k, sigma, d):
@@ -176,7 +165,7 @@ def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     through log1p so nothing is lost when the time value is negligible.
     """
     if isinstance(kappa, _REAL_SCALARS) and isinstance(sigma, _REAL_SCALARS):
-        return _call_price_log_float(*_real_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",)))
+        return _call_price_log_float(*_real_pair(kappa, sigma))
     k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
     k_abs = np.abs(k)
     d = k_abs / s

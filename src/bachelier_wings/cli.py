@@ -245,13 +245,15 @@ def _json_text(meta: dict, rows: list[dict]) -> str:
     return json.dumps({"meta": meta}, indent=2)[:-2] + f',\n  "rows": {rows_text}\n}}'
 
 
-def _emit(args, meta: dict, columns: list[str], rows: list[dict]) -> None:
+def _emit(args, columns: list[str], rows: list[dict], *meta_args, **meta_extra) -> None:
+    # the JSON meta, _meta(args, *meta_args, **meta_extra), is built only for JSON output
     if args.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_csv_cell(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
+        meta = _meta(args, *meta_args, **meta_extra)
         text = _json_text(meta, [{c: _round15(row[c]) for c in columns} for row in rows]) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -313,7 +315,7 @@ def cmd_price(args) -> int:
          "err_estimate": q.abs_error_estimate, "status": "ok"}
         for k, q in zip(kappas.tolist(), quotes)
     ]
-    _emit(args, _meta(args, "price", model), _PRICE_COLUMNS, rows)
+    _emit(args, _PRICE_COLUMNS, rows, "price", model)
     return _EXIT_PARTIAL if None in quotes else _EXIT_OK
 
 
@@ -332,7 +334,7 @@ def cmd_ivol(args) -> int:
     # under sqrt(t)-normalization the smile value already is the raw
     # Bachelier volatility per root time; both columns carry it
     rows = [{"kappa": kappa, "ivol": result.sigma, "raw_vol": result.sigma}]
-    _emit(args, _meta(args, "ivol"), ["kappa", "ivol", "raw_vol"], rows)
+    _emit(args, ["kappa", "ivol", "raw_vol"], rows, "ivol")
     return _EXIT_OK
 
 
@@ -344,7 +346,7 @@ def cmd_smile(args) -> int:
     smile = smile_from_model(model, args.grid.values(), tol_iv=args.tol)
     # a failed point's numeric slots hold NaN, which both formats print as empty
     rows = [{c: getattr(p, c) for c in _SMILE_COLUMNS} for p in smile.points]
-    _emit(args, _meta(args, "smile", model), _SMILE_COLUMNS, rows)
+    _emit(args, _SMILE_COLUMNS, rows, "smile", model)
     return _EXIT_PARTIAL if len(smile.ok_points()) < len(smile) else _EXIT_OK
 
 
@@ -364,17 +366,9 @@ def cmd_wings(args) -> int:
         )
     report = theorem_verdicts(model, VerdictSettings(tol_iv=args.tol, **span))
     rows = [dict(c) for c in report["checks"]]
-    meta = _meta(
-        args,
-        "wings",
-        model,
-        grid_points=report["grid_points"],
-        failed_points=report["failed_points"],
-        sides=report["sides"],
-        residuals=report.get("residuals"),
-        all_pass=report["all_pass"],
-    )
-    _emit(args, meta, _CHECK_ROW_COLUMNS, rows)
+    _emit(args, _CHECK_ROW_COLUMNS, rows, "wings", model, grid_points=report["grid_points"],
+          failed_points=report["failed_points"], sides=report["sides"],
+          residuals=report.get("residuals"), all_pass=report["all_pass"])
     return _EXIT_OK if report["all_pass"] else _EXIT_CHECK_FAILED
 
 
@@ -424,9 +418,8 @@ def cmd_check(args) -> int:
     if args.samples <= 0:
         return _fail("sample count must be positive")
     rows = _suite_rows(args.samples, args.seed, args.tol)
-    meta = _meta(args, "check", samples=args.samples,
-                 all_pass=all(r["pass"] for r in rows))
-    _emit(args, meta, _CHECK_ROW_COLUMNS, rows)
+    _emit(args, _CHECK_ROW_COLUMNS, rows, "check", samples=args.samples,
+          all_pass=all(r["pass"] for r in rows))
     return _EXIT_OK if all(r["pass"] for r in rows) else _EXIT_CHECK_FAILED
 
 
@@ -436,7 +429,7 @@ def cmd_models(args) -> int:
         for name, schema in model_schemas().items()
         for param, required in schema
     ]
-    _emit(args, _meta(args, "models"), ["model", "parameter", "required"], rows)
+    _emit(args, ["model", "parameter", "required"], rows, "models")
     return _EXIT_OK
 
 

@@ -1,6 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two readers that
+decide what a real number is for every public entry point."""
 
 from __future__ import annotations
+
+import math
+import reprlib
+from collections.abc import Iterable
+
+import numpy as np
 
 
 class BachelierWingsError(Exception):
@@ -13,6 +20,42 @@ class DomainError(BachelierWingsError, ValueError):
     Raised for non-finite arguments, sigma <= 0, kappa of the wrong sign
     where a sign is required, and similar contract violations.
     """
+
+
+def _reals(values, name: str, neg_inf: bool = False) -> np.ndarray:
+    """values as a float64 array of any shape, the caller's own when it is one,
+    else DomainError naming them: for text (str or bytes, even "1.5", a text
+    dtype, an object array holding text or None), anything else numpy cannot
+    read as reals (a ragged list too), and inf or NaN (-inf passes with neg_inf).
+    An iterable that numpy takes for one object, a generator or a set, is listed."""
+    arr = values
+    if not (type(values) is np.ndarray and values.dtype == np.float64):
+        if not isinstance(values, (np.ndarray, list, tuple, str, bytes)) and isinstance(values, Iterable):
+            values = list(values)
+        try:
+            arr = np.asarray(values)
+            if arr.dtype.kind not in "biufO" or arr.dtype.kind == "O" and any(
+                    v is None or isinstance(v, (str, bytes)) for v in arr.flat):
+                raise TypeError
+            arr = arr.astype(float, copy=False)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{name} must be real, got {reprlib.repr(values)}") from None
+    ok = np.isfinite(arr) if not neg_inf else arr < math.inf
+    if np.count_nonzero(ok) < arr.size:
+        bad = float(arr[~ok].flat[0])
+        raise DomainError(f"{name} must be finite{' or -inf' if neg_inf else ''}, got {bad!r}")
+    return arr
+
+
+def _real(value, name: str, neg_inf: bool = False) -> float:
+    """value as a Python float: a finite float as it is, anything else read by
+    _reals, so the same values raise DomainError, and so does an array with
+    dimensions."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if (arr := _reals(value, name, neg_inf)).ndim:
+        raise DomainError(f"{name} must be one real number, got {reprlib.repr(value)}")
+    return float(arr)
 
 
 class NoSolutionBelowIntrinsic(BachelierWingsError, ValueError):

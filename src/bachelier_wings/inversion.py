@@ -57,6 +57,8 @@ from .errors import (
     ConvergenceFailure,
     DomainError,
     NoSolutionBelowIntrinsic,
+    _real,
+    _reals,
 )
 
 __all__ = [
@@ -141,17 +143,11 @@ def _exp_quiet(x: float) -> float:
         return float(np.exp(x))
 
 
-def _validate_scalar(value: float, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return v
-
-
 def _validate_tol(tol: float) -> float:
-    t = float(tol)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+    # a finite float skips the reader's call
+    t = tol if type(tol) is float and math.isfinite(tol) else _real(tol, "tol")
+    if not t > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol!r}")
     return t
 
 
@@ -465,10 +461,11 @@ def implied_vol_call(kappa: float, price: float, tol: float = 1e-12) -> IvolResu
     there (_check_sigma_in_range).  tol is an absolute price-space residual;
     where tol / tv exceeds LOG_RESIDUAL_DEEP (time values below 0.01 at the
     default tol) the quote is solved to that log-price residual instead and
-    result.method ends in _log.
+    result.method ends in _log.  Each argument is read by errors._real
+    (DomainError on text, even "1.0", and on inf or NaN), and tol must be > 0.
     """
-    k = _validate_scalar(kappa, "kappa")
-    p = _validate_scalar(price, "price")
+    k = _real(kappa, "kappa")
+    p = _real(price, "price")
     t = _validate_tol(tol)
     if k == 0.0:
         return _atm_result(p, t)
@@ -481,7 +478,7 @@ def implied_vol_call(kappa: float, price: float, tol: float = 1e-12) -> IvolResu
 
 def implied_vol_put(kappa: float, price: float, tol: float = 1e-12) -> IvolResult:
     """Implied normal vol of a put quote; the reflected call solve, verbatim."""
-    return implied_vol_call(-kappa, price, tol)
+    return implied_vol_call(-kappa if type(kappa) is float else -_real(kappa, "kappa"), price, tol)
 
 
 def implied_vol_call_log(kappa: float, log_price: float, tol: float = 1e-12) -> IvolResult:
@@ -490,12 +487,12 @@ def implied_vol_call_log(kappa: float, log_price: float, tol: float = 1e-12) -> 
     This is the entry point for quotes far below the double underflow
     floor (ln price ~ -1e5 is fine).  In-the-money inputs still reduce
     through parity; that subtraction is done in log space but cannot
-    recover digits the input itself does not carry.
+    recover digits the input itself does not carry.  log_price may be -inf,
+    a price of 0, which raises NoSolutionBelowIntrinsic.
     """
-    k = _validate_scalar(kappa, "kappa")
-    lp = float(log_price)
-    if math.isnan(lp) or lp == math.inf:
-        raise DomainError(f"log_price must be a real number or -inf, got {log_price!r}")
+    k = _real(kappa, "kappa")
+    # a float below inf (-inf included) skips the reader's call
+    lp = log_price if type(log_price) is float and log_price < math.inf else _real(log_price, "log_price", True)
     t = _validate_tol(tol)
     if k == 0.0:
         return _atm_result(_exp_quiet(lp), t)
@@ -513,7 +510,7 @@ def implied_vol_call_log(kappa: float, log_price: float, tol: float = 1e-12) -> 
 
 def implied_vol_put_log(kappa: float, log_price: float, tol: float = 1e-12) -> IvolResult:
     """Put counterpart of implied_vol_call_log, via reflection."""
-    return implied_vol_call_log(-kappa, log_price, tol)
+    return implied_vol_call_log(-kappa if type(kappa) is float else -_real(kappa, "kappa"), log_price, tol)
 
 
 def implied_vol_call_vec(
@@ -522,13 +519,11 @@ def implied_vol_call_vec(
     """Bulk implied vols for arrays of call quotes; returns sigma only.
 
     Same algorithm and error contract as implied_vol_call (the first
-    offending element raises), one vectorized solve for the whole batch.
+    offending element raises), one vectorized solve for the whole batch;
+    the arrays are read by errors._reals.
     """
     t = _validate_tol(tol)
-    k = np.asarray(kappa, dtype=float)
-    p = np.asarray(price, dtype=float)
-    if np.count_nonzero(np.isfinite(k)) + np.count_nonzero(np.isfinite(p)) < k.size + p.size:
-        raise DomainError("kappa and price must be finite")
+    k, p = _reals(kappa, "kappa"), _reals(price, "price")
     if k.shape != p.shape:
         k, p = np.broadcast_arrays(k, p)
     out, solve = _atm_closed_forms(k, p, t)
@@ -570,7 +565,7 @@ def _solved_sigma(k_otm, log_tv, tol: float, out, solve) -> NDArray[np.float64]:
 
 def implied_vol_put_vec(kappa, price, tol: float = 1e-12) -> NDArray[np.float64]:
     """Bulk put inversion; the reflected call batch."""
-    return implied_vol_call_vec(np.negative(np.asarray(kappa, dtype=float)), price, tol)
+    return implied_vol_call_vec(np.negative(_reals(kappa, "kappa")), price, tol)
 
 
 def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np.float64]:
@@ -582,12 +577,7 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
     input actually carries, as in implied_vol_call_log).
     """
     t = _validate_tol(tol)
-    k = np.asarray(kappa, dtype=float)
-    lp = np.asarray(log_price, dtype=float)
-    if np.count_nonzero(np.isfinite(k)) < k.size:
-        raise DomainError("kappa must be finite")
-    if np.count_nonzero(lp < np.inf) < lp.size:
-        raise DomainError("log_price entries must be real or -inf")
+    k, lp = _reals(kappa, "kappa"), _reals(log_price, "log_price", True)
     if k.shape != lp.shape:
         k, lp = np.broadcast_arrays(k, lp)
     out, solve = _atm_closed_forms(k, lp, t, _exp_quiet)
@@ -615,4 +605,4 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
 
 def implied_vol_put_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np.float64]:
     """Bulk put inversion from ln(price); the reflected call batch."""
-    return implied_vol_call_log_vec(np.negative(np.asarray(kappa, dtype=float)), log_price, tol)
+    return implied_vol_call_log_vec(np.negative(_reals(kappa, "kappa")), log_price, tol)

@@ -13,6 +13,8 @@ Every model is centered to zero mean by default so that call - put = -kappa.
 Each family writes one signed tail, log_tail(x, sign) = ln P(sign X > sign x):
 the survival function for sign +1, the cdf for -1, decaying at strip.rate(sign).
 All evaluation functions accept scalars or ndarrays; scalars in, float out.
+The constructors read their parameters by errors._real: text, non-reals, inf
+and NaN raise DomainError.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.special as sc
 
-from .errors import ConvergenceFailure, DomainError, ModelConfigError
+from .errors import ConvergenceFailure, DomainError, ModelConfigError, _real
 
 __all__ = [
     "AnalyticityStrip",
@@ -140,8 +142,8 @@ def _require(cond: bool, message: str) -> None:
 
 def gaussian_model(sigma: float) -> ModelSpec:
     """Zero-mean Gaussian with standard deviation sigma; infinite strip."""
-    s = float(sigma)
-    _require(math.isfinite(s) and s > 0.0, "sigma must be a positive finite real")
+    s = _real(sigma, "sigma")
+    _require(s > 0.0, "sigma must be a positive finite real")
 
     inv = 1.0 / s
     log_norm = -0.5 * math.log(2.0 * math.pi) - math.log(s)
@@ -183,10 +185,9 @@ def asym_laplace_model(lambda_r: float, lambda_l: float) -> ModelSpec:
     so the strip is (lambda_r, lambda_l) in (lambda_minus, lambda_plus)
     orientation.
     """
-    lr = float(lambda_r)
-    ll = float(lambda_l)
-    _require(math.isfinite(lr) and lr > 0.0, "lambda_r must be a positive finite real")
-    _require(math.isfinite(ll) and ll > 0.0, "lambda_l must be a positive finite real")
+    lr, ll = _real(lambda_r, "lambda_r"), _real(lambda_l, "lambda_l")
+    _require(lr > 0.0, "lambda_r must be a positive finite real")
+    _require(ll > 0.0, "lambda_l must be a positive finite real")
 
     m = 1.0 / lr - 1.0 / ll
     total = lr + ll
@@ -273,18 +274,11 @@ def nig_model(alpha: float, beta: float, delta: float, mu: float | None = None) 
     the first log_tail call, as the root of the density's slope between mu
     and the mean), and on the near side ln(1 - the other tail).
     """
-    a = float(alpha)
-    b = float(beta)
-    d = float(delta)
-    _require(math.isfinite(a) and math.isfinite(b) and a > abs(b),
-             "need alpha > |beta| with both finite")
-    _require(math.isfinite(d) and d > 0.0, "delta must be a positive finite real")
+    a, b, d = _real(alpha, "alpha"), _real(beta, "beta"), _real(delta, "delta")
+    _require(a > abs(b), "need alpha > |beta|")
+    _require(d > 0.0, "delta must be a positive finite real")
     gamma = math.sqrt(a * a - b * b)
-    if mu is None:
-        m = -d * b / gamma
-    else:
-        m = float(mu)
-        _require(math.isfinite(m), "mu must be finite")
+    m = -d * b / gamma if mu is None else _real(mu, "mu")
     mean = m + d * b / gamma
     strip = AnalyticityStrip(a - b, a + b)
     log_front = math.log(a * d / math.pi) + d * gamma

@@ -11,7 +11,10 @@ route, the cross-check, damps the payoff by e^(alpha kappa) and
 integrates the characteristic function along a shifted contour, on Ooura
 and Mori's double-exponential rule for Fourier integrals, whose step
 also halves until two levels agree.  Keeping both honest and comparing
-them is the point; neither is defined in terms of the other.
+them is the point; neither is defined in terms of the other.  Every number
+an entry point takes (kappas, alpha, tolerances) is read by errors._real or
+errors._reals, which raise DomainError on text, on what is no real number,
+and on inf or NaN.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .errors import (
     AccuracyNotReached,
     DampingOutsideStrip,
     DomainError,
+    _real,
+    _reals,
 )
 from .inversion import _atm_result, _solve_otm_log
 from .inversion import implied_vol_call  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
@@ -56,16 +61,17 @@ __all__ = [
 @dataclass(frozen=True, slots=True)
 class QuadratureSettings:
     """Tolerances, read by both engines: a quadrature stops refining once
-    its error estimate is within max(abs_tol, rel_tol |integral|)."""
+    its error estimate is within max(abs_tol, rel_tol |integral|); floats in (0, 1)."""
 
     abs_tol: float = 1e-13
     rel_tol: float = 1e-11
 
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
-            v = getattr(self, name)
+            v = _real(getattr(self, name), name)
             if not (0.0 < v < 1.0):
                 raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
+            object.__setattr__(self, name, v)
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -257,9 +263,7 @@ def price_from_tail(
     two independent double-exponential sums, so their parity residual
     is a genuine quality signal, not an identity.
     """
-    k = float(kappa)
-    if not math.isfinite(k):
-        raise DomainError("kappa must be finite")
+    k = _real(kappa, "kappa")
     ln_s, err = _checked_log_sums(model, [k, k], [1.0, -1.0], settings.abs_tol, settings.rel_tol)
     return _tail_quote(k, *ln_s, *err)
 
@@ -270,16 +274,14 @@ def log_call_price_from_tail(model: ModelSpec, kappa: float) -> float:
     price_from_tail's call sum, kept in log space and refined to the
     default rel_tol.  Valid for kappa at or right of the mean.
     """
-    k = float(kappa)
-    if not (math.isfinite(k) and k >= model.mean):
+    if not (k := _real(kappa, "kappa")) >= model.mean:
         raise DomainError("log-space call pricing needs kappa >= model mean")
     return _checked_log_sums(model, [k], [1.0], 0.0, DEFAULT_SETTINGS.rel_tol)[0][0]
 
 
 def log_put_price_from_tail(model: ModelSpec, kappa: float) -> float:
     """ln of the put price for kappa at or left of the mean."""
-    k = float(kappa)
-    if not (math.isfinite(k) and k <= model.mean):
+    if not (k := _real(kappa, "kappa")) <= model.mean:
         raise DomainError("log-space put pricing needs kappa <= model mean")
     return _checked_log_sums(model, [k], [-1.0], 0.0, DEFAULT_SETTINGS.rel_tol)[0][0]
 
@@ -350,10 +352,8 @@ def price_from_cf(
     levels agree, or differ by less than the roundoff floor 50 eps int
     |integrand|; difference plus floor is the estimate.
     """
-    k = float(kappa)
-    a = float(alpha) if alpha is not None else _default_alpha(model, k) if math.isfinite(k) else math.nan
-    if not math.isfinite(k) or not math.isfinite(a):
-        raise DomainError("kappa and alpha must be finite")
+    k = _real(kappa, "kappa")
+    a = _default_alpha(model, k) if alpha is None else _real(alpha, "alpha")
     _validate_alpha(model, a)
     c = model.breakpoints[0] if model.breakpoints else model.mean
     sign, omega = math.copysign(1.0, k - c), abs(k - c)
@@ -431,30 +431,14 @@ def _default_alpha(model: ModelSpec, kappa: float) -> float:
 # smile construction
 # =============================================================================
 
-def _text_free(values) -> list:
-    """The entries of iterable values as a list; TypeError if values or an
-    entry is text (str or bytes), which float() and numpy would parse."""
-    if isinstance(values, (str, bytes)):
-        raise TypeError(f"got {type(values).__name__}")
-    entries = list(values)
-    for entry in entries:
-        if isinstance(entry, (str, bytes)):
-            raise TypeError(f"got the {type(entry).__name__} entry {entry!r}")
-    return entries
-
-
 def _checked_grid(grid) -> np.ndarray:
-    if (type(grid) is np.ndarray and grid.dtype == np.float64 and grid.ndim == 1
-            and np.count_nonzero(grid[1:] > grid[:-1]) == grid.size - 1):
-        kappas = grid.copy()  # sorted and distinct already: np.unique's bits
-    else:
-        try:
-            kappas = np.unique(np.asarray(_text_free(grid), dtype=float))  # sorted, deduplicated
-        except (TypeError, ValueError) as err:  # not iterable, or an entry that is no number
-            raise DomainError(f"grid must be an iterable of real moneyness values: {err}") from err
-    if not np.isfinite(kappas).all():
-        raise DomainError("grid must contain finite moneyness values")
-    return kappas
+    """The grid's values (errors._reals), sorted and deduplicated as np.unique does."""
+    kappas = _reals(grid, "grid")
+    if not kappas.ndim:
+        raise DomainError(f"grid must be an iterable of real moneyness values, got {grid!r}")
+    if kappas is grid and grid.ndim == 1 and np.count_nonzero(grid[1:] > grid[:-1]) == grid.size - 1:
+        return grid.copy()  # the caller's float64 array, sorted and distinct: np.unique's bits
+    return np.unique(kappas)
 
 
 def price_grid(
@@ -464,9 +448,10 @@ def price_grid(
 ) -> tuple[np.ndarray, list[PriceQuote | None]]:
     """Price a moneyness grid on the tail engine, both legs in one batch.
 
-    The grid, an iterable of finite reals (else DomainError), is sorted and
-    deduplicated.  Returns the kappas and each one's PriceQuote, None where
-    it alone would raise, so one bad point does not stop the grid.
+    The grid, an iterable of finite reals of any shape (else DomainError, text
+    entries too), is sorted and deduplicated.  Returns the kappas and each
+    one's PriceQuote, None where it alone would raise, so one bad point does
+    not stop the grid.
     """
     kappas = _checked_grid(grid)
     legs = _log_payoff_integrals(model, np.repeat(kappas, 2), np.tile([1.0, -1.0], kappas.size),
@@ -491,10 +476,10 @@ def smile_from_model(
     point far past double underflow inverts like any other; kappa = 0
     takes the closed form.  A point whose own leg does not converge to a
     finite ln S, or whose inversion fails, is marked failed; the rest
-    proceed.
+    proceed.  tol_iv must be > 0.
     """
-    if not (0.0 < tol_iv < math.inf):
-        raise DomainError("tol_iv must be positive and finite")
+    if not (tol := _real(tol_iv, "tol_iv")) > 0.0:
+        raise DomainError(f"tol_iv must be > 0, got {tol_iv!r}")
     kappas = _checked_grid(grid)
     ln_s, _, ok = _log_payoff_integrals(model, kappas, np.where(kappas >= 0.0, 1.0, -1.0),
                                         settings.abs_tol, settings.rel_tol)
@@ -502,12 +487,12 @@ def smile_from_model(
 
     ivols = np.full(kappas.shape, math.nan)
     off = np.flatnonzero((kappas != 0.0) & ~np.isnan(log_prices))
-    solved = _solve_otm_log(np.abs(kappas[off]), log_prices[off], tol_iv)
+    solved = _solve_otm_log(np.abs(kappas[off]), log_prices[off], tol)
     good = solved.converged & ~solved.unattainable
     ivols[off[good]] = np.exp(solved.x[good])
     for i in np.flatnonzero((kappas == 0.0) & ~np.isnan(log_prices)):  # at most one
         with contextlib.suppress(AccuracyNotReached, DomainError):
-            ivols[i] = _atm_result(math.exp(log_prices[i]), tol_iv).sigma
+            ivols[i] = _atm_result(math.exp(log_prices[i]), tol).sigma
 
     log_prices[np.isnan(ivols)] = math.nan
     # math.exp, as in _price, so a price in the normal range keeps its PriceQuote bits

@@ -1,7 +1,8 @@
 """Wing diagnostics: slope estimation and extrapolation, tail-based
 reference curves, regular-variation index recovery, strip-boundary
 probes of the moment generating function's derivatives, and a combined
-verdict report checking every asymptotic statement numerically.
+verdict report checking every asymptotic statement numerically.  Every
+number an entry point takes is read by errors._real or errors._reals.
 
 Wing-limit background, in the package's own terms: when the return
 distribution has exponential-type tails with rates (lambda_minus right,
@@ -27,10 +28,12 @@ from .errors import (
     InsufficientWingData,
     NotApplicableInfiniteStrip,
     TailUnderflow,
+    _real,
+    _reals,
 )
 from .inversion import implied_vol_call_log  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .models import ModelSpec, _geometric_grid, _geomspace, _line_fit, _side_sign, mgf_blowup_boundary
-from .pricing import _text_free, smile_from_model
+from .pricing import smile_from_model
 from .pricing import log_call_price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK, SmileGrid
 
@@ -169,15 +172,13 @@ def tail_reference_curve(model: ModelSpec, kappas, side: str):
     The tail is the survival function on the right wing and the cdf at
     -|kappa| on the left; its log form is used directly so depth never
     underflows.  A tail at or above 1 violates the precondition, and kappas
-    that are no iterable of finite reals raise DomainError after the side's check.
+    that are no flat iterable of finite reals (text too) raise DomainError
+    after the side's check.
     """
     sign = _side_sign(side)
-    try:
-        ks = [float(k) for k in _text_free(kappas)]  # the caller's order, duplicates kept
-    except (TypeError, ValueError) as err:  # not iterable, or an entry that is no number
-        raise DomainError(f"kappas must be an iterable of real moneyness values: {err}") from err
-    if not all(map(math.isfinite, ks)):
-        raise DomainError(f"kappas must be finite, got {[k for k in ks if not math.isfinite(k)]}")
+    if (arr := _reals(kappas, "kappas")).ndim != 1:
+        raise DomainError(f"kappas must be a flat iterable of real moneyness values, got {kappas!r}")
+    ks = arr.tolist()  # the caller's order, duplicates kept
     mags = np.abs(ks)
     return [(k, -mag / (2.0 * lt))
             for k, mag, lt in zip(ks, mags.tolist(), _log_tails(model, sign, mags))]
@@ -191,7 +192,7 @@ def rv_index(model: ModelSpec, side: str, kappa_lo: float, kappa_hi: float) -> f
     top of the range guards the fit against a non-power-law g.
     """
     sign = _side_sign(side)
-    lo, hi = float(kappa_lo), float(kappa_hi)
+    lo, hi = _real(kappa_lo, "kappa_lo"), _real(kappa_hi, "kappa_hi")
     grid = _rv_grid(lo, hi)
     return _rv_fit(lo, hi, grid, _log_tails(model, sign, grid))
 
@@ -252,8 +253,7 @@ def _probe_derivatives(model: ModelSpec, side: str, orders, s_min: float):
     boundary = model.strip.rate(sign := _side_sign(side))
     if math.isinf(boundary):
         raise NotApplicableInfiniteStrip(f"{model.name} has an infinite strip on the {side} side")
-    s_min = float(s_min)
-    if not (0.0 < s_min < boundary / 16.0):
+    if not (0.0 < (s_min := _real(s_min, "s_min")) < boundary / 16.0):
         raise DomainError("s_min must be well inside the strip (below boundary/16)")
 
     s = _geometric_grid(s_min, boundary / 8.0, 9)
@@ -308,10 +308,12 @@ class VerdictSettings:
     def __post_init__(self) -> None:
         if not (isinstance(self.points_per_side, numbers.Integral) and self.points_per_side >= 4):
             raise DomainError("points_per_side must be an integer, at least 4")
-        if not (0.0 < self.wing_lo_scales < self.wing_hi_scales < math.inf):
-            raise DomainError("need 0 < wing_lo_scales < wing_hi_scales < inf")
-        if not (0.0 < self.tol_iv < math.inf):
-            raise DomainError("tol_iv must be positive and finite")
+        for name in ("tol_iv", "wing_lo_scales", "wing_hi_scales"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not (0.0 < self.wing_lo_scales < self.wing_hi_scales):
+            raise DomainError("need 0 < wing_lo_scales < wing_hi_scales")
+        if not self.tol_iv > 0.0:
+            raise DomainError(f"tol_iv must be > 0, got {self.tol_iv!r}")
 
 
 def _check(name: str, measured: float, reference: float, tolerance: float, ok=None) -> dict:

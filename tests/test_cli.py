@@ -493,6 +493,30 @@ def test_command_parser_matches_the_top_level_path(model_files, monkeypatch, arg
     assert direct == run_cli(*argv)
 
 
+def test_value_flags_are_the_parsers_value_options():
+    # _absorb_dash_values folds "--grid -4:4:9" into "--grid=-4:4:9" for exactly
+    # the options that take a value, in every command parser
+    _, commands = cli._build_parser()
+    assert len(commands) == 6
+    taking_a_value = {flag for command in commands.values() for action in command._actions
+                      if action.nargs != 0 for flag in action.option_strings}
+    assert cli._VALUE_FLAGS == taking_a_value
+
+
+def test_csv_output_builds_no_json_meta(model_files, monkeypatch):
+    csv_runs = [["price", "--model", model_files["nig"], "--grid", "-4:4:9"],
+                ["smile", "--model", model_files["nig"], "--grid", "-4:4:9"],
+                ["ivol", "--forward", "100", "--strike", "101", "--maturity", "0.5", "--price", "0.3"],
+                ["models"]]
+    want = [run_cli(*argv) for argv in csv_runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSV run built the JSON meta")
+
+    monkeypatch.setattr(cli, "_meta", refuse)
+    assert [run_cli(*argv) for argv in csv_runs] == want
+
+
 CONCURRENT_CALLERS = 4
 
 
