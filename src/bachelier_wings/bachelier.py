@@ -51,23 +51,17 @@ _SQRT2 = math.sqrt(2.0)
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
-def _real_pair(kappa, sigma) -> tuple[float, float]:
-    """call_price_log's two real scalars as floats, with _validated_pair's checks
-    and messages (no text reaches here: _REAL_SCALARS holds no str)."""
-    k, s = float(kappa), float(sigma)
-    if not math.isfinite(k):
-        raise DomainError(f"kappa must be finite, got {kappa!r}")
-    if not math.isfinite(s):
-        raise DomainError(f"sigma must be finite, got {sigma!r}")
-    if s <= 0.0:
-        raise DomainError("sigma must be > 0")
-    return k, s
+def _signed_reals(values, name: str, sign: float) -> NDArray[np.float64]:
+    """values read by errors._reals, then times sign: a put's kappa is reflected
+    (sign -1.0) after the read, so an error names the caller's value."""
+    arr = _reals(values, name)
+    return arr if sign > 0.0 else np.asarray(-arr)
 
 
-def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
-    """Both inputs as finite arrays (errors._reals) broadcast together, plus whether
-    both came in as scalars; inputs named in `positive` must also be > 0."""
-    x, y = _reals(a, names[0]), _reals(b, names[1])
+def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...], sign: float = 1.0):
+    """Both inputs as finite arrays (errors._reals, the first times sign) broadcast together,
+    plus whether both came in as scalars; inputs named in `positive` must also be > 0."""
+    x, y = _signed_reals(a, names[0], sign), _reals(b, names[1])
     scalar = x.ndim == 0 and y.ndim == 0
     for arr, name in zip((x, y), names):
         if name in positive and np.count_nonzero(arr <= 0.0):
@@ -75,11 +69,6 @@ def _validated_pair(a, b, names: tuple[str, str], positive: tuple[str, ...]):
     if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)
     return x, y, scalar
-
-
-def _negated(kappa):
-    """-kappa: a real scalar stays a scalar, anything else is read as a float array."""
-    return -kappa if isinstance(kappa, _REAL_SCALARS) else -_reals(kappa, "kappa")
 
 
 def _scalar_or_array(out: NDArray[np.float64], scalar: bool):
@@ -146,16 +135,21 @@ def call_price(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     underflows to intrinsic once exp(-d^2/2) < 5e-324; use
     :func:`call_price_log` beyond that.
     """
-    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
-    k_abs = np.abs(k)
-    d = k_abs / s
-    otm = np.exp(-0.5 * d * d) * _scaled_time_value(k_abs, s, d)
-    return _scalar_or_array(otm + np.maximum(-k, 0.0), scalar)
+    return _call_price(kappa, sigma, 1.0)
 
 
 def put_price(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     """Normalized Bachelier put, via the exact reflection p(kappa) = c(-kappa)."""
-    return call_price(_negated(kappa), sigma)
+    return _call_price(kappa, sigma, -1.0)
+
+
+def _call_price(kappa, sigma, sign: float):
+    """c(sign * kappa, sigma), kappa reflected after it is read."""
+    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",), sign)
+    k_abs = np.abs(k)
+    d = k_abs / s
+    otm = np.exp(-0.5 * d * d) * _scaled_time_value(k_abs, s, d)
+    return _scalar_or_array(otm + np.maximum(-k, 0.0), scalar)
 
 
 def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
@@ -164,9 +158,27 @@ def call_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
     OTM branch: ln c = -d^2/2 + ln h.  ITM branch folds the intrinsic in
     through log1p so nothing is lost when the time value is negligible.
     """
+    return _call_price_log(kappa, sigma, 1.0)
+
+
+def put_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
+    """ln of the normalized put price; reflection of :func:`call_price_log`."""
+    return _call_price_log(kappa, sigma, -1.0)
+
+
+def _call_price_log(kappa, sigma, sign: float):
+    """ln c(sign * kappa, sigma), kappa reflected after it is read."""
     if isinstance(kappa, _REAL_SCALARS) and isinstance(sigma, _REAL_SCALARS):
-        return _call_price_log_float(*_real_pair(kappa, sigma))
-    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",))
+        # _validated_pair's checks and messages on floats (_REAL_SCALARS holds no str)
+        k, s = float(kappa), float(sigma)
+        if not math.isfinite(k):
+            raise DomainError(f"kappa must be finite, got {kappa!r}")
+        if not math.isfinite(s):
+            raise DomainError(f"sigma must be finite, got {sigma!r}")
+        if s <= 0.0:
+            raise DomainError("sigma must be > 0")
+        return _call_price_log_float(sign * k, s)
+    k, s, scalar = _validated_pair(kappa, sigma, ("kappa", "sigma"), ("sigma",), sign)
     k_abs = np.abs(k)
     d = k_abs / s
     log_otm = -0.5 * d * d + np.log(_scaled_time_value(k_abs, s, d))
@@ -189,11 +201,6 @@ def _call_price_log_float(k: float, s: float) -> float:
         log_intr = float(np.log(max(-k, 1e-300)))
         log_otm = log_intr + float(np.log1p(np.exp(min(log_otm - log_intr, 700.0))))
     return log_otm
-
-
-def put_price_log(kappa: FloatLike, sigma: FloatLike) -> FloatLike:
-    """ln of the normalized put price; reflection of :func:`call_price_log`."""
-    return call_price_log(_negated(kappa), sigma)
 
 
 def vega(kappa: FloatLike, sigma: FloatLike) -> FloatLike:

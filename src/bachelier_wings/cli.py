@@ -129,47 +129,42 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _parse_pos_float(text: str) -> float:
+def _parse_float(text: str, positive: bool = False) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError("must be a positive finite number")
+    if not math.isfinite(value) or positive and value <= 0.0:
+        raise argparse.ArgumentTypeError("must be a positive finite number" if positive else "must be finite")
     return value
 
 
-def _parse_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("must be finite")
-    return value
+_parse_pos_float = functools.partial(_parse_float, positive=True)
 
 
 # built on first use and shared by every later main() call in the
 # process: parsing leaves the parsers untouched (each call gets a fresh
 # Namespace), and usage and help output look up sys.stdout/sys.stderr
 # when printed, so redirected callers see their own streams.  Returns the
-# top-level parser and its map of command name -> subcommand parser.
+# top-level parser, holding every command's value_flags (the options that take
+# a value), and its map of command name -> subcommand parser, which sets its handler.
 @functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="bachelier-wings", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def common(p: _Parser, handler) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=_parse_seed, default=42)
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("price", parents=[], help="price a moneyness grid")
+    p = sub.add_parser("price", help="price a moneyness grid")
     p.add_argument("--model", required=True, help="model config JSON file")
     p.add_argument("--grid", type=_parse_grid, required=True)
     p.add_argument("--tol", type=_parse_pos_float, default=1e-11,
                    help="quadrature tolerance (relative; also caps absolute)")
-    common(p)
+    common(p, cmd_price)
 
     p = sub.add_parser("ivol", help="invert one market quote")
     p.add_argument("--forward", type=_parse_float, required=True)
@@ -178,31 +173,33 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--price", type=_parse_pos_float, required=True)
     p.add_argument("--type", choices=("call", "put"), default="call")
     p.add_argument("--tol", type=_parse_pos_float, default=1e-12)
-    common(p)
+    common(p, cmd_ivol)
 
     p = sub.add_parser("smile", help="implied-volatility smile on a grid")
     p.add_argument("--model", required=True)
     p.add_argument("--grid", type=_parse_grid, required=True)
     p.add_argument("--tol", type=_parse_pos_float, default=1e-12,
                    help="inversion tolerance")
-    common(p)
+    common(p, cmd_smile)
 
     p = sub.add_parser("wings", help="wing-asymptotics verdict report")
     p.add_argument("--model", required=True)
     p.add_argument("--grid", type=_parse_grid, default=None,
                    help="per-side |kappa| range as min:max:count (optional)")
     p.add_argument("--tol", type=_parse_pos_float, default=1e-12)
-    common(p)
+    common(p, cmd_wings)
 
     p = sub.add_parser("check", help="run the core invariant suites")
     p.add_argument("--samples", type=int, default=10_000,
                    help="sample count for the randomized suites")
     p.add_argument("--tol", type=_parse_pos_float, default=1e-9,
                    help="round-trip relative tolerance")
-    common(p)
+    common(p, cmd_check)
 
     p = sub.add_parser("models", help="list model types and parameters")
-    common(p)
+    common(p, cmd_models)
+    parser.value_flags = {flag for command in sub.choices.values() for action in command._actions
+                          if action.nargs != 0 for flag in action.option_strings}
     return parser, sub.choices
 
 
@@ -437,41 +434,15 @@ def cmd_models(args) -> int:
 # entry points
 # =============================================================================
 
-_HANDLERS = {
-    "price": cmd_price,
-    "ivol": cmd_ivol,
-    "smile": cmd_smile,
-    "wings": cmd_wings,
-    "check": cmd_check,
-    "models": cmd_models,
-}
-
-
-_VALUE_FLAGS = {
-    "--grid", "--forward", "--strike", "--maturity", "--price", "--tol",
-    "--seed", "--out", "--model", "--samples", "--format", "--type",
-}
-
-
-def _absorb_dash_values(argv: list[str]) -> list[str]:
+def _absorb_dash_values(argv: list[str], value_flags) -> list[str]:
     # argparse mistakes "-4:4:5" after --grid for an option; fold such
     # values into --flag=value form (negative numbers never start "--")
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in _VALUE_FLAGS
-            and nxt is not None
-            and nxt.startswith("-")
-            and not nxt.startswith("--")
-        ):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in value_flags and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -481,13 +452,13 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     # over is refused by the top-level parser, as its parse_args would;
     # help, a missing or an unknown command take the top-level parser
     parser, commands = _build_parser()
+    argv = _absorb_dash_values(argv, parser.value_flags)
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error(_("unrecognized arguments: %s") % " ".join(extras))
-    args.command = argv[0]
     return args
 
 
@@ -495,11 +466,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse_args(_absorb_dash_values(list(argv)))
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ModelConfigError as exc:
         return _fail(str(exc))
     except BachelierWingsError as exc:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two readers that
-decide what a real number is for every public entry point."""
+"""Exception types shared across the package, and the readers that decide
+what a number is for every public entry point."""
 
 from __future__ import annotations
 
@@ -22,24 +22,30 @@ class DomainError(BachelierWingsError, ValueError):
     """
 
 
+def _read(values, name: str, dtype: type = float) -> np.ndarray:
+    """values as a float64 (complex128 for dtype complex) array of any shape, the
+    caller's own when it is one; DomainError naming them for text (str or bytes, even
+    "1.5", a text dtype, an object array holding text or None) and what else numpy
+    cannot read so (a ragged list too), not for inf or NaN.  A generator or set is listed."""
+    if type(values) is np.ndarray and values.dtype == dtype:
+        return values
+    if not isinstance(values, (np.ndarray, list, tuple, str, bytes)) and isinstance(values, Iterable):
+        values = list(values)
+    kinds = "biufcO" if dtype is complex else "biufO"
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind not in kinds or arr.dtype.kind == "O" and any(
+                v is None or isinstance(v, (str, bytes)) for v in arr.flat):
+            raise TypeError
+        return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        number = "real or complex" if dtype is complex else "real"
+        raise DomainError(f"{name} must be {number}, got {reprlib.repr(values)}") from None
+
+
 def _reals(values, name: str, neg_inf: bool = False) -> np.ndarray:
-    """values as a float64 array of any shape, the caller's own when it is one,
-    else DomainError naming them: for text (str or bytes, even "1.5", a text
-    dtype, an object array holding text or None), anything else numpy cannot
-    read as reals (a ragged list too), and inf or NaN (-inf passes with neg_inf).
-    An iterable that numpy takes for one object, a generator or a set, is listed."""
-    arr = values
-    if not (type(values) is np.ndarray and values.dtype == np.float64):
-        if not isinstance(values, (np.ndarray, list, tuple, str, bytes)) and isinstance(values, Iterable):
-            values = list(values)
-        try:
-            arr = np.asarray(values)
-            if arr.dtype.kind not in "biufO" or arr.dtype.kind == "O" and any(
-                    v is None or isinstance(v, (str, bytes)) for v in arr.flat):
-                raise TypeError
-            arr = arr.astype(float, copy=False)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"{name} must be real, got {reprlib.repr(values)}") from None
+    """values read by _read as float64, then DomainError for inf or NaN (-inf passes with neg_inf)."""
+    arr = _read(values, name)
     ok = np.isfinite(arr) if not neg_inf else arr < math.inf
     if np.count_nonzero(ok) < arr.size:
         bad = float(arr[~ok].flat[0])

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bachelier import LN_SQRT_2PI, SQRT_2PI, _scaled_time_value
+from .bachelier import LN_SQRT_2PI, SQRT_2PI, _scaled_time_value, _signed_reals
 from .errors import (
     AccuracyNotReached,
     ConvergenceFailure,
@@ -478,7 +478,7 @@ def implied_vol_call(kappa: float, price: float, tol: float = 1e-12) -> IvolResu
 
 def implied_vol_put(kappa: float, price: float, tol: float = 1e-12) -> IvolResult:
     """Implied normal vol of a put quote; the reflected call solve, verbatim."""
-    return implied_vol_call(-kappa if type(kappa) is float else -_real(kappa, "kappa"), price, tol)
+    return implied_vol_call(-_real(kappa, "kappa"), price, tol)
 
 
 def implied_vol_call_log(kappa: float, log_price: float, tol: float = 1e-12) -> IvolResult:
@@ -510,20 +510,28 @@ def implied_vol_call_log(kappa: float, log_price: float, tol: float = 1e-12) -> 
 
 def implied_vol_put_log(kappa: float, log_price: float, tol: float = 1e-12) -> IvolResult:
     """Put counterpart of implied_vol_call_log, via reflection."""
-    return implied_vol_call_log(-kappa if type(kappa) is float else -_real(kappa, "kappa"), log_price, tol)
+    return implied_vol_call_log(-_real(kappa, "kappa"), log_price, tol)
 
 
-def implied_vol_call_vec(
-    kappa, price, tol: float = 1e-12
-) -> NDArray[np.float64]:
+def implied_vol_call_vec(kappa, price, tol: float = 1e-12) -> NDArray[np.float64]:
     """Bulk implied vols for arrays of call quotes; returns sigma only.
 
     Same algorithm and error contract as implied_vol_call (the first
     offending element raises), one vectorized solve for the whole batch;
     the arrays are read by errors._reals.
     """
+    return _implied_vol_vec(kappa, price, tol, 1.0)
+
+
+def implied_vol_put_vec(kappa, price, tol: float = 1e-12) -> NDArray[np.float64]:
+    """Bulk put inversion; the reflected call batch."""
+    return _implied_vol_vec(kappa, price, tol, -1.0)
+
+
+def _implied_vol_vec(kappa, price, tol: float, sign: float) -> NDArray[np.float64]:
+    """implied_vol_call_vec at sign * kappa."""
     t = _validate_tol(tol)
-    k, p = _reals(kappa, "kappa"), _reals(price, "price")
+    k, p = _signed_reals(kappa, "kappa", sign), _reals(price, "price")
     if k.shape != p.shape:
         k, p = np.broadcast_arrays(k, p)
     out, solve = _atm_closed_forms(k, p, t)
@@ -563,11 +571,6 @@ def _solved_sigma(k_otm, log_tv, tol: float, out, solve) -> NDArray[np.float64]:
     return out
 
 
-def implied_vol_put_vec(kappa, price, tol: float = 1e-12) -> NDArray[np.float64]:
-    """Bulk put inversion; the reflected call batch."""
-    return implied_vol_call_vec(np.negative(_reals(kappa, "kappa")), price, tol)
-
-
 def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np.float64]:
     """Bulk inversion from ln(price) quotes; returns sigma only.
 
@@ -576,8 +579,18 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
     kappa reduces through parity in log space (subject to the digits the
     input actually carries, as in implied_vol_call_log).
     """
+    return _implied_vol_log_vec(kappa, log_price, tol, 1.0)
+
+
+def implied_vol_put_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np.float64]:
+    """Bulk put inversion from ln(price); the reflected call batch."""
+    return _implied_vol_log_vec(kappa, log_price, tol, -1.0)
+
+
+def _implied_vol_log_vec(kappa, log_price, tol: float, sign: float) -> NDArray[np.float64]:
+    """implied_vol_call_log_vec at sign * kappa."""
     t = _validate_tol(tol)
-    k, lp = _reals(kappa, "kappa"), _reals(log_price, "log_price", True)
+    k, lp = _signed_reals(kappa, "kappa", sign), _reals(log_price, "log_price", True)
     if k.shape != lp.shape:
         k, lp = np.broadcast_arrays(k, lp)
     out, solve = _atm_closed_forms(k, lp, t, _exp_quiet)
@@ -601,8 +614,3 @@ def implied_vol_call_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np
         kb = float(k.flat[int(np.argmax(underflow))])
         raise NoSolutionBelowIntrinsic(kb, 0.0, max(-kb, 0.0))
     return _solved_sigma(np.abs(k), log_tv, t, out, solve)
-
-
-def implied_vol_put_log_vec(kappa, log_price, tol: float = 1e-12) -> NDArray[np.float64]:
-    """Bulk put inversion from ln(price); the reflected call batch."""
-    return implied_vol_call_log_vec(np.negative(_reals(kappa, "kappa")), log_price, tol)

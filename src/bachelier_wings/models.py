@@ -12,9 +12,10 @@ here numerically (a fixed double-exponential rule on each half-line,
 Every model is centered to zero mean by default so that call - put = -kappa.
 Each family writes one signed tail, log_tail(x, sign) = ln P(sign X > sign x):
 the survival function for sign +1, the cdf for -1, decaying at strip.rate(sign).
-All evaluation functions accept scalars or ndarrays; scalars in, float out.
-The constructors read their parameters by errors._real: text, non-reals, inf
-and NaN raise DomainError.
+All evaluation functions accept scalars or ndarrays; scalars in, float out
+(complex from char_fn).  They read their argument by errors._read and the
+constructors their parameters by errors._real: text and non-reals raise
+DomainError, and so do inf and NaN parameters.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.special as sc
 
-from .errors import ConvergenceFailure, DomainError, ModelConfigError, _real
+from .errors import ConvergenceFailure, DomainError, ModelConfigError, _read, _real
 
 __all__ = [
     "AnalyticityStrip",
@@ -48,14 +49,14 @@ class AnalyticityStrip:
     """Maximal strip Im(xi) in (-lambda_minus, lambda_plus) of CF analyticity.
 
     lambda_minus governs the right tail's exponential decay rate and
-    lambda_plus the left's; either may be math.inf (Gaussian).
+    lambda_plus the left's; either may be math.inf (Gaussian); text raises DomainError.
     """
 
     lambda_minus: float
     lambda_plus: float
 
     def __post_init__(self) -> None:
-        if not (self.lambda_minus > 0.0) or not (self.lambda_plus > 0.0):
+        if not (_read([self.lambda_minus, self.lambda_plus], "strip boundaries") > 0.0).all():
             raise DomainError("strip boundaries must be > 0")
 
     def rate(self, sign: float) -> float:
@@ -98,37 +99,40 @@ class ModelSpec:
     breakpoints: tuple[float, ...] = ()
 
 
-def _scalarize(fn):
-    """Wrap an array-native fn(x, *args) so a scalar x comes back as a float."""
+def _scalarize(fn, name: str = "x"):
+    """Wrap an array-native fn(x, *args) so x is read by errors._read (text raises
+    DomainError) and a scalar x comes back as a float."""
 
     def wrapped(x, *args):
-        out = fn(np.asarray(x, dtype=float), *args)
-        return float(out) if np.ndim(x) == 0 else out
+        out = fn(arr := _read(x, name), *args)
+        return float(out) if arr.ndim == 0 else out
 
     return wrapped
 
 
 def _on_strip(char_fn, mgf, strip: AnalyticityStrip) -> dict:
-    """ModelSpec's strip, char_fn and mgf (the last two array-native): on a finite
-    strip DomainError unless Im(xi) lies in (-lam_minus, lam_plus) and t in
-    (-lam_plus, lam_minus); a scalar comes back complex from char_fn, float from mgf."""
+    """ModelSpec's strip, char_fn and mgf (the last two array-native, their arguments read
+    by errors._read): DomainError unless t lies in (-lam_plus, lam_minus), finite on an
+    infinite strip, and on a finite strip unless Im(xi) lies in (-lam_minus, lam_plus);
+    a scalar comes back complex from char_fn, float from mgf."""
     lam_minus, lam_plus = strip.lambda_minus, strip.lambda_plus
     finite = math.isfinite(min(lam_minus, lam_plus))
     outside = f"char_fn argument outside the strip Im(xi) in (-{lam_minus:g}, {lam_plus:g})"
-    beyond = f"mgf argument must lie in (-{lam_plus:g}, {lam_minus:g})"
+    beyond = (f"mgf argument must lie in (-{lam_plus:g}, {lam_minus:g})" if finite
+              else "mgf argument must be finite")
 
     def checked_char_fn(xi):
-        z = np.asarray(xi, dtype=complex)
+        z = _read(xi, "xi", complex)
         if finite and (np.any(z.imag <= -lam_minus) or np.any(z.imag >= lam_plus)):
             raise DomainError(outside)
         out = char_fn(z)
-        return complex(out) if np.ndim(xi) == 0 else out
+        return complex(out) if z.ndim == 0 else out
 
     def checked_mgf(t):
-        _require(not finite or ((-lam_plus < t) & (t < lam_minus)).all(), beyond)
+        _require(((-lam_plus < t) & (t < lam_minus)).all(), beyond)
         return mgf(t)
 
-    return {"char_fn": checked_char_fn, "mgf": _scalarize(checked_mgf), "strip": strip}
+    return {"char_fn": checked_char_fn, "mgf": _scalarize(checked_mgf, "t"), "strip": strip}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -156,7 +160,6 @@ def gaussian_model(sigma: float) -> ModelSpec:
         return np.exp(-0.5 * s * s * xi * xi)
 
     def mgf(t):
-        _require(np.isfinite(t).all(), "mgf argument must be finite")
         with np.errstate(over="ignore"):
             return np.exp(0.5 * s * s * t * t)
 

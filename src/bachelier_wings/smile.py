@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _read
 
 __all__ = ["SmilePoint", "SmileGrid", "STATUS_OK", "STATUS_FAILED"]
 
@@ -21,7 +21,7 @@ class SmilePoint:
     option value at kappa (call for kappa >= 0, put below), the quote the
     implied normal volatility ivol is read from, so deep wings stay usable
     past double underflow; price is its exp, subnormal or 0 there.
-    Failed points carry NaN in the numeric slots.
+    Failed points carry NaN in the numeric slots, which refuse text (DomainError).
     """
 
     kappa: float
@@ -31,6 +31,10 @@ class SmilePoint:
     status: str
 
     def __post_init__(self) -> None:
+        if not type(self.kappa) is type(self.price) is type(self.log_price) is type(self.ivol) is float:
+            for name in ("kappa", "price", "log_price", "ivol"):
+                if _read(value := getattr(self, name), name).ndim:
+                    raise DomainError(f"{name} must be one real number, got {value!r}")
         if self.status not in (STATUS_OK, STATUS_FAILED):
             raise DomainError(f"status must be 'ok' or 'failed', got {self.status!r}")
         if self.status == STATUS_OK and not (self.ivol > 0.0):

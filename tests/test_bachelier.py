@@ -319,8 +319,8 @@ NAN, INF = float("nan"), float("inf")
     (call_price_log, 3, -1, "sigma must be > 0"),
     (call_price_log, 1.0, INF, "sigma must be finite, got inf"),
     (call_price_log, 1.0, NAN, "sigma must be finite, got nan"),
-    (put_price_log, INF, 1.0, "kappa must be finite, got -inf"),
-    (put_price_log, np.float64(-INF), 1.0, "kappa must be finite, got np.float64(inf)"),
+    (put_price_log, INF, 1.0, "kappa must be finite, got inf"),
+    (put_price_log, np.float64(-INF), 1.0, "kappa must be finite, got np.float64(-inf)"),
     (put_price_log, 1.0, -2.0, "sigma must be > 0"),
     (put_price_log, 1.0, np.float64(INF), "sigma must be finite, got np.float64(inf)"),
 ])

@@ -495,12 +495,18 @@ def test_command_parser_matches_the_top_level_path(model_files, monkeypatch, arg
 
 def test_value_flags_are_the_parsers_value_options():
     # _absorb_dash_values folds "--grid -4:4:9" into "--grid=-4:4:9" for exactly
-    # the options that take a value, in every command parser
-    _, commands = cli._build_parser()
+    # the options that take a value, the set the top-level parser derives from
+    # every command parser
+    parser, commands = cli._build_parser()
     assert len(commands) == 6
-    taking_a_value = {flag for command in commands.values() for action in command._actions
-                      if action.nargs != 0 for flag in action.option_strings}
-    assert cli._VALUE_FLAGS == taking_a_value
+    assert parser.value_flags == {
+        "--grid", "--forward", "--strike", "--maturity", "--price", "--tol",
+        "--seed", "--out", "--model", "--samples", "--format", "--type",
+    }
+    for flag in parser.value_flags | {"-h", "--help", "price"}:
+        folded = cli._absorb_dash_values([flag, "-4:4:9", "-1"], parser.value_flags)
+        want = [f"{flag}=-4:4:9", "-1"] if flag in parser.value_flags else [flag, "-4:4:9", "-1"]
+        assert folded == want
 
 
 def test_csv_output_builds_no_json_meta(model_files, monkeypatch):

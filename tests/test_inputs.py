@@ -1,6 +1,7 @@
 """Every public entry point that takes a number reads it through errors._real
-or errors._reals: text (even "1.0"), what is no real number and text nested in
-a list or an array raise DomainError, and a value's float, np.float64,
+or errors._reals, and a model's evaluators, AnalyticityStrip and SmilePoint
+through errors._read: text (even "1.0"), what is no real number and text nested
+in a list or an array raise DomainError, and a value's float, np.float64,
 integral int and 0-d array forms give bit-identical results.
 """
 
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bachelier_wings import bachelier, inversion
+from bachelier_wings import bachelier, errors, inversion
 from bachelier_wings.errors import DomainError
-from bachelier_wings.models import ModelSpec, asym_laplace_model, gaussian_model, nig_model
+from bachelier_wings.models import AnalyticityStrip, ModelSpec, asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import (
     QuadratureSettings,
     log_call_price_from_tail,
@@ -26,10 +27,12 @@ from bachelier_wings.pricing import (
     price_grid,
     smile_from_model,
 )
+from bachelier_wings.smile import SmilePoint
 from bachelier_wings.wings import VerdictSettings, condition_i_probe, rv_index, tail_reference_curve
 
 GAUSS = gaussian_model(1.0)
 LAPLACE = asym_laplace_model(1.0, 1.0)
+NIG = nig_model(2.0, 0.5, 1.0)
 
 
 def _slot(fn, args: tuple, at, lo: float | None, hi: float | None, optional: bool = False):
@@ -110,7 +113,20 @@ def _other_slots():
     ]
 
 
-REAL_SLOTS = _bachelier_slots() + _inversion_slots() + _other_slots()
+def _evaluator_slots():
+    # each family's four evaluators; the drawn t lies inside every strip (Laplace's
+    # is (-1, 1)), and log_tail's sign stays 1.0
+    slots = []
+    for model in (GAUSS, LAPLACE, NIG):
+        for name, call, lo, hi in (("log_pdf", model.log_pdf, -10.0, 10.0),
+                                   ("log_tail", lambda x, m=model: m.log_tail(x, 1.0), -10.0, 10.0),
+                                   ("mgf", model.mgf, -0.9, 0.9),
+                                   ("char_fn", model.char_fn, -5.0, 5.0)):
+            slots.append(pytest.param(call, lo, hi, False, id=f"{model.name}.{name}"))
+    return slots
+
+
+REAL_SLOTS = _bachelier_slots() + _inversion_slots() + _other_slots() + _evaluator_slots()
 # integer parameters: they refuse what the real ones refuse, and every float
 INTEGER_SLOTS = [_slot(condition_i_probe, (LAPLACE, "right", 0, 1e-3), 2, None, None),
                  _slot(VerdictSettings, (), "points_per_side", None, None)]
@@ -118,13 +134,18 @@ INTEGER_SLOTS = [_slot(condition_i_probe, (LAPLACE, "right", 0, 1e-3), 2, None, 
 WHOLE_GRIDS = [_slot(price_grid, (LAPLACE, 0.0), 1, None, None),
                _slot(smile_from_model, (LAPLACE, 0.0), 1, None, None),
                _slot(tail_reference_curve, (LAPLACE, 0.0, "right"), 1, None, None)]
+# containers that keep what they are given: a strip boundary may be inf, and a
+# failed point's numeric slots hold NaN
+CONTAINER_SLOTS = [_slot(AnalyticityStrip, (1.0, 1.0), at, None, None) for at in (0, 1)] + [
+    _slot(SmilePoint, (1.0, 0.1, math.log(0.1), 0.5, "ok"), at, None, None) for at in range(4)]
 
 REFUSED = ["1.0", b"1.0", np.str_("1.0"), None, object(), ["1.0"], [b"1.0"], [1.0, "1.0"], [["1.0"]],
            np.array("1.0"), np.array(["1.0"]), np.array([b"1.0"]), np.array(["1.0"], dtype=object),
            np.array([1.0, "1.0"], dtype=object), np.array([1.0, None], dtype=object)]
 
 
-@pytest.mark.parametrize("call, lo, hi, optional", REAL_SLOTS + INTEGER_SLOTS + WHOLE_GRIDS)
+@pytest.mark.parametrize("call, lo, hi, optional",
+                         REAL_SLOTS + INTEGER_SLOTS + WHOLE_GRIDS + CONTAINER_SLOTS)
 def test_every_number_refuses_text_and_non_numbers(call, lo, hi, optional):
     for value in REFUSED:
         if value is None and optional:
@@ -138,6 +159,8 @@ def _canonical(out):
     and bytes, a model by its fields and its log density and tails on a grid."""
     if isinstance(out, float):
         return out.hex()
+    if isinstance(out, complex):
+        return out.real.hex(), out.imag.hex()
     if isinstance(out, np.ndarray):
         return out.dtype.str, out.shape, out.tobytes()
     if isinstance(out, ModelSpec):
@@ -168,3 +191,45 @@ def test_a_value_in_any_real_form_gives_the_same_bits(call, lo, hi, optional, da
     want = _canonical(call(value))
     for form in forms[1:]:
         assert _canonical(call(form)) == want, type(form).__name__
+
+
+INF = float("inf")
+
+
+def _put(put, args, *message):
+    return pytest.param(put, args, *message, id=f"{put.__name__}{args}")
+
+
+@pytest.mark.parametrize("put, args, message", [
+    _put(bachelier.put_price, (np.float64(INF), 1.0), "kappa must be finite, got inf"),
+    _put(bachelier.put_price, (np.float64(-INF), 1.0), "kappa must be finite, got -inf"),
+    _put(bachelier.put_price_log, (np.float64(INF), 1.0), "kappa must be finite, got np.float64(inf)"),
+    _put(bachelier.put_price_log, (np.float64(-INF), 1.0), "kappa must be finite, got np.float64(-inf)"),
+    _put(inversion.implied_vol_put, (INF, 1.0), "kappa must be finite, got inf"),
+    _put(inversion.implied_vol_put_log, (-INF, 0.0), "kappa must be finite, got -inf"),
+])
+def test_a_put_names_the_kappa_it_was_given(put, args, message):
+    # the put reflects kappa after reading it, so the message holds the caller's value
+    with pytest.raises(DomainError) as err:
+        put(*args)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("put, args", [
+    _put(bachelier.put_price, ([1.0, -2.0], 1.0)),
+    _put(bachelier.put_price_log, ([1.0, -2.0], 1.0)),
+    _put(inversion.implied_vol_put_vec, ([1.0, -2.0], [2.0, 0.5])),
+    _put(inversion.implied_vol_put_log_vec, ([1.0, -2.0], [0.7, -1.0])),
+])
+def test_an_array_put_reads_kappa_once(monkeypatch, put, args):
+    reads = []
+    reals = errors._reals
+
+    def counting(values, name, *rest):
+        reads.append(name)
+        return reals(values, name, *rest)
+
+    for module in (bachelier, inversion):
+        monkeypatch.setattr(module, "_reals", counting)
+    put(*args)
+    assert reads.count("kappa") == 1
