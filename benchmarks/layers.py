@@ -16,6 +16,11 @@ and of the NIG tail_reference_curve + rv_index pair on both sides, plus
 the number of log_pdf calls each L3/L4/L5 call makes and the nodes
 (log_pdf points) each L4 call evaluates, and the mgf calls and points of
 each L5 report (mgf_work_theorem_verdicts: the condition-(i) strip probes).
+L4_smile_assembly_us is smile_from_model on each report model's grid in
+microseconds with its tail core (pricing._log_payoff_integrals) and its
+solve (pricing._solve_otm_log) replaced by their results, recorded on one
+real call beforehand: the grid check, the leg signs, the marks and index
+lists, the ivols and the SmilePoint and SmileGrid construction around them.
 L5_side_reports_us is the report's own per-side work in microseconds: both
 wings._side_report calls (wing slope, tail reference, tail-growth index,
 strip probes and their checks) on the report smile of each report model,
@@ -93,12 +98,13 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 from scipy import special
 
 import bachelier_wings
-from bachelier_wings import cli
+from bachelier_wings import cli, pricing
 from bachelier_wings.bachelier import call_price, call_price_log, put_price_log
 from bachelier_wings.inversion import (
     _solve_otm_log,
@@ -245,6 +251,25 @@ def otm_deck(n: int = 100_000):
     return kappa, sigma, call_price_log(kappa, sigma)
 
 
+def recorded_core_and_solve(model, grid) -> dict:
+    """The results of smile_from_model(model, grid)'s one tail-core call and one
+    solve, by name, recorded on a real call."""
+    results = {}
+
+    def recording(name):
+        real = getattr(pricing, name)
+
+        def call(*args):
+            results[name] = real(*args)
+            return results[name]
+        return call
+
+    names = ("_log_payoff_integrals", "_solve_otm_log")
+    with unittest.mock.patch.multiple(pricing, **{name: recording(name) for name in names}):
+        smile_from_model(model, grid)
+    return results
+
+
 def cli_grid_argv(model, path: str, command: str, fmt: str) -> list[str]:
     """argv of command in format fmt on 9 points over +-4 scales; writes model to path."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -286,8 +311,8 @@ def untimed(fn) -> float:
 def layer_rows(time_ms) -> dict:
     """Every row but the L1 crossover and the cold starts, in the order they
     run, with time_ms(fn) as each row's time of fn in reference ms."""
-    out = {"L3_price_grid_ms": {}, "L4_smile_from_model_ms": {}, "L5_theorem_verdicts_ms": {},
-           "L5_side_reports_us": {},
+    out = {"L3_price_grid_ms": {}, "L4_smile_from_model_ms": {}, "L4_smile_assembly_us": {},
+           "L5_theorem_verdicts_ms": {}, "L5_side_reports_us": {},
            "log_pdf_calls_price_grid": {}, "log_pdf_calls_smile_from_model": {},
            "log_pdf_nodes_smile_from_model": {}, "log_pdf_calls_theorem_verdicts": {},
            "mgf_work_theorem_verdicts": {}}
@@ -299,6 +324,10 @@ def layer_rows(time_ms) -> dict:
         model = MODELS[name]
         grid = report_grid(model)
         out["L4_smile_from_model_ms"][name] = time_ms(lambda: smile_from_model(model, grid))
+        stubs = {stub: lambda *args, result=result: result
+                 for stub, result in recorded_core_and_solve(model, grid).items()}
+        with unittest.mock.patch.multiple(pricing, **stubs):
+            out["L4_smile_assembly_us"][name] = 1e3 * time_ms(lambda: smile_from_model(model, grid))
         calls, nodes = work(model, lambda m: smile_from_model(m, grid))
         out["log_pdf_calls_smile_from_model"][name] = calls
         out["log_pdf_nodes_smile_from_model"][name] = nodes

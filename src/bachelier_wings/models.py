@@ -113,8 +113,8 @@ def _scalarize(fn, name: str = "x"):
 def _on_strip(char_fn, mgf, strip: AnalyticityStrip) -> dict:
     """ModelSpec's strip, char_fn and mgf (the last two array-native, their arguments read
     by errors._read): DomainError unless t lies in (-lam_plus, lam_minus), finite on an
-    infinite strip, and on a finite strip unless Im(xi) lies in (-lam_minus, lam_plus);
-    a scalar comes back complex from char_fn, float from mgf."""
+    infinite strip, unless xi is finite (both parts), and on a finite strip unless Im(xi)
+    lies in (-lam_minus, lam_plus); a scalar comes back complex from char_fn, float from mgf."""
     lam_minus, lam_plus = strip.lambda_minus, strip.lambda_plus
     finite = math.isfinite(min(lam_minus, lam_plus))
     outside = f"char_fn argument outside the strip Im(xi) in (-{lam_minus:g}, {lam_plus:g})"
@@ -123,6 +123,8 @@ def _on_strip(char_fn, mgf, strip: AnalyticityStrip) -> dict:
 
     def checked_char_fn(xi):
         z = _read(xi, "xi", complex)
+        if not (ok := np.isfinite(z)).all():
+            raise DomainError(f"xi must be finite, got {complex(z[~ok].flat[0])!r}")
         if finite and (np.any(z.imag <= -lam_minus) or np.any(z.imag >= lam_plus)):
             raise DomainError(outside)
         out = char_fn(z)
@@ -430,15 +432,33 @@ def mgf_blowup_boundary(model: ModelSpec, side: str) -> float:
     sign = _side_sign(side)
     if math.isinf(model.strip.rate(sign)):
         return math.inf
-    x = _geometric_grid(2000.0, 8000.0, 33)
-    slope, _, _ = _line_fit(x, model.log_pdf(sign * x))
+    slope, _ = _line_fit(_BLOWUP_X, model.log_pdf(_BLOWUP_POINTS[sign]), r2=False)
     return -slope
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a constant shared by every caller in the process."""
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _ratio_powers(ratio: float, n: int) -> np.ndarray:
+    return _frozen(ratio ** (np.arange(n) / (n - 1)))
 
 
 # golden pins fix _geometric_grid's bits (rv, probe, blow-up grids): it cannot become _geomspace
 def _geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """np.geomspace(lo, hi, n) to rounding, without its overhead."""
-    return lo * (hi / lo) ** (np.arange(n) / (n - 1))
+    """np.geomspace(lo, hi, n) to rounding, without its overhead: lo times the
+    row (hi / lo) ** (np.arange(n) / (n - 1)), a new array.  The row is cached,
+    read-only, for the 32 (ratio, n) pairs used last, so a ratio that recurs,
+    such as the strip probe's 512, costs one multiply."""
+    return lo * _ratio_powers(hi / lo, n)
+
+
+# mgf_blowup_boundary's grid, sign * x for each sign: 1.0 * x and -1.0 * x are x and -x
+_BLOWUP_X = _frozen(_geometric_grid(2000.0, 8000.0, 33))
+_BLOWUP_POINTS = {1.0: _BLOWUP_X, -1.0: _frozen(-_BLOWUP_X)}
 
 
 def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
@@ -458,15 +478,19 @@ def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
     return out
 
 
-def _line_fit(x, y) -> tuple[float, float, float]:
+def _line_fit(x, y, r2: bool = True) -> tuple[float, ...]:
     """Least-squares line through 1-d (x, y) on centred sums: slope, intercept
-    and r^2 = 1 - residual/total sum of squares (0 for a constant y)."""
+    and r^2 = 1 - residual/total sum of squares (0 for a constant y).  With
+    r2=False only slope and intercept, without the residual and its two dot
+    products: the fits that never read r^2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     # .sum() and @ without their wrappers, and the scalar steps on Python floats: the same bits
     x_mean, y_mean = float(np.add.reduce(x)) / x.size, float(np.add.reduce(y)) / y.size
     dx, dy = x - x_mean, y - y_mean
     slope = float(dx.dot(dy) / dx.dot(dx))
+    if not r2:
+        return slope, y_mean - slope * x_mean
     res = dy - slope * dx
     ss_tot = float(dy.dot(dy))
     r2 = 1.0 - float(res.dot(res)) / ss_tot if ss_tot > 0.0 else 0.0

@@ -477,26 +477,37 @@ def smile_from_model(
     takes the closed form.  A point whose own leg does not converge to a
     finite ln S, or whose inversion fails, is marked failed; the rest
     proceed.  tol_iv must be > 0.
+
+    After the core, the marks, the index lists and the points are built on
+    Python floats: one np.exp over the solved x of the good quotes, and
+    _solve_otm_log called once, on an empty batch too.
     """
     if not (tol := _real(tol_iv, "tol_iv")) > 0.0:
         raise DomainError(f"tol_iv must be > 0, got {tol_iv!r}")
     kappas = _checked_grid(grid)
     ln_s, _, ok = _log_payoff_integrals(model, kappas, np.where(kappas >= 0.0, 1.0, -1.0),
                                         settings.abs_tol, settings.rel_tol)
-    log_prices = np.where(ok & np.isfinite(ln_s), ln_s, math.nan)  # NaN marks a failed leg
+    ks = kappas.tolist()
+    # NaN marks a failed leg: not converged, or a ln S that is not finite
+    log_prices = [ln if good and -math.inf < ln < math.inf else math.nan
+                  for ln, good in zip(ln_s.tolist(), ok.tolist())]
+    off, atm = [], []  # the priced points off the money, and at it (at most one)
+    for i, k, lp in zip(itertools.count(), ks, log_prices):
+        if lp == lp:
+            (off if k != 0.0 else atm).append(i)
 
-    ivols = np.full(kappas.shape, math.nan)
-    off = np.flatnonzero((kappas != 0.0) & ~np.isnan(log_prices))
-    solved = _solve_otm_log(np.abs(kappas[off]), log_prices[off], tol)
+    ivols = [math.nan] * len(ks)
+    solved = _solve_otm_log(np.abs(kappas[off]), ln_s[off], tol)
     good = solved.converged & ~solved.unattainable
-    ivols[off[good]] = np.exp(solved.x[good])
-    for i in np.flatnonzero((kappas == 0.0) & ~np.isnan(log_prices)):  # at most one
+    for i, sigma in zip(itertools.compress(off, good.tolist()), np.exp(solved.x[good]).tolist()):
+        ivols[i] = sigma
+    for i in atm:
         with contextlib.suppress(AccuracyNotReached, DomainError):
             ivols[i] = _atm_result(math.exp(log_prices[i]), tol).sigma
 
-    log_prices[np.isnan(ivols)] = math.nan
     # math.exp, as in _price, so a price in the normal range keeps its PriceQuote bits
     return SmileGrid(points=tuple(
-        SmilePoint(k, math.exp(lp), lp, iv, STATUS_FAILED if math.isnan(iv) else STATUS_OK)
-        for k, lp, iv in zip(kappas.tolist(), log_prices.tolist(), ivols.tolist())
+        SmilePoint(k, math.exp(lp), lp, iv, STATUS_OK) if iv == iv
+        else SmilePoint(k, math.nan, math.nan, iv, STATUS_FAILED)
+        for k, lp, iv in zip(ks, log_prices, ivols)
     ))

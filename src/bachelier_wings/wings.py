@@ -14,6 +14,7 @@ diagnostics quantify how fast the price-to-volatility asymptotics settle.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,7 +33,8 @@ from .errors import (
     _reals,
 )
 from .inversion import implied_vol_call_log  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
-from .models import ModelSpec, _geometric_grid, _geomspace, _line_fit, _side_sign, mgf_blowup_boundary
+from .models import (ModelSpec, _frozen, _geometric_grid, _geomspace, _line_fit, _side_sign,
+                     mgf_blowup_boundary)
 from .pricing import smile_from_model
 from .pricing import log_call_price_from_tail  # noqa: F401  patched by perfbench/spans.py LAYER_CALLS
 from .smile import STATUS_OK, SmileGrid
@@ -146,8 +148,7 @@ def wing_slope(smile: SmileGrid, side: str) -> WingEstimate:
 def _extrapolate(samples) -> float:
     """The 1/|kappa| -> 0 intercept of a + b/|kappa| fitted to the outer (up to six) samples."""
     outer = samples[-6:]
-    _, intercept, _ = _line_fit([1.0 / abs(k) for k, _ in outer], [v for _, v in outer])
-    return intercept
+    return _line_fit([1.0 / abs(k) for k, _ in outer], [v for _, v in outer], r2=False)[1]
 
 
 def _log_tails(model: ModelSpec, sign: float, mags: np.ndarray) -> list[float]:
@@ -158,6 +159,10 @@ def _log_tails(model: ModelSpec, sign: float, mags: np.ndarray) -> list[float]:
     tail not below 0 (NaN included) DomainError."""
     raw = np.asarray(model.log_tail(sign * mags, sign))
     log_tails = (raw if raw.shape == mags.shape else np.broadcast_to(raw, mags.shape)).tolist()
+    # every tail inside (-inf, 0) leaves the sum finite and the largest below 0 (a NaN
+    # fails one of the two tests); only then is the walk for the first bad one skipped
+    if -math.inf < sum(log_tails) and max(log_tails, default=-1.0) < 0.0:
+        return log_tails
     for mag, lt in zip(mags.tolist(), log_tails):
         if lt == -math.inf:
             raise TailUnderflow(f"tail at |kappa|={mag:g} underflows even in log form")
@@ -205,7 +210,7 @@ def _rv_grid(lo: float, hi: float) -> np.ndarray:
 
 
 def _rv_fit(lo: float, hi: float, grid: np.ndarray, log_tails: list[float]) -> float:
-    theta, _, _ = _line_fit(np.log(grid[:-1]), np.log(np.negative(log_tails[:-1])))
+    theta, _ = _line_fit(np.log(grid[:-1]), np.log(np.negative(log_tails[:-1])), r2=False)
     # defining ratio at the top: g(2k)/g(k) should be ~ 2^theta
     ratio_theta = math.log2(log_tails[-2] / log_tails[-1])
     if abs(ratio_theta - theta) > 0.25:
@@ -245,11 +250,26 @@ def asymptotic_residuals(smile: SmileGrid):
 # strip-boundary probe of the MGF
 # =============================================================================
 
-def _probe_derivatives(model: ModelSpec, side: str, orders, s_min: float):
-    """The probe's s grid and |M^(n)| on it for each order n, from one mgf call,
-    each summed only when the caller reaches it: central binomial differences
-    of step s/10, whose O(h^2) error is a constant relative bias across the
-    grid, so log-log slopes stay clean."""
+@functools.cache
+def _stencil_offsets(orders: tuple[int, ...]) -> np.ndarray:
+    """The probe's offsets n/2 - j (in steps h) for j = 0..n of each order, as a
+    read-only column: one per (orders) tuple the probes ask for."""
+    return _frozen(np.array([n / 2.0 - j for n in orders for j in range(n + 1)])[:, None])
+
+
+def _stencil(n: int, rows, h: np.ndarray) -> np.ndarray:
+    """|M^(n)| from the next n + 1 rows: the binomial sum over h^n; at order 0
+    |M| itself, since 0 + 1.0 * row and / h**0 change no bit of its magnitude."""
+    if n == 0:
+        return np.abs(next(rows))
+    return np.abs(sum((-1.0) ** j * math.comb(n, j) * next(rows) for j in range(n + 1))) / h**n
+
+
+def _probe_derivatives(model: ModelSpec, side: str, orders: tuple[int, ...], s_min: float):
+    """The probe's s grid, ln s and |M^(n)| on it for each order n, from one mgf
+    call, each summed only when the caller reaches it: central binomial
+    differences of step s/10, whose O(h^2) error is a constant relative bias
+    across the grid, so log-log slopes stay clean."""
     boundary = model.strip.rate(sign := _side_sign(side))
     if math.isinf(boundary):
         raise NotApplicableInfiniteStrip(f"{model.name} has an infinite strip on the {side} side")
@@ -258,21 +278,20 @@ def _probe_derivatives(model: ModelSpec, side: str, orders, s_min: float):
 
     s = _geometric_grid(s_min, boundary / 8.0, 9)
     h = s / 10.0
-    offsets = np.array([n / 2.0 - j for n in orders for j in range(n + 1)])
-    rows = iter(model.mgf(sign * (boundary - s) + offsets[:, None] * h))  # one per offset
-    return s, (np.abs(sum((-1.0) ** j * math.comb(n, j) * next(rows) for j in range(n + 1))) / h**n
-               for n in orders)
+    rows = iter(model.mgf(sign * (boundary - s) + _stencil_offsets(orders) * h))  # one per offset
+    return s, np.log(s), (_stencil(n, rows, h) for n in orders)
 
 
-def _probe_fit(side: str, n: int, s: np.ndarray, deriv: np.ndarray) -> ConditionIProbe:
+def _probe_fit(side: str, n: int, s: np.ndarray, log_s: np.ndarray,
+               deriv: np.ndarray) -> ConditionIProbe:
     kept = np.isfinite(deriv) & (deriv > 0.0)
     count = np.count_nonzero(kept)
     if count < 4:
         raise AccuracyNotReached("too few finite MGF derivative values for a probe fit",
                                  achieved=float(count))
     if count < kept.size:
-        s, deriv = s[kept], deriv[kept]
-    slope, _, r2 = _line_fit(np.log(s), np.log(deriv))
+        s, log_s, deriv = s[kept], log_s[kept], deriv[kept]
+    slope, _, r2 = _line_fit(log_s, np.log(deriv))
     return ConditionIProbe(side=side, n=n, rho_estimate=-slope, regression_r2=r2,
                            s_grid=tuple(s.tolist()))
 
@@ -285,10 +304,10 @@ def condition_i_probe(model: ModelSpec, side: str, n: int, s_min: float) -> Cond
     slope.  Derivatives use central differences with step s/10, which
     keeps the relative finite-difference bias constant across the grid.
     """
-    if not (isinstance(n, numbers.Integral) and 0 <= n <= 4):
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and 0 <= n <= 4):
         raise DomainError("derivative order n must be an integer between 0 and 4")
-    s, (deriv,) = _probe_derivatives(model, side, (n,), s_min)
-    return _probe_fit(side, n, s, deriv)
+    s, log_s, (deriv,) = _probe_derivatives(model, side, (n,), s_min)
+    return _probe_fit(side, n, s, log_s, deriv)
 
 
 # =============================================================================
@@ -306,7 +325,8 @@ class VerdictSettings:
     points_per_side: int = 12
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.points_per_side, numbers.Integral) and self.points_per_side >= 4):
+        count = self.points_per_side
+        if not (isinstance(count, numbers.Integral) and not isinstance(count, bool) and count >= 4):
             raise DomainError("points_per_side must be an integer, at least 4")
         for name in ("tol_iv", "wing_lo_scales", "wing_hi_scales"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
@@ -341,9 +361,9 @@ def _escalating_probe(model: ModelSpec, side: str, s_min: float) -> ConditionIPr
     # until the blow-up is both visible and cleanly power-like.  All three
     # orders come from one mgf call, each stencil summed only when reached;
     # each fit equals condition_i_probe's
-    s, derivs = _probe_derivatives(model, side, (0, 1, 2), s_min)
+    s, log_s, derivs = _probe_derivatives(model, side, (0, 1, 2), s_min)
     for n, deriv in enumerate(derivs):
-        probe = _probe_fit(side, n, s, deriv)
+        probe = _probe_fit(side, n, s, log_s, deriv)
         if _power_law_blowup(probe):
             return probe
     return probe

@@ -154,6 +154,14 @@ def test_every_number_refuses_text_and_non_numbers(call, lo, hi, optional):
             call(value)
 
 
+@pytest.mark.parametrize("call, lo, hi, optional", INTEGER_SLOTS)
+def test_an_integer_slot_refuses_a_bool(call, lo, hi, optional):
+    # True is an int to Python, not a derivative order or a point count
+    for value in (True, False):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(value)
+
+
 def _canonical(out):
     """out in a form equal for equal bits: floats by hex, arrays by dtype, shape
     and bytes, a model by its fields and its log density and tails on a grid."""

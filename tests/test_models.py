@@ -16,9 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bachelier_wings import models
 from bachelier_wings.errors import DomainError, ModelConfigError
 from bachelier_wings.models import (
     AnalyticityStrip,
+    _geometric_grid,
     _geomspace,
     asym_laplace_model,
     gaussian_model,
@@ -320,6 +322,16 @@ def test_char_fn_rejects_outside_strip():
     NIG.char_fn(complex(3.0, -1.4))
 
 
+@pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan, complex(0.0, math.nan),
+                                np.array([0.5, math.nan, 1.0])],
+                         ids=["inf", "-inf", "nan", "imag_nan", "array_with_nan"])
+@pytest.mark.parametrize("model", [GAUSS, LAPLACE, NIG], ids=lambda m: m.name)
+def test_char_fn_refuses_a_non_finite_argument(model, xi):
+    # as mgf does, on every strip, with no RuntimeWarning (which fails the suite)
+    with pytest.raises(DomainError, match="^xi must be finite, got"):
+        model.char_fn(xi)
+
+
 def test_mgf_domain_enforced():
     with pytest.raises(DomainError):
         LAPLACE.mgf(1.0)
@@ -454,6 +466,36 @@ def test_geomspace_mirror_equals_numpy_bit_for_bit(lo, ratio, n, negative):
         got, want = _geomspace(a, b, n), np.geomspace(a, b, n)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=st.lists(st.tuples(st.floats(1e-300, 1e290), st.sampled_from([4.0, 200.0, 512.0])
+                                | st.floats(1.0, 1e8, exclude_min=True), st.integers(2, 40)),
+                      min_size=1, max_size=6))
+@example(calls=[(2.0**-12 * 0.7, 512.0, 9), (2.0**-12 * 2.0, 512.0, 9), (2000.0, 4.0, 33)])
+def test_geometric_grid_equals_its_formula_bit_for_bit(calls):
+    # each (ratio, n) twice, so the second call reads the cached row, and a repeated
+    # ratio under another lo reads it too
+    for lo, ratio, n in calls + calls:
+        hi = lo * ratio
+        got, want = _geometric_grid(lo, hi, n), lo * (hi / lo) ** (np.arange(n) / (n - 1))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert got.flags.writeable  # the caller's own array
+
+
+def test_cached_grids_are_read_only():
+    x = models._BLOWUP_X
+    assert x.view(np.uint64).tolist() == _geometric_grid(2000.0, 8000.0, 33).view(np.uint64).tolist()
+    for sign in (1.0, -1.0):
+        assert models._BLOWUP_POINTS[sign].view(np.uint64).tolist() == (sign * x).view(np.uint64).tolist()
+    for cached in (x, models._BLOWUP_POINTS[1.0], models._BLOWUP_POINTS[-1.0],
+                   models._ratio_powers(512.0, 9)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    # a caller that writes to its grid leaves the cached row alone
+    grid = _geometric_grid(1.0, 512.0, 9)
+    grid[:] = 7.0
+    assert _geometric_grid(1.0, 512.0, 9).tolist() == (512.0 ** (np.arange(9) / 8.0)).tolist()
 
 
 # =============================================================================

@@ -15,6 +15,7 @@ the scalar solvers, in one batched inversion), serial and threaded.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -38,7 +39,12 @@ from bachelier_wings.errors import (
     DampingOutsideStrip,
     DomainError,
 )
-from bachelier_wings.inversion import implied_vol_call, implied_vol_call_log, implied_vol_put_log
+from bachelier_wings.inversion import (
+    _atm_result,
+    implied_vol_call,
+    implied_vol_call_log,
+    implied_vol_put_log,
+)
 from bachelier_wings.models import _DE_LEVELS, _DE_STEP, asym_laplace_model, gaussian_model, nig_model
 from bachelier_wings.pricing import (
     DEFAULT_SETTINGS,
@@ -1059,6 +1065,81 @@ def test_smile_points_match_scalar_log_solvers_on_random_models(model, wings, to
     grid = [0.0, *(w * model.scale for w in scales), *(-w * model.scale for w in scales[::2])]
     smile = smile_from_model(model, grid, tol_iv=tol_iv)
     _assert_points_match_scalar_solvers(model, smile, tol_iv)
+
+
+def _mask_chain_smile(model, grid, tol):
+    """The smile assembly as a chain of numpy masks after the core (flatnonzero
+    index lists, a NaN fill, the ivols scattered by mask): the reference that
+    smile_from_model's list assembly must equal bit for bit."""
+    kappas = pricing._checked_grid(grid)
+    ln_s, _, ok = pricing._log_payoff_integrals(model, kappas, np.where(kappas >= 0.0, 1.0, -1.0),
+                                                DEFAULT_SETTINGS.abs_tol, DEFAULT_SETTINGS.rel_tol)
+    log_prices = np.where(ok & np.isfinite(ln_s), ln_s, math.nan)
+    ivols = np.full(kappas.shape, math.nan)
+    off = np.flatnonzero((kappas != 0.0) & ~np.isnan(log_prices))
+    solved = pricing._solve_otm_log(np.abs(kappas[off]), log_prices[off], tol)
+    good = solved.converged & ~solved.unattainable
+    ivols[off[good]] = np.exp(solved.x[good])
+    for i in np.flatnonzero((kappas == 0.0) & ~np.isnan(log_prices)):
+        with contextlib.suppress(AccuracyNotReached, DomainError):
+            ivols[i] = _atm_result(math.exp(log_prices[i]), tol).sigma
+    log_prices[np.isnan(ivols)] = math.nan
+    return [(k, math.exp(lp), lp, iv, "failed" if math.isnan(iv) else "ok")
+            for k, lp, iv in zip(kappas.tolist(), log_prices.tolist(), ivols.tolist())]
+
+
+def _point_bits(k, price, log_price, ivol, status):
+    return np.array([k, price, log_price, ivol]).view(np.uint64).tolist(), status
+
+
+_LEG_FATES = ("ok", "unconverged", "inf", "-inf", "nan")
+_SOLVE_FATES = ("ok", "unconverged", "unattainable")
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_random_model(),
+       scales=st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-60.0, 60.0), max_size=12),
+       legs=st.lists(st.sampled_from(_LEG_FATES), min_size=1, max_size=12),
+       solves=st.lists(st.sampled_from(_SOLVE_FATES), min_size=1, max_size=12),
+       tol_iv=st.sampled_from([1e-12, 1e-20]))
+@example(model=LAPLACE, scales=[], legs=["ok"], solves=["ok"], tol_iv=1e-12)  # empty grid
+@example(model=LAPLACE, scales=[0.0], legs=["ok"], solves=["ok"], tol_iv=1e-12)  # at the money alone
+@example(model=LAPLACE, scales=[0.0], legs=["nan"], solves=["ok"], tol_iv=1e-12)
+@example(model=NIG, scales=[-3.0, 0.0, 2.0, 2.0, -0.0, 40.0], legs=["ok", "inf", "ok", "unconverged"],
+         solves=["unattainable", "ok"], tol_iv=1e-12)  # duplicates, failed legs and solves
+def test_smile_assembly_equals_the_mask_chain_bit_for_bit(model, scales, legs, solves, tol_iv):
+    # the core's legs and the solve's quotes each get a fate in turn (a leg that did
+    # not converge or whose ln S is not finite, a solve not converged or unattainable)
+    grid = [x * model.scale for x in scales + scales[:2]]  # duplicates too
+    core, solve = pricing._log_payoff_integrals, pricing._solve_otm_log
+
+    def fated_core(*args):
+        ln_s, err, ok = core(*args)
+        ln_s, ok = ln_s.copy(), ok.copy()
+        for i, fate in zip(range(ln_s.size), itertools.cycle(legs)):
+            if fate == "unconverged":
+                ok[i] = False
+            elif fate != "ok":
+                ln_s[i] = float(fate)
+        return ln_s, err, ok
+
+    def fated_solve(k, log_tv, tol):
+        solved = solve(k, log_tv, tol)
+        converged, unattainable = solved.converged.copy(), solved.unattainable.copy()
+        for i, fate in zip(range(k.size), itertools.cycle(solves)):
+            if fate == "unconverged":
+                converged[i] = False
+            elif fate == "unattainable":
+                unattainable[i] = True
+        return solved._replace(converged=converged, unattainable=unattainable)
+
+    with unittest.mock.patch.object(pricing, "_log_payoff_integrals", fated_core), \
+            unittest.mock.patch.object(pricing, "_solve_otm_log", fated_solve):
+        got = smile_from_model(model, grid, tol_iv=tol_iv)
+        want = _mask_chain_smile(model, grid, tol_iv)
+    assert [_point_bits(p.kappa, p.price, p.log_price, p.ivol, p.status) for p in got.points] == [
+        _point_bits(*w) for w in want]
+    assert all(type(v) is float for p in got.points for v in (p.kappa, p.price, p.log_price, p.ivol))
 
 
 def test_smile_inverts_in_one_core_call(monkeypatch):

@@ -41,7 +41,10 @@ from bachelier_wings.wings import (
     VerdictSettings,
     WingEstimate,
     _escalating_probe,
+    _probe_derivatives,
     _PROBE_S_MIN_FRAC,
+    _stencil,
+    _stencil_offsets,
     asymptotic_residuals,
     condition_i_probe,
     rv_index,
@@ -614,6 +617,9 @@ def test_line_fit_equals_the_reference_formula_bit_for_bit(design):
     got, want = _line_fit(x, y), _reference_line_fit(x, y)
     assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
     assert all(type(v) is float for v in got)
+    # the fits that never read r^2 get the same slope and intercept without it
+    line = _line_fit(x, y, r2=False)
+    assert np.array(line).view(np.uint64).tolist() == np.array(want[:2]).view(np.uint64).tolist()
 
 
 def test_line_fit_is_exact_on_a_line():
@@ -621,6 +627,45 @@ def test_line_fit_is_exact_on_a_line():
     assert _line_fit(x, 3.0 * x - 2.0) == (3.0, -2.0, 1.0)
     # a constant has no variance to explain
     assert _line_fit(x, np.full(8, 5.0)) == (0.0, 5.0, 0.0)
+
+
+def _generic_stencil(n, rows, h):
+    """|M^(n)| as the binomial sum over h^n at every order: the probe stencils' reference."""
+    rows = iter(rows)
+    return np.abs(sum((-1.0) ** j * math.comb(n, j) * next(rows) for j in range(n + 1))) / h**n
+
+
+_STENCIL_VALUES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 4), rows=hnp.arrays(np.float64, (5, 9), elements=_STENCIL_VALUES),
+       h=hnp.arrays(np.float64, 9, elements=st.floats(1e-300, 1e300)))
+def test_each_stencil_equals_the_generic_sum_bit_for_bit(n, rows, h):
+    with np.errstate(all="ignore"):  # inf - inf and overflow, alike on both sides
+        got, want = _stencil(n, iter(rows), h), _generic_stencil(n, rows, h)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("model, side", [(LAPLACE, "right"), (SKEWED, "left"), (NIG, "right"),
+                                         (NIG, "left"), (nig_model(4.0, 3.5, 2.0), "left")])
+def test_probe_stencils_equal_the_generic_sum_on_the_mgf(model, side):
+    # orders 0, 1 and 2 from the escalation's one mgf call, against each order's
+    # binomial sum over the mgf rows at the offsets n/2 - j, built here afresh
+    sign = 1.0 if side == "right" else -1.0
+    boundary = model.strip.rate(sign)
+    s, log_s, derivs = _probe_derivatives(model, side, (0, 1, 2), _PROBE_S_MIN_FRAC * boundary)
+    h = s / 10.0
+    offsets = np.array([n / 2.0 - j for n in (0, 1, 2) for j in range(n + 1)])
+    rows = model.mgf(sign * (boundary - s) + offsets[:, None] * h)
+    starts = (0, 1, 3)
+    for n, deriv in enumerate(derivs):
+        want = _generic_stencil(n, rows[starts[n]:starts[n] + n + 1], h)
+        assert deriv.view(np.uint64).tolist() == want.view(np.uint64).tolist(), n
+    assert log_s.tolist() == np.log(s).tolist()
+    for orders in ((0, 1, 2), (3,)):  # the offsets are shared: no caller may write to them
+        with pytest.raises(ValueError, match="read-only"):
+            _stencil_offsets(orders)[0] = 0.0
 
 
 def test_probe_input_validation():
